@@ -26,7 +26,7 @@
 //!   track the topology-aligned case — cluster-aligned shards, per-shard
 //!   lookahead — whose 2-thread speedup CI gates on;
 //! * `recorder_overhead` — the always-on flight recorder's cost, on the
-//!   machine (expr_heavy with a ring-fed tracer vs bare) and on the
+//!   machine (expr_heavy with a ring fed from drained events vs bare) and on the
 //!   world (shard mesh, recorder + machine traces vs neither). The
 //!   recorded machine loop is also held to the zero-alloc invariant: a
 //!   black box that allocates per event is not "always-on";
@@ -47,7 +47,7 @@
 //! as `BENCH_PR9.json` at the repo root). CI's `bench-smoke` job runs
 //! `--quick` and fails on any steady-state allocation.
 
-use ceu::runtime::{FlightRecorder, Machine, NativeProgram, NullHost, TraceMask};
+use ceu::runtime::{FlightRecorder, Machine, NativeProgram, NullHost, TraceEvent, TraceMask};
 use ceu::Compiler;
 use ceu_bench::{DATAFLOW_CHAIN, EXPR_HEAVY};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -189,19 +189,26 @@ fn boot(prog: &Arc<ceu::CompiledProgram>, event: &str) -> (Machine, ceu::ast::Ev
     (m, ev)
 }
 
-/// Attaches a flight recorder to the machine the way `ceuc run
-/// --blackbox` does: a coarse-masked tracer that stores into a bounded
-/// ring. No mutex — the closure owns the ring, which is the cheapest
-/// honest configuration (the CLI pays an extra `Arc<Mutex>` to read it
-/// back; the invariant under test here is the recording itself).
-fn attach_recorder(m: &mut Machine, capacity: usize) {
-    let mut rec = FlightRecorder::new(capacity);
-    let mut seq = 0u64;
-    m.set_tracer(Box::new(move |e| {
-        seq += 1;
-        rec.record(0, 0, seq, e);
-    }));
-    m.set_trace_mask(TraceMask::Coarse);
+/// A flight recorder (plus its reused drain buffer) fed the way `ceuc run
+/// --blackbox` and the simulators feed theirs: the machine buffers coarse
+/// events, and the driver drains them into the bounded ring after every
+/// call.
+type Recorder = (FlightRecorder, Vec<TraceEvent>);
+
+fn attach_recorder(m: &mut Machine, capacity: usize) -> Recorder {
+    m.enable_events(TraceMask::Coarse);
+    (FlightRecorder::new(capacity), Vec::new())
+}
+
+/// One reaction to `ev`, then the recorder (if any) drains the machine.
+fn react(m: &mut Machine, ev: ceu::ast::EventId, recorder: &mut Option<Recorder>) {
+    m.go_event(ev, Some(ceu::runtime::Value::Int(1)), &mut NullHost).expect("react");
+    if let Some((rec, drained)) = recorder {
+        m.drain_events_into(drained);
+        for e in drained.drain(..) {
+            rec.record(0, 0, rec.recorded() + 1, &e);
+        }
+    }
 }
 
 /// Median-of-N ns/event over fresh machines (one per trial).
@@ -240,16 +247,14 @@ fn latency_trial(
     recorder: Option<usize>,
 ) -> f64 {
     let (mut m, ev) = boot(prog, event);
-    if let Some(cap) = recorder {
-        attach_recorder(&mut m, cap);
-    }
+    let mut recorder = recorder.map(|cap| attach_recorder(&mut m, cap));
     // warm caches, grow every machine buffer to steady state
     for _ in 0..events.min(200) {
-        m.go_event(ev, Some(ceu::runtime::Value::Int(1)), &mut NullHost).expect("warmup");
+        react(&mut m, ev, &mut recorder);
     }
     let start = Instant::now();
     for _ in 0..events {
-        m.go_event(ev, Some(ceu::runtime::Value::Int(1)), &mut NullHost).expect("react");
+        react(&mut m, ev, &mut recorder);
     }
     start.elapsed().as_nanos() as f64 / events as f64
 }
@@ -317,15 +322,13 @@ fn alloc_count_opts(
     recorder: Option<usize>,
 ) -> u64 {
     let (mut m, ev) = boot(prog, event);
-    if let Some(cap) = recorder {
-        attach_recorder(&mut m, cap);
-    }
+    let mut recorder = recorder.map(|cap| attach_recorder(&mut m, cap));
     for _ in 0..warmup {
-        m.go_event(ev, Some(ceu::runtime::Value::Int(1)), &mut NullHost).expect("warmup");
+        react(&mut m, ev, &mut recorder);
     }
     let before = allocs();
     for _ in 0..events {
-        m.go_event(ev, Some(ceu::runtime::Value::Int(1)), &mut NullHost).expect("react");
+        react(&mut m, ev, &mut recorder);
     }
     allocs() - before
 }
@@ -646,9 +649,9 @@ fn main() {
         });
     }
 
-    // the flight recorder's cost: machine flavor (ns/event with a
-    // ring-fed tracer vs bare) and world flavor (shard-mesh wall with
-    // recorder + machine traces vs neither), medians over trials
+    // the flight recorder's cost: machine flavor (ns/event with a ring
+    // fed from drained events vs bare) and world flavor (shard-mesh wall
+    // with recorder + machine traces vs neither), medians over trials
     let mut recorder_rows = Vec::new();
     let expr = Arc::new(Compiler::new().compile(EXPR_HEAVY).expect("workload compiles"));
     // off/on trials alternate so clock drift cannot masquerade as

@@ -11,28 +11,18 @@
 //! cargo run -p ceu-bench --bin fig1_reaction
 //! ```
 
-use ceu::runtime::telemetry::{self, ChromeTraceSink, TraceSink};
-use ceu::runtime::{Cause, NullHost, Status, TraceEvent, Value};
+use ceu::runtime::{
+    Cause, ChromeTraceSink, NullHost, Status, TraceEvent, TraceMask, TraceSink, Value,
+};
 use ceu::{Compiler, Simulator};
 use ceu_bench::{out_dir, table, FIG1_PROGRAM};
-use std::sync::{Arc, Mutex};
 
 fn main() {
     let program = Compiler::new().compile(FIG1_PROGRAM).expect("figure-1 program is safe");
-    let buf = Arc::new(Mutex::new(Vec::new()));
     let mut sim = Simulator::new(program, NullHost);
     sim.machine_mut().enable_metrics();
-
-    let trace_path = out_dir().join("fig1_trace.json");
-    let file = std::io::BufWriter::new(
-        std::fs::File::create(&trace_path).expect("create fig1_trace.json"),
-    );
-    let (chrome, mut chrome_tracer) = telemetry::shared(ChromeTraceSink::new(file));
-    let tap = Arc::clone(&buf);
-    sim.set_tracer(Box::new(move |e| {
-        tap.lock().unwrap().push(*e);
-        chrome_tracer(e);
-    }));
+    // four short chains: the whole run fits in the machine's buffer
+    sim.machine_mut().enable_events(TraceMask::Full);
 
     sim.start().unwrap();
     let s1 = sim.event("A", None).unwrap();
@@ -40,11 +30,13 @@ fn main() {
     let s3 = sim.event("B", None).unwrap();
     // C is "enqueued" conceptually; the program is over, so it is a no-op
     let s4 = sim.event("C", Some(Value::Int(0))).err().is_none();
+    let mut events = Vec::new();
+    sim.machine_mut().drain_events_into(&mut events);
 
     // render the trace, one block per reaction chain
     println!("Figure 1 — reaction chains\n");
     let mut chain = 0;
-    for e in buf.lock().unwrap().iter() {
+    for e in &events {
         match e {
             TraceEvent::ReactionStart { cause, .. } => {
                 chain += 1;
@@ -75,17 +67,21 @@ fn main() {
     assert_eq!(s2, Status::Running, "the second A is discarded, nothing changes");
     assert_eq!(s3, Status::Terminated(None), "B finishes the program");
     assert!(s4, "post-termination events are no-ops");
-    {
-        let events = buf.lock().unwrap();
-        let discards = events.iter().filter(|e| matches!(e, TraceEvent::Discarded { .. })).count();
-        assert_eq!(discards, 1);
-        // boot + A + A(discarded) + B = four reaction chains, no reaction to C
-        let chains =
-            events.iter().filter(|e| matches!(e, TraceEvent::ReactionStart { .. })).count();
-        assert_eq!(chains, 4);
-    }
+    let discards = events.iter().filter(|e| matches!(e, TraceEvent::Discarded { .. })).count();
+    assert_eq!(discards, 1);
+    // boot + A + A(discarded) + B = four reaction chains, no reaction to C
+    let chains = events.iter().filter(|e| matches!(e, TraceEvent::ReactionStart { .. })).count();
+    assert_eq!(chains, 4);
 
-    chrome.lock().unwrap().finish();
+    let trace_path = out_dir().join("fig1_trace.json");
+    let file = std::io::BufWriter::new(
+        std::fs::File::create(&trace_path).expect("create fig1_trace.json"),
+    );
+    let mut chrome = ChromeTraceSink::new(file);
+    for e in &events {
+        chrome.on_event(e);
+    }
+    chrome.finish();
     let metrics = sim.machine().metrics().expect("metrics enabled").clone();
     table::record(
         "fig1_metrics",

@@ -21,14 +21,14 @@
 //!   compared across artifacts — dead-block elimination renumbers blocks.
 //! - **native vs interpreter** (both artifacts): the AOT Rust build from
 //!   `ceu-native-corpus` is attached via `Machine::set_native` and driven
-//!   through the same schedule on a bare machine (no tracer — tracing
-//!   deliberately forces the interpreter), compared on the
+//!   through the same schedule on a bare machine (no event buffer —
+//!   tracing deliberately forces the interpreter), compared on the
 //!   trace-independent surface. `native_steps()` proves the native path
 //!   actually executed, so the comparison can never be vacuous.
 
-use ceu::runtime::{Machine, NativeProgram, RecordingHost, TraceEvent, Value};
+use ceu::runtime::{Machine, NativeProgram, RecordingHost, TraceEvent, TraceMask, Value};
 use ceu_bench::all_programs;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Zeroes the host-clock fields (the only nondeterminism in a trace).
 fn normalize(e: &TraceEvent) -> TraceEvent {
@@ -117,15 +117,13 @@ fn drive(prog: Arc<ceu::CompiledProgram>, tree_eval: bool) -> Observed {
     let mut m = Machine::from_arc(Arc::clone(&prog));
     m.use_tree_eval = tree_eval;
     m.enable_metrics();
-    let buf = Arc::new(Mutex::new(Vec::new()));
-    {
-        let tap = Arc::clone(&buf);
-        m.set_tracer(Box::new(move |e| tap.lock().unwrap().push(*e)));
-    }
+    m.enable_events(TraceMask::Full);
     let mut h = host();
     run_schedule(&mut m, &prog, &mut h);
 
-    let trace = buf.lock().unwrap().iter().map(normalize).collect();
+    let mut events = Vec::new();
+    m.drain_events_into(&mut events);
+    let trace = events.iter().map(normalize).collect();
     Observed {
         trace,
         calls: h.calls,
@@ -136,7 +134,7 @@ fn drive(prog: Arc<ceu::CompiledProgram>, tree_eval: bool) -> Observed {
     }
 }
 
-/// Drives a *bare* machine (no tracer, no metrics — the configuration
+/// Drives a *bare* machine (no event buffer, no metrics — the configuration
 /// where the native path engages) through the same schedule, optionally
 /// with an AOT program attached. Returns the trace-independent surface
 /// plus how many native steps ran.

@@ -5,12 +5,12 @@
 //! library call).
 
 use ceu::runtime::telemetry::event_to_json;
-use ceu::runtime::{Machine, RecordingHost, Value};
+use ceu::runtime::{Machine, RecordingHost, TraceMask, Value};
 use ceu_bench::{
     receiver_ceu, BLINK_CEU, BLINK_SYNC_CEU, CLIENT_CEU, DATAFLOW_CHAIN, FIG1_PROGRAM,
     GUIDING_EXAMPLE, SENSE_CEU, SERVER_CEU,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn host() -> RecordingHost {
     RecordingHost::new()
@@ -25,15 +25,7 @@ fn host() -> RecordingHost {
 fn drive_jsonl(prog: Arc<ceu::CompiledProgram>, tree_eval: bool) -> String {
     let mut m = Machine::from_arc(Arc::clone(&prog));
     m.use_tree_eval = tree_eval;
-    let buf = Arc::new(Mutex::new(String::new()));
-    {
-        let tap = Arc::clone(&buf);
-        m.set_tracer(Box::new(move |e| {
-            let mut out = tap.lock().unwrap();
-            out.push_str(&event_to_json(e));
-            out.push('\n');
-        }));
-    }
+    m.enable_events(TraceMask::Full);
     let mut h = host();
     let _ = m.go_init(&mut h);
     let inputs: Vec<_> = (0..prog.events.len())
@@ -58,8 +50,9 @@ fn drive_jsonl(prog: Arc<ceu::CompiledProgram>, tree_eval: bool) -> String {
             }
         }
     }
-    let jsonl = buf.lock().unwrap().clone();
-    jsonl
+    let mut events = Vec::new();
+    m.drain_events_into(&mut events);
+    events.iter().map(|e| event_to_json(e) + "\n").collect()
 }
 
 #[test]

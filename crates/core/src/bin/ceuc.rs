@@ -63,8 +63,8 @@
 //! `drop-in-flight`) are noted and ignored — they need the WSN
 //! simulator. Faults degrade gracefully rather than abort: a crashed
 //! machine drops subsequent script directives until a scheduled reboot
-//! revives it (trace/metrics/profile then reflect the newest boot; the
-//! tracer stays attached to the first).  Machine-level runtime errors
+//! revives it (metrics/profile then reflect the newest boot; the trace
+//! and the black box span every boot).  Machine-level runtime errors
 //! (including watchdog trips) follow the same path: the machine powers
 //! off instead of the process exiting.
 //!
@@ -73,10 +73,10 @@
 //! its `--deadline-ms` wall-clock budget.
 
 use ceu::runtime::telemetry::{json_string, TraceFormat};
-use ceu::runtime::{FlightRecorder, NullHost, TraceEvent, TraceMask, Value};
+use ceu::runtime::{FlightRecorder, NullHost, TraceEvent, TraceMask, TraceSink, Value};
 use ceu::{Compiler, Simulator};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -325,30 +325,37 @@ fn note_crash(crashed: &mut Option<(u64, String)>, at: u64, cause: String) {
 /// context around a crash without measurable steady-state cost.
 const BLACKBOX_CAPACITY: usize = 4096;
 
-/// Machine-level flight-recorder state behind the tee tracer: the ring
-/// plus the running virtual clock and sequence number the wire format
-/// needs (a bare machine has no world to stamp records for it).
+/// The `--blackbox` sink: the flight-recorder ring plus the running
+/// virtual clock and sequence number the wire format needs (a bare
+/// machine has no world to stamp records for it). Every event is also
+/// forwarded to the `--trace` format sink, if any.
 struct BlackBox {
     rec: FlightRecorder,
     now_us: u64,
     seq: u64,
+    inner: Option<Box<dyn TraceSink + Send>>,
 }
 
-impl BlackBox {
-    fn new(capacity: usize) -> Self {
-        BlackBox { rec: FlightRecorder::new(capacity), now_us: 0, seq: 0 }
-    }
-
+impl TraceSink for BlackBox {
     /// Stamps and records one trace event. The clock rides along on
     /// reaction boundaries; everything between two boundaries shares the
     /// enclosing reaction's time, exactly like the world trace.
-    fn record(&mut self, e: &TraceEvent) {
+    fn on_event(&mut self, e: &TraceEvent) {
         if let TraceEvent::ReactionStart { now_us, .. } | TraceEvent::ReactionEnd { now_us, .. } = e
         {
             self.now_us = *now_us;
         }
         self.seq += 1;
         self.rec.record(self.now_us, 0, self.seq, e);
+        if let Some(inner) = &mut self.inner {
+            inner.on_event(e);
+        }
+    }
+
+    fn finish(&mut self) {
+        if let Some(inner) = &mut self.inner {
+            inner.finish();
+        }
     }
 }
 
@@ -430,7 +437,7 @@ fn exec_script(
     let mut sim = Simulator::from_arc(arc.clone(), NullHost);
     configure(&mut sim);
 
-    let (sink, fmt_tracer) = match opts.trace {
+    let fmt_sink = match opts.trace {
         Some(fmt) => {
             let out: Box<dyn std::io::Write + Send> = match &opts.trace_out {
                 Some(path) => Box::new(std::io::BufWriter::new(
@@ -439,33 +446,25 @@ fn exec_script(
                 )),
                 None => Box::new(std::io::stderr()),
             };
-            let (sink, tracer) = fmt.build(out);
-            (Some(sink), Some(tracer))
+            Some(fmt.build(out))
         }
-        None => (None, None),
+        None => None,
     };
-    // The machine has one tracer slot; `--blackbox` installs a tee that
-    // feeds the flight recorder and forwards to the format sink (if any).
-    let blackbox: Option<Arc<Mutex<BlackBox>>> =
-        opts.blackbox.as_ref().map(|_| Arc::new(Mutex::new(BlackBox::new(BLACKBOX_CAPACITY))));
-    match (&blackbox, fmt_tracer) {
-        (Some(bb), mut inner) => {
-            let recorder_only = inner.is_none();
-            let bb = Arc::clone(bb);
-            sim.set_tracer(Box::new(move |e| {
-                bb.lock().unwrap().record(e);
-                if let Some(t) = inner.as_mut() {
-                    t(e);
-                }
-            }));
-            // with no --trace sink, run at recorder granularity: the
-            // per-track firehose and host-clock samples are pure overhead
-            if recorder_only {
-                sim.machine_mut().set_trace_mask(TraceMask::Coarse);
-            }
-        }
-        (None, Some(t)) => sim.set_tracer(t),
-        (None, None) => {}
+    // with no --trace sink, run at recorder granularity: the per-track
+    // firehose and host-clock samples are pure overhead
+    let mask = if fmt_sink.is_some() { TraceMask::Full } else { TraceMask::Coarse };
+    // `--blackbox` wraps the format sink (if any) in the recorder
+    let sink = match &opts.blackbox {
+        Some(_) => Some(Box::new(BlackBox {
+            rec: FlightRecorder::new(BLACKBOX_CAPACITY),
+            now_us: 0,
+            seq: 0,
+            inner: fmt_sink,
+        }) as Box<dyn TraceSink + Send>),
+        None => fmt_sink,
+    };
+    if let Some(sink) = sink {
+        sim.set_trace_sink(sink, mask);
     }
 
     // --deadline-ms: wall-clock budget for the whole run. Checked
@@ -575,6 +574,11 @@ fn exec_script(
                         if crashed.is_some() {
                             let mut fresh = Simulator::from_arc(arc.clone(), NullHost);
                             configure(&mut fresh);
+                            // the trace and the black box follow the machine
+                            // into its next life
+                            if let Some(sink) = sim.take_trace_sink() {
+                                fresh.set_trace_sink(sink, mask);
+                            }
                             // carry the clock forward before boot so the
                             // previous life's timers do not replay
                             if let Err(e) = fresh.machine_mut().go_time(at, &mut NullHost) {
@@ -647,8 +651,9 @@ fn exec_script(
             break;
         }
     }
-    if let Some(sink) = sink {
-        sink.lock().unwrap().finish();
+    let mut sink = sim.take_trace_sink();
+    if let Some(sink) = &mut sink {
+        sink.finish();
     }
     if opts.metrics {
         match sim.metrics() {
@@ -679,9 +684,10 @@ fn exec_script(
             None => eprintln!("ceuc: profile unavailable (machine never booted cleanly)"),
         }
     }
-    if let (Some(path), Some(bb)) = (&opts.blackbox, &blackbox) {
+    let blackbox = sink.as_deref().and_then(|s| (s as &dyn std::any::Any).downcast_ref());
+    if let (Some(path), Some(bb)) = (&opts.blackbox, blackbox) {
         if let Some((at, cause)) = crashed.as_ref().or(first_crash.as_ref()) {
-            write_blackbox_dump(path, &bb.lock().unwrap(), *at, cause, boots)?;
+            write_blackbox_dump(path, bb, *at, cause, boots)?;
             eprintln!("ceuc: black-box dump written to {path}");
         }
     }

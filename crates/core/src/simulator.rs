@@ -3,7 +3,9 @@
 //! execute while the input side is quiet, and time advances explicitly.
 
 use ceu_codegen::CompiledProgram;
-use ceu_runtime::{Host, Machine, Result, RuntimeError, Status, Tracer, Value};
+use ceu_runtime::{
+    Host, Machine, Result, RuntimeError, Status, TraceEvent, TraceMask, TraceSink, Value,
+};
 use std::sync::Arc;
 
 /// A machine plus its host, with convenience driving methods. This is what
@@ -11,17 +13,22 @@ use std::sync::Arc;
 pub struct Simulator<H: Host> {
     machine: Machine,
     host: H,
+    /// Consumer of the machine's buffered events, fed after every machine
+    /// call ([`set_trace_sink`](Self::set_trace_sink)).
+    sink: Option<Box<dyn TraceSink + Send>>,
+    /// Reused drain buffer between the machine and `sink`.
+    drained: Vec<TraceEvent>,
 }
 
 impl<H: Host> Simulator<H> {
     pub fn new(program: CompiledProgram, host: H) -> Self {
-        Simulator { machine: Machine::new(program), host }
+        Self::from_arc(Arc::new(program), host)
     }
 
     /// Instantiates over an already-shared artifact — the cheap path when
     /// many simulators (motes, bench workers) run one program.
     pub fn from_arc(program: Arc<CompiledProgram>, host: H) -> Self {
-        Simulator { machine: Machine::from_arc(program), host }
+        Simulator { machine: Machine::from_arc(program), host, sink: None, drained: Vec::new() }
     }
 
     pub fn host(&self) -> &H {
@@ -40,8 +47,34 @@ impl<H: Host> Simulator<H> {
         &mut self.machine
     }
 
-    pub fn set_tracer(&mut self, t: Tracer) {
-        self.machine.set_tracer(t);
+    /// Switches on the machine's event channel at `mask` and routes it to
+    /// `sink`. The buffer is drained into the sink after every machine
+    /// call — each async slice and error return included — so it stays
+    /// bounded however long a drive runs, and events leading up to a
+    /// failure still arrive. A sink still attached when the simulator is
+    /// dropped is finished then, so every exit path leaves a complete
+    /// trace; one detached with [`take_trace_sink`](Self::take_trace_sink)
+    /// is the caller's to finish.
+    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink + Send>, mask: TraceMask) {
+        self.machine.enable_events(mask);
+        self.sink = Some(sink);
+    }
+
+    /// Detaches the trace sink, e.g. to finish it or to move it to the
+    /// simulator that replaces this one after a reboot.
+    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink + Send>> {
+        self.sink.take()
+    }
+
+    /// One machine call, followed by draining its events into the sink
+    /// whether or not the call failed.
+    fn step<T>(&mut self, call: impl FnOnce(&mut Machine, &mut H) -> Result<T>) -> Result<T> {
+        let r = call(&mut self.machine, &mut self.host);
+        if let Some(sink) = &mut self.sink {
+            self.machine.drain_events_into(&mut self.drained);
+            self.drained.drain(..).for_each(|e| sink.on_event(&e));
+        }
+        r
     }
 
     /// Switches on the machine's metrics registry (idempotent).
@@ -78,7 +111,7 @@ impl<H: Host> Simulator<H> {
 
     /// Boot reaction, then let any started asyncs run.
     pub fn start(&mut self) -> Result<Status> {
-        self.machine.go_init(&mut self.host)?;
+        self.step(|m, h| m.go_init(h))?;
         self.settle()?;
         Ok(self.status())
     }
@@ -88,14 +121,14 @@ impl<H: Host> Simulator<H> {
         let id = self.machine.event_id(name).ok_or_else(|| {
             RuntimeError::new(Default::default(), format!("unknown event `{name}`"))
         })?;
-        self.machine.go_event(id, value, &mut self.host)?;
+        self.step(|m, h| m.go_event(id, value, h))?;
         self.settle()?;
         Ok(self.status())
     }
 
     /// Advances the wall clock to the given absolute time (µs).
     pub fn advance_to(&mut self, us: u64) -> Result<Status> {
-        self.machine.go_time(us, &mut self.host)?;
+        self.step(|m, h| m.go_time(us, h))?;
         self.settle()?;
         Ok(self.status())
     }
@@ -110,10 +143,7 @@ impl<H: Host> Simulator<H> {
     /// `max_slices` to keep truly unbounded asyncs controllable).
     pub fn run_asyncs(&mut self, max_slices: usize) -> Result<usize> {
         let mut n = 0;
-        while n < max_slices
-            && !self.status().is_terminated()
-            && self.machine.go_async(&mut self.host)?
-        {
+        while n < max_slices && !self.status().is_terminated() && self.step(|m, h| m.go_async(h))? {
             n += 1;
         }
         Ok(n)
@@ -126,7 +156,7 @@ impl<H: Host> Simulator<H> {
         // truly infinite async must be driven with run_asyncs instead
         const SETTLE_SLICES: usize = 2_000_000;
         let mut n = 0;
-        while !self.status().is_terminated() && self.machine.go_async(&mut self.host)? {
+        while !self.status().is_terminated() && self.step(|m, h| m.go_async(h))? {
             n += 1;
             if n >= SETTLE_SLICES {
                 return Err(RuntimeError::new(
@@ -156,6 +186,14 @@ impl<H: Host> Simulator<H> {
             .name
             .clone();
         self.machine.read_var(&unique)
+    }
+}
+
+impl<H: Host> Drop for Simulator<H> {
+    fn drop(&mut self) {
+        if let Some(sink) = &mut self.sink {
+            sink.finish();
+        }
     }
 }
 

@@ -22,5 +22,5 @@ pub use telemetry::{
     JsonLinesSink, Metrics, ReactionSpan, SpanCollector, TextSink, TraceFormat, TraceSink,
     WindowMark,
 };
-pub use trace::{Cause, Collector, CrashKind, ReactionId, TraceEvent, TraceMask, Tracer};
+pub use trace::{Cause, CrashKind, ReactionId, TraceEvent, TraceMask};
 pub use value::{Ptr, Value};

@@ -1,9 +1,11 @@
 //! Telemetry: metrics registry, reaction spans, and pluggable trace sinks.
 //!
-//! The machine emits a flat [`TraceEvent`] stream (see
-//! [`trace`](crate::trace)); everything here is built *on top of* that
-//! stream so it composes with any tracer and costs nothing when no
-//! tracer/metrics are installed:
+//! The machine buffers a flat [`TraceEvent`] stream (see
+//! [`trace`](crate::trace) and
+//! [`Machine::enable_events`](crate::Machine::enable_events)); everything
+//! here is built *on top of* that stream, consuming drained events, so no
+//! sink runs inside a reaction and nothing costs anything while the event
+//! channel and metrics are off:
 //!
 //! * [`Metrics`] — counters and log₂-bucketed latency histograms,
 //!   maintained by the machine itself when enabled via
@@ -18,13 +20,14 @@
 //!   span pairs per reaction on the host-time axis, instant events for
 //!   emits/discards/termination.
 //!
-//! Sinks implement [`TraceSink`]; [`shared`] turns any sink into a
-//! [`Tracer`] plus a shared handle for post-run extraction (needed by
-//! sinks with a footer, e.g. [`ChromeTraceSink::finish`]).
+//! Sinks implement [`TraceSink`]: the embedding drains the machine with
+//! [`Machine::drain_events_into`](crate::Machine::drain_events_into) and
+//! hands each event to [`TraceSink::on_event`], then calls
+//! [`TraceSink::finish`] once after the run (sinks with a footer, e.g.
+//! [`ChromeTraceSink`], need it).
 
-use crate::trace::{Cause, ReactionId, TraceEvent, Tracer};
+use crate::trace::{Cause, ReactionId, TraceEvent};
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 
 // ---- metrics registry ------------------------------------------------------
 
@@ -232,13 +235,6 @@ fn hist_json(h: &Histogram) -> String {
     o.finish()
 }
 
-#[cfg(feature = "telemetry-json")]
-impl serde::Serialize for Metrics {
-    fn serialize(&self, s: &mut serde::Serializer) {
-        s.raw(&self.to_json());
-    }
-}
-
 // ---- per-block profiling ---------------------------------------------------
 
 /// Per-block execution counts and cumulative wall time (ns), indexed by
@@ -431,7 +427,7 @@ pub fn cause_to_json(c: &Cause) -> String {
 }
 
 /// Renders one [`TraceEvent`] as a single JSON object (the `jsonl`
-/// format; also the payload of the `telemetry-json` serde impls).
+/// format).
 pub fn event_to_json(e: &TraceEvent) -> String {
     let mut o = JsonObj::new();
     o.str("ev", e.kind());
@@ -517,30 +513,15 @@ pub struct ReactionSpan {
 
 // ---- sinks -----------------------------------------------------------------
 
-/// A consumer of the machine's trace stream. Implementors are plugged in
-/// through [`shared`] (keeping a handle) or [`into_tracer`].
-pub trait TraceSink {
+/// A consumer of drained trace events. `Any` lets a driver that boxed a
+/// sink (e.g. `Simulator::set_trace_sink`) take it back by its concrete
+/// type after the run.
+pub trait TraceSink: std::any::Any {
     fn on_event(&mut self, e: &TraceEvent);
 
     /// Writes any trailer the format needs (e.g. closing a JSON array).
     /// Idempotence is not required; call exactly once, after the run.
     fn finish(&mut self) {}
-}
-
-/// Wraps a sink into a [`Tracer`], returning a shared handle for
-/// post-run access (`spans()`, `finish()`, buffer extraction). The
-/// handle is `Arc<Mutex<_>>` so traced machines stay `Send`.
-pub fn shared<S: TraceSink + Send + 'static>(sink: S) -> (Arc<Mutex<S>>, Tracer) {
-    let arc = Arc::new(Mutex::new(sink));
-    let tap = Arc::clone(&arc);
-    (arc, Box::new(move |e| tap.lock().unwrap().on_event(e)))
-}
-
-/// Wraps a sink into a [`Tracer`], discarding the handle (fire-and-forget
-/// formats with no trailer, e.g. [`TextSink`], [`JsonLinesSink`]).
-pub fn into_tracer<S: TraceSink + Send + 'static>(sink: S) -> Tracer {
-    let mut s = sink;
-    Box::new(move |e| s.on_event(e))
 }
 
 /// Collects [`ReactionSpan`]s (plus any events seen outside a reaction,
@@ -629,7 +610,7 @@ impl<W: Write> TextSink<W> {
     }
 }
 
-impl<W: Write> TraceSink for TextSink<W> {
+impl<W: Write + 'static> TraceSink for TextSink<W> {
     fn on_event(&mut self, e: &TraceEvent) {
         let line = match e {
             TraceEvent::ReactionStart { cause, now_us, .. } => {
@@ -685,7 +666,7 @@ impl<W: Write> JsonLinesSink<W> {
     }
 }
 
-impl<W: Write> TraceSink for JsonLinesSink<W> {
+impl<W: Write + 'static> TraceSink for JsonLinesSink<W> {
     fn on_event(&mut self, e: &TraceEvent) {
         let _ = writeln!(self.out, "{}", event_to_json(e));
     }
@@ -748,7 +729,7 @@ impl<W: Write> ChromeTraceSink<W> {
     }
 }
 
-impl<W: Write> TraceSink for ChromeTraceSink<W> {
+impl<W: Write + 'static> TraceSink for ChromeTraceSink<W> {
     fn on_event(&mut self, e: &TraceEvent) {
         match e {
             TraceEvent::ReactionStart { id, cause, now_us, wall_ns } => {
@@ -864,25 +845,13 @@ impl std::str::FromStr for TraceFormat {
 }
 
 impl TraceFormat {
-    /// Builds a sink of this format over a writer, returning the shared
-    /// handle (call `finish` on it after the run) and the tracer.
-    pub fn build<W: Write + Send + 'static>(
-        self,
-        out: W,
-    ) -> (Arc<Mutex<dyn TraceSink + Send>>, Tracer) {
+    /// Builds a sink of this format over a writer (call `finish` on it
+    /// after the run).
+    pub fn build<W: Write + Send + 'static>(self, out: W) -> Box<dyn TraceSink + Send> {
         match self {
-            TraceFormat::Text => {
-                let (h, t) = shared(TextSink::new(out));
-                (h as Arc<Mutex<dyn TraceSink + Send>>, t)
-            }
-            TraceFormat::Jsonl => {
-                let (h, t) = shared(JsonLinesSink::new(out));
-                (h as Arc<Mutex<dyn TraceSink + Send>>, t)
-            }
-            TraceFormat::Chrome => {
-                let (h, t) = shared(ChromeTraceSink::new(out));
-                (h as Arc<Mutex<dyn TraceSink + Send>>, t)
-            }
+            TraceFormat::Text => Box::new(TextSink::new(out)),
+            TraceFormat::Jsonl => Box::new(JsonLinesSink::new(out)),
+            TraceFormat::Chrome => Box::new(ChromeTraceSink::new(out)),
         }
     }
 }

@@ -84,14 +84,14 @@ fn null_compares_like_zero() {
 
 #[test]
 fn trace_covers_the_full_lifecycle() {
-    let col = Collector::new();
     let mut m = machine("input void A;\nawait A;\nreturn 3;");
-    m.set_tracer(col.tracer());
+    m.enable_events(TraceMask::Full);
     let mut h = NullHost;
     m.go_init(&mut h).unwrap();
     let a = m.event_id("A").unwrap();
     m.go_event(a, None, &mut h).unwrap();
-    let events = col.events();
+    let mut events = Vec::new();
+    m.drain_events_into(&mut events);
     let mut kinds: Vec<&'static str> = Vec::new();
     for e in events.iter() {
         kinds.push(match e {

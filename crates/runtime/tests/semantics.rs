@@ -9,6 +9,13 @@ fn machine(src: &str) -> Machine {
     Machine::new(compile_source(src).unwrap_or_else(|e| panic!("compile: {e}")))
 }
 
+/// Everything the machine buffered since the last drain.
+fn drained(m: &mut Machine) -> Vec<TraceEvent> {
+    let mut events = Vec::new();
+    m.drain_events_into(&mut events);
+    events
+}
+
 /// Drives asyncs (and their emitted input) until quiescent.
 fn run_asyncs(m: &mut Machine, host: &mut dyn Host) {
     let mut guard = 0;
@@ -187,16 +194,14 @@ fn equal_deadlines_share_one_reaction() {
             b = 1;
         end
     "#;
-    let col = Collector::new();
     let mut m = machine(src);
-    m.set_tracer(col.tracer());
+    m.enable_events(TraceMask::Full);
     let mut h = NullHost;
     m.go_init(&mut h).unwrap();
     m.go_time(10_000, &mut h).unwrap();
     assert_eq!(m.read_var("a#0"), Some(&Value::Int(1)));
     assert_eq!(m.read_var("b#1"), Some(&Value::Int(1)));
-    let reactions = col
-        .events()
+    let reactions = drained(&mut m)
         .iter()
         .filter(|e| matches!(e, TraceEvent::ReactionStart { cause: Cause::Timer(_), .. }))
         .count();
@@ -355,15 +360,14 @@ fn discarded_events_do_not_buffer() {
         await A;
         v = 1;
     "#;
-    let col = Collector::new();
     let mut m = machine(src);
-    m.set_tracer(col.tracer());
+    m.enable_events(TraceMask::Full);
     let mut h = NullHost;
     m.go_init(&mut h).unwrap();
     let a = m.event_id("A").unwrap();
     let b = m.event_id("B").unwrap();
     m.go_event(a, None, &mut h).unwrap(); // nobody awaits A yet
-    assert!(col.events().iter().any(|e| matches!(e, TraceEvent::Discarded { .. })));
+    assert!(drained(&mut m).iter().any(|e| matches!(e, TraceEvent::Discarded { .. })));
     m.go_event(b, None, &mut h).unwrap();
     assert_eq!(m.read_var("v#0"), Some(&Value::Int(0)), "A was not buffered");
     m.go_event(a, None, &mut h).unwrap();
@@ -704,9 +708,8 @@ fn figure1_reaction_chains() {
            end
         end
     "#;
-    let col = Collector::new();
     let mut m = machine(src);
-    m.set_tracer(col.tracer());
+    m.enable_events(TraceMask::Full);
     let mut h = NullHost;
     m.go_init(&mut h).unwrap();
     let a = m.event_id("A").unwrap();
@@ -714,7 +717,7 @@ fn figure1_reaction_chains() {
     assert_eq!(m.go_event(a, None, &mut h).unwrap(), Status::Running);
     assert_eq!(m.go_event(a, None, &mut h).unwrap(), Status::Running); // discarded
     assert_eq!(m.go_event(b, None, &mut h).unwrap(), Status::Terminated(None));
-    let events = col.events();
+    let events = drained(&mut m);
     let discards = events.iter().filter(|e| matches!(e, TraceEvent::Discarded { .. })).count();
     assert_eq!(discards, 1);
 }

@@ -2,7 +2,7 @@
 //!
 //! Compile-time half: `CompiledProgram: Send + Sync` and `Machine: Send`
 //! (static-assertion style — fails to *compile* if an `Rc`, `Cell`, or
-//! non-`Send` tracer sneaks back into either type). Runtime half: one
+//! non-`Send` field sneaks back into either type). Runtime half: one
 //! `Arc<CompiledProgram>` instanced on several threads, and a machine
 //! moved across a thread boundary mid-run, both behaving identically to
 //! single-thread execution.

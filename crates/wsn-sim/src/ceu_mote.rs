@@ -168,11 +168,6 @@ pub struct CeuMote {
     /// the moment a callback arrived (how stale the mote's view of time
     /// was, before the pre-reaction `go_time` resync).
     max_clock_lag_us: u64,
-    /// Whether the machine's event buffer is on; its contents are drained
-    /// into [`MoteCtx::vm_events`] so the world can merge a unified trace.
-    trace: bool,
-    /// Remembered trace mask, re-armed on reboot alongside the buffer.
-    trace_mask: TraceMask,
     /// Remembered watchdog limits, re-armed on reboot.
     reaction_limits: Option<(Option<u64>, Option<u32>)>,
 }
@@ -198,15 +193,14 @@ impl CeuMote {
             radio_evt,
             async_per_slice: 8,
             max_clock_lag_us: 0,
-            trace: false,
-            trace_mask: TraceMask::Full,
             reaction_limits: None,
         }
     }
 
     /// Switches on machine-level tracing, buffered per callback and
-    /// surfaced to the world's unified trace (enable the world side with
-    /// `World::enable_trace`).
+    /// drained into [`MoteCtx::vm_events`] so the world can merge a unified
+    /// trace (enable the world side with `World::enable_trace`). The first
+    /// enable wins; later calls keep its mask.
     pub fn enable_trace(&mut self) {
         self.enable_trace_masked(TraceMask::Full);
     }
@@ -222,11 +216,8 @@ impl CeuMote {
     }
 
     fn enable_trace_masked(&mut self, mask: TraceMask) {
-        if !self.trace {
-            self.machine.enable_event_buffer();
-            self.machine.set_trace_mask(mask);
-            self.trace_mask = mask;
-            self.trace = true;
+        if self.machine.event_mask().is_none() {
+            self.machine.enable_events(mask);
         }
     }
 
@@ -360,8 +351,8 @@ impl Backend for CeuMote {
     /// Reboot with full state loss, as a crashed device would: a fresh
     /// machine over the same shared program artifact, a fresh C world
     /// (experiment hooks carry over), then the normal boot sequence.
-    /// Observability settings (trace sink, metrics, watchdog limits) are
-    /// re-armed on the new machine.
+    /// Observability settings (event channel, metrics, watchdog limits)
+    /// are re-armed on the new machine.
     fn reboot(&mut self, ctx: &mut MoteCtx) {
         let mut machine = Machine::from_arc(self.machine.program_arc());
         machine.set_trace_mote(self.node_id as u32);
@@ -371,9 +362,8 @@ impl Backend for CeuMote {
         if let Some((max_us, max_tracks)) = self.reaction_limits {
             machine.set_reaction_limits(max_us, max_tracks);
         }
-        if self.trace {
-            machine.enable_event_buffer();
-            machine.set_trace_mask(self.trace_mask);
+        if let Some(mask) = self.machine.event_mask() {
+            machine.enable_events(mask);
         }
         self.radio_evt = machine.event_id("Radio_receive");
         self.machine = machine;

@@ -78,3 +78,54 @@ fn runtime_error_crash_also_dumps() {
     let page = ceu_trace::render_blackbox(&dump, None, 8);
     assert!(page.starts_with("black box: machine-crashed"), "{page}");
 }
+
+/// Runs a program that ticks every millisecond for 50ms under the fault
+/// `plan`, with `sink` (`--trace=jsonl --trace-out` or `--blackbox`)
+/// writing to a fresh `out`; returns the exit code and the file written.
+fn run_ticker(name: &str, plan: &str, sink: &[&str]) -> (Option<i32>, String) {
+    let prog = write_tmp("ticker.ceu", "int v = 0;\nloop do\n await 1ms;\n v = v + 1;\nend");
+    let script = write_tmp("ticker.script", "time 50ms\n");
+    let plan = write_tmp(&format!("{name}.plan"), plan);
+    let out = std::env::temp_dir().join("ceuc-blackbox-tests").join(format!("{name}.jsonl"));
+    let _ = std::fs::remove_file(&out);
+    let status = ceuc()
+        .arg("run")
+        .arg(&prog)
+        .arg(&script)
+        .arg("--faults")
+        .arg(&plan)
+        .args(sink)
+        .arg(&out)
+        .status()
+        .unwrap();
+    (status.code(), std::fs::read_to_string(&out).expect("output written"))
+}
+
+#[test]
+fn trace_follows_the_machine_across_a_reboot() {
+    let plan = "at 5ms reboot 0 after 10ms\n";
+    let (code, text) = run_ticker("reboot-trace", plan, &["--trace=jsonl", "--trace-out"]);
+    assert_eq!(code, Some(0), "the revived run stays healthy");
+    let starts: Vec<serde_json::Value> = text
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .filter(|doc| doc.get("ev").and_then(|v| v.as_str()) == Some("ReactionStart"))
+        .collect();
+    let boot = |doc: &&serde_json::Value| {
+        doc.get("cause").and_then(|c| c.get("type")).and_then(|t| t.as_str()) == Some("boot")
+    };
+    let boots = starts.iter().filter(boot).count();
+    assert_eq!(boots, 2, "both lives are traced:\n{text}");
+    let last_now = starts.last().and_then(|doc| doc.get("now_us")?.as_u64());
+    assert_eq!(last_now, Some(50_000), "the trace runs to the end of the script:\n{text}");
+}
+
+#[test]
+fn blackbox_dump_covers_the_life_that_crashed() {
+    let plan = "at 5ms reboot 0 after 10ms\nat 30ms crash 0\n";
+    let (code, text) = run_ticker("reboot-crash", plan, &["--blackbox"]);
+    assert_eq!(code, Some(2), "the second crash is final");
+    let dump = ceu_trace::parse_blackbox(&text).expect("dump parses");
+    let last = dump.records.last().expect("the ring kept the final reactions");
+    assert_eq!(last.t_us, 30_000, "the last record is from the second life's final reaction");
+}

@@ -155,6 +155,31 @@ fn run_trace_jsonl_pairs_reactions_with_injected_events() {
 }
 
 #[test]
+fn run_trace_chrome_stays_valid_json_when_the_script_fails() {
+    let prog = write_tmp("chrome-fail.ceu", OK_PROGRAM);
+    let script = write_tmp("chrome-fail.script", "time 3ms\nbogus\n");
+    let trace = std::env::temp_dir().join("ceuc-cli-tests").join("chrome-fail.json");
+    let out = ceuc()
+        .arg("run")
+        .arg(&prog)
+        .arg(&script)
+        .arg("--trace=chrome")
+        .arg("--trace-out")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "a script error exits 1: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown directive `bogus`"), "{stderr}");
+
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let doc = serde_json::from_str(&text)
+        .unwrap_or_else(|e| panic!("the trace array is closed on error: {text} ({e:?})"));
+    let entries = doc.as_array().expect("a trace-event JSON array");
+    assert!(!entries.is_empty(), "the boot reaction ran before the error");
+}
+
+#[test]
 fn run_metrics_prints_a_summary() {
     let prog = write_tmp("met.ceu", OK_PROGRAM);
     let script = write_tmp("met.script", "time 2s\nevent Restart 1\n");
