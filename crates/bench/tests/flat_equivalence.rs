@@ -24,10 +24,15 @@
 //!   through the same schedule on a bare machine (no event buffer —
 //!   tracing deliberately forces the interpreter), compared on the
 //!   trace-independent surface. `native_steps()` proves the native path
-//!   actually executed, so the comparison can never be vacuous.
+//!   actually executed, so the comparison can never be vacuous, and a
+//!   counting wrapper proves every track the interpreter queued entered
+//!   native code — the tracks of nested (internal-emit) reactions too.
 
-use ceu::runtime::{Machine, NativeProgram, RecordingHost, TraceEvent, TraceMask, Value};
+use ceu::runtime::{
+    Machine, NativeCtx, NativeProgram, RecordingHost, Step, TraceEvent, TraceMask, Value,
+};
 use ceu_bench::all_programs;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Zeroes the host-clock fields (the only nondeterminism in a trace).
@@ -79,6 +84,8 @@ struct Observed {
     data: Vec<Value>,
     status: ceu::Status,
     reactions: u64,
+    /// Tracks queued over the run (interpreter metrics; 0 on bare runs).
+    spawns: u64,
 }
 
 /// The shared scripted schedule: boot, three rounds of every declared
@@ -124,13 +131,15 @@ fn drive(prog: Arc<ceu::CompiledProgram>, tree_eval: bool) -> Observed {
     let mut events = Vec::new();
     m.drain_events_into(&mut events);
     let trace = events.iter().map(normalize).collect();
+    let metrics = m.metrics().expect("metrics enabled");
     Observed {
         trace,
         calls: h.calls,
         outputs: h.outputs,
         data: m.data().to_vec(),
         status: m.status(),
-        reactions: m.metrics().expect("metrics enabled").reactions,
+        reactions: metrics.reactions,
+        spawns: metrics.trail_spawns,
     }
 }
 
@@ -156,8 +165,33 @@ fn drive_bare(
         data: m.data().to_vec(),
         status: m.status(),
         reactions: m.reactions_started(),
+        spawns: 0,
     };
     (obs, native_steps)
+}
+
+/// Counts the tracks a native program is entered for: a track starts at
+/// `ip == 0`, while a resume after a trap starts past it.
+struct CountEntries {
+    inner: Arc<dyn NativeProgram>,
+    entries: AtomicU64,
+}
+
+impl NativeProgram for CountEntries {
+    fn fingerprint(&self) -> u64 {
+        self.inner.fingerprint()
+    }
+
+    fn gate_conts(&self) -> &'static [u32] {
+        self.inner.gate_conts()
+    }
+
+    fn step(&self, block: u32, ip: u32, ctx: &mut NativeCtx<'_>) -> ceu::runtime::Result<Step> {
+        if ip == 0 {
+            self.entries.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.step(block, ip, ctx)
+    }
 }
 
 fn corpus() -> Vec<(&'static str, String)> {
@@ -216,10 +250,24 @@ fn native_lane_matches_the_interpreter_across_the_corpus() {
             // machine runs an artifact compiled here — the fingerprints
             // only agree if the compiler is deterministic across processes.
             let (interp, interp_steps) = drive_bare(Arc::clone(&prog), None);
-            let (nat, nat_steps) = drive_bare(prog, Some(native));
+            let counted = Arc::new(CountEntries { inner: native, entries: AtomicU64::new(0) });
+            let (nat, nat_steps) = drive_bare(Arc::clone(&prog), Some(counted.clone()));
 
             assert_eq!(interp_steps, 0, "{name} ({what}): bare interpreter must not step natively");
             assert!(nat_steps > 0, "{name} ({what}): native path must actually execute");
+            // every track the interpreter queued must enter native code —
+            // nested (internal-emit) tracks included. The queue drains
+            // fully unless the program terminated with tracks pending.
+            let spawns = drive(prog, false).spawns;
+            let entries = counted.entries.load(Ordering::Relaxed);
+            if interp.status.is_terminated() {
+                assert!(entries <= spawns, "{name} ({what}): {entries} native entries");
+            } else {
+                assert_eq!(
+                    entries, spawns,
+                    "{name} ({what}): native track entries vs tracks the interpreter queued"
+                );
+            }
             assert_eq!(nat.status, interp.status, "{name} ({what}): native status");
             assert_eq!(nat.reactions, interp.reactions, "{name} ({what}): native reaction count");
             assert!(nat.reactions > 0, "{name} ({what}): schedule must drive reactions");
@@ -228,4 +276,26 @@ fn native_lane_matches_the_interpreter_across_the_corpus() {
             assert_eq!(nat.outputs, interp.outputs, "{name} ({what}): native host outputs");
         }
     }
+}
+
+/// `dataflow_chain` with its native build: each `Go` runs the `Go` track
+/// (entry, then resume after its `emit v1_evt` trap), the `v1_evt` track
+/// (entry, resume after `emit v2_evt`) and the `v2_evt` track — 5 native
+/// steps, 3 of them inside nested reactions. An interpreter fallback for
+/// nested tracks would leave only the outer 2.
+#[test]
+fn nested_emits_run_their_tracks_native() {
+    let prog = Arc::new(ceu::Compiler::new().compile(ceu_corpus::DATAFLOW_CHAIN).unwrap());
+    let native = ceu_native_corpus::lookup("dataflow", true).expect("dataflow native build");
+    let mut m = Machine::from_arc(prog);
+    m.set_native(native).unwrap();
+    let mut h = host();
+    m.go_init(&mut h).unwrap();
+    let go = m.event_id("Go").unwrap();
+    for n in 1..=20 {
+        let before = m.native_steps();
+        m.go_event(go, None, &mut h).unwrap();
+        assert_eq!(m.native_steps() - before, 5, "Go #{n}");
+    }
+    assert_eq!(m.read_var("v3#2"), Some(&Value::Int(402)));
 }

@@ -251,7 +251,7 @@ pub struct SlotInfo {
 /// Precomputed dispatch tables (§4.3's static gate tables, generalised):
 /// everything the runtime would otherwise derive by scanning `gates`,
 /// `suspends` or `slots` on a hot path, computed once at compile time.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Dispatch {
     /// Gates awaiting each event, indexed by `EventId` (ascending gate order).
     pub event_gates: Vec<Vec<GateId>>,
@@ -263,11 +263,21 @@ pub struct Dispatch {
     pub event_suspends: Vec<Vec<u32>>,
     /// Unique (alpha-renamed) variable name → first slot.
     pub slot_by_name: HashMap<String, SlotId>,
+    /// The distinct block ranks, ascending: bucket `s` of the runtime's
+    /// rank-bucketed track queue holds the tracks of rank `slot_ranks[s]`.
+    /// Ranks are sparse (0 plus a few escape ranks `255 - depth`), so a
+    /// machine sizes its queue by this list, not by the 256 possible ranks.
+    pub slot_ranks: Vec<u8>,
+    /// Rank → bucket: the index in `slot_ranks` of the smallest listed rank
+    /// `>= r`, clamped to the last bucket. Monotone, so bucket order is
+    /// rank order.
+    pub rank_slot: Box<[u8; 256]>,
 }
 
 impl Dispatch {
     /// Builds the tables from the raw program structures.
     pub fn build(
+        blocks: &[BBlock],
         gates: &[GateInfo],
         regions: &[RegionInfo],
         suspends: &[SuspendInfo],
@@ -294,7 +304,23 @@ impl Dispatch {
         }
         let slot_by_name =
             slots.iter().map(|s| (s.name.clone(), s.slot)).collect::<HashMap<_, _>>();
-        Dispatch { event_gates, timer_gates, gate_suspends, event_suspends, slot_by_name }
+        let mut slot_ranks: Vec<u8> = blocks.iter().map(|b| b.rank).collect();
+        slot_ranks.sort_unstable();
+        slot_ranks.dedup();
+        let last = slot_ranks.len().saturating_sub(1);
+        let mut rank_slot = Box::new([0u8; 256]);
+        for (r, slot) in rank_slot.iter_mut().enumerate() {
+            *slot = slot_ranks.partition_point(|&x| (x as usize) < r).min(last) as u8;
+        }
+        Dispatch {
+            event_gates,
+            timer_gates,
+            gate_suspends,
+            event_suspends,
+            slot_by_name,
+            slot_ranks,
+            rank_slot,
+        }
     }
 }
 

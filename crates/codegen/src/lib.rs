@@ -58,6 +58,24 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_numbers_the_ranks_in_use_densely() {
+        // a loop inside a par/or: escapes at two depths plus rank 0
+        let p = compile_ok(
+            "input void A, B;\npar/or do\n loop do\n  await A;\n  break;\n end\nwith\n await B;\nend",
+        );
+        let d = &p.dispatch;
+        let mut used: Vec<u8> = p.blocks.iter().map(|b| b.rank).collect();
+        used.sort_unstable();
+        used.dedup();
+        assert_eq!(d.slot_ranks, used);
+        assert!(d.slot_ranks.len() >= 3 && d.slot_ranks[0] == 0, "{:?}", d.slot_ranks);
+        for (s, &r) in d.slot_ranks.iter().enumerate() {
+            assert_eq!(d.rank_slot[r as usize] as usize, s);
+        }
+        assert!(d.rank_slot.windows(2).all(|w| w[0] <= w[1]), "rank order is bucket order");
+    }
+
+    #[test]
     fn par_spawns_one_track_per_arm() {
         let p = compile_ok(
             "input void A, B;\npar do\n await A;\nwith\n await B;\nwith\n await forever;\nend",

@@ -100,8 +100,14 @@ pub fn compile_with_layout(resolved: &Resolved, layout: &Layout) -> Result<Compi
     if let Some(b) = end {
         lw.blocks[b as usize].term = Term::TerminateProgram { value: None };
     }
-    let dispatch =
-        Dispatch::build(&lw.gates, &lw.regions, &lw.suspends, &layout.slots, resolved.events.len());
+    let dispatch = Dispatch::build(
+        &lw.blocks,
+        &lw.gates,
+        &lw.regions,
+        &lw.suspends,
+        &layout.slots,
+        resolved.events.len(),
+    );
     let debug = DebugMap::build(&lw.blocks);
     Ok(CompiledProgram {
         blocks: lw.blocks,

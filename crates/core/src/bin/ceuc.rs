@@ -575,10 +575,8 @@ fn exec_script(
                             let mut fresh = Simulator::from_arc(arc.clone(), NullHost);
                             configure(&mut fresh);
                             // the trace and the black box follow the machine
-                            // into its next life
-                            if let Some(sink) = sim.take_trace_sink() {
-                                fresh.set_trace_sink(sink, mask);
-                            }
+                            // into its next life, on one host-clock axis
+                            fresh.inherit_trace_sink(&mut sim);
                             // carry the clock forward before boot so the
                             // previous life's timers do not replay
                             if let Err(e) = fresh.machine_mut().go_time(at, &mut NullHost) {

@@ -9,6 +9,7 @@ pub mod error;
 pub mod host;
 pub mod machine;
 pub mod native;
+mod queue;
 pub mod telemetry;
 pub mod trace;
 pub mod value;

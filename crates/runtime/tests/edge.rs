@@ -190,6 +190,45 @@ fn fifo_ablation_changes_rejoin_order_only() {
 }
 
 #[test]
+fn nested_emit_runs_lower_ranks_before_the_parked_escape() {
+    // E wakes both arms of the par/or. The first arm ends it, queueing the
+    // escape (a high rank) behind the second arm. The second arm's emit
+    // parks that escape and runs the rank-0 listener as a nested reaction;
+    // the emitter resumes, and only then does the escape run
+    let src = r#"
+        input void E;
+        internal void i;
+        deterministic _inner, _resumed, _after;
+        par do
+           loop do
+              await i;
+              _inner();
+           end
+        with
+           par/or do
+              await E;
+           with
+              await E;
+              emit i;
+              _resumed();
+              await forever;
+           end
+           _after();
+           await forever;
+        end
+    "#;
+    for fifo in [false, true] {
+        let mut m = machine(src);
+        m.fifo_scheduling = fifo;
+        let mut h = RecordingHost::new();
+        m.go_init(&mut h).unwrap();
+        let e = m.event_id("E").unwrap();
+        m.go_event(e, None, &mut h).unwrap();
+        assert_eq!(h.call_names(), vec!["inner", "resumed", "after"], "fifo = {fifo}");
+    }
+}
+
+#[test]
 fn terminated_machines_ignore_all_inputs() {
     let mut m = machine("return 1;");
     let mut h = NullHost;

@@ -121,6 +121,26 @@ fn trace_follows_the_machine_across_a_reboot() {
 }
 
 #[test]
+fn chrome_timestamps_keep_one_axis_across_a_reboot() {
+    let plan = "at 5ms reboot 0 after 10ms\n";
+    let (code, text) = run_ticker("reboot-chrome", plan, &["--trace=chrome", "--trace-out"]);
+    assert_eq!(code, Some(0), "the revived run stays healthy");
+    let doc: serde_json::Value = serde_json::from_str(&text).expect("valid Chrome JSON");
+    let entries = doc.as_array().expect("JSON array format");
+    let boots = entries
+        .iter()
+        .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("reaction:boot"))
+        .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("B"))
+        .count();
+    assert_eq!(boots, 2, "both lives are traced:\n{text}");
+    let ts: Vec<f64> =
+        entries.iter().map(|e| e.get("ts").and_then(|t| t.as_f64()).unwrap()).collect();
+    for (i, w) in ts.windows(2).enumerate() {
+        assert!(w[0] <= w[1], "ts runs backwards at entry {}: {} -> {}\n{text}", i + 1, w[0], w[1]);
+    }
+}
+
+#[test]
 fn blackbox_dump_covers_the_life_that_crashed() {
     let plan = "at 5ms reboot 0 after 10ms\nat 30ms crash 0\n";
     let (code, text) = run_ticker("reboot-crash", plan, &["--blackbox"]);
