@@ -21,14 +21,24 @@
 //! * the same internal event, at least one emitting (emit/emit or
 //!   emit/await);
 //! * C functions not declared `pure`/`deterministic`-compatible.
+//!
+//! Expanding a reaction allocates only for the states and transitions it
+//! adds. A [`State`] is two sorted vectors, the same type the explorer
+//! mutates, and new states are interned through hash → index chains over
+//! [`Dfa::states`]. Variables are interned to ids once per analysis, so
+//! recording an access copies two words. Configurations, finished paths
+//! and label buffers are pooled per analysis. The then-branch of every
+//! `if` waits on an explicit stack while the else-branch runs, so a
+//! program that forks without bound cannot overflow the native stack.
 
 use ceu_ast::{EventId, Span};
 use ceu_codegen::{
-    AsyncId, BlockId, CompiledProgram, GateId, GateKind, Op, Place, RegionId, Rv, SlotId, Term,
-    TimeAmount,
+    AsyncId, BlockId, CompiledProgram, GateId, GateKind, Op, Place, Rv, SlotId, Term, TimeAmount,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 
 /// Analysis limits.
 #[derive(Clone, Debug)]
@@ -61,14 +71,46 @@ pub enum GateSt {
     Async,
 }
 
-type GateMap = BTreeMap<GateId, GateSt>;
-type FlagSet = BTreeSet<SlotId>;
-
-/// One DFA state: the possibly-active gates and the par/and flags.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// One DFA state: the possibly-active gates and the par/and flags. Both
+/// lists are kept sorted, so equal configurations are equal values.
+#[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
 pub struct State {
-    pub gates: GateMap,
-    pub flags: FlagSet,
+    /// Possibly-active gates with their status, sorted by gate.
+    pub gates: Vec<(GateId, GateSt)>,
+    /// Set par/and flags, sorted.
+    pub flags: Vec<SlotId>,
+}
+
+impl State {
+    fn set_gate(&mut self, gate: GateId, st: GateSt) {
+        match self.gates.binary_search_by_key(&gate, |&(g, _)| g) {
+            Ok(i) => self.gates[i].1 = st,
+            Err(i) => self.gates.insert(i, (gate, st)),
+        }
+    }
+
+    fn remove_gate(&mut self, gate: GateId) {
+        if let Ok(i) = self.gates.binary_search_by_key(&gate, |&(g, _)| g) {
+            self.gates.remove(i);
+        }
+    }
+
+    /// Removes every gate in `lo..hi`.
+    fn clear_gates(&mut self, lo: GateId, hi: GateId) {
+        let from = self.gates.partition_point(|&(g, _)| g < lo);
+        let to = self.gates.partition_point(|&(g, _)| g < hi).max(from);
+        self.gates.drain(from..to);
+    }
+
+    fn set_flag(&mut self, slot: SlotId) {
+        if let Err(i) = self.flags.binary_search(&slot) {
+            self.flags.insert(i, slot);
+        }
+    }
+
+    fn has_flag(&self, slot: SlotId) -> bool {
+        self.flags.binary_search(&slot).is_ok()
+    }
 }
 
 /// Transition label.
@@ -168,57 +210,78 @@ impl Dfa {
 
 // ---- access bookkeeping -----------------------------------------------------
 
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-enum AccessKind {
-    VarRead(String),
-    VarWrite(String),
+/// A variable, interned once per analysis: slots that share a name (an
+/// array's whole range, overlaid scopes) share an id. Names are rendered
+/// only when a conflict is reported.
+type VarId = u32;
+
+/// The variable every pointer store or load is charged to.
+const POINTER: VarId = 0;
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum AccessKind<'a> {
+    VarRead(VarId),
+    VarWrite(VarId),
     EmitInt(EventId),
     AwaitInt(EventId),
     /// Output emission: concurrent emissions of the same output event are
     /// observably ordered by the environment → nondeterministic.
     EmitOut(EventId),
-    CCall(String),
+    CCall(&'a str),
 }
 
-#[derive(Clone, Debug)]
-struct Access {
-    kind: AccessKind,
+#[derive(Clone, Copy, Debug)]
+struct Access<'a> {
+    kind: AccessKind<'a>,
     group: u32,
     span: Span,
 }
 
-#[derive(Clone, Debug)]
+/// Trail groups of one reaction path. Every group's parents (several for
+/// a par/and rejoin) live in one flat arena.
+#[derive(Clone, Default, Debug)]
 struct Groups {
-    /// parents (possibly several, for par/and rejoins) and phase per group.
-    info: Vec<(Vec<u32>, u8)>,
+    /// Per group: its parents' range in `parents`, and its phase.
+    info: Vec<(u32, u32, u8)>,
+    parents: Vec<u32>,
 }
 
 impl Groups {
-    fn new() -> Self {
-        Groups { info: vec![] }
+    fn clear(&mut self) {
+        self.info.clear();
+        self.parents.clear();
     }
 
-    fn fresh(&mut self, parents: Vec<u32>, phase: u8) -> u32 {
-        self.info.push((parents, phase));
+    fn fresh(&mut self, parents: impl IntoIterator<Item = u32>, phase: u8) -> u32 {
+        let start = self.parents.len();
+        for p in parents {
+            if !self.parents[start..].contains(&p) {
+                self.parents.push(p);
+            }
+        }
+        self.info.push((start as u32, self.parents.len() as u32, phase));
         (self.info.len() - 1) as u32
     }
 
     fn phase(&self, g: u32) -> u8 {
-        self.info[g as usize].1
+        self.info[g as usize].2
     }
 
-    /// `true` when one group is an ancestor of the other (sequenced).
-    fn related(&self, a: u32, b: u32) -> bool {
-        self.is_ancestor(a, b) || self.is_ancestor(b, a)
+    /// `true` when one group is an ancestor of the other (sequenced);
+    /// `stack` is the caller's reusable walk buffer.
+    fn related(&self, a: u32, b: u32, stack: &mut Vec<u32>) -> bool {
+        self.is_ancestor(a, b, stack) || self.is_ancestor(b, a, stack)
     }
 
-    fn is_ancestor(&self, anc: u32, mut_of: u32) -> bool {
-        let mut stack = vec![mut_of];
+    fn is_ancestor(&self, anc: u32, of: u32, stack: &mut Vec<u32>) -> bool {
+        stack.clear();
+        stack.push(of);
         while let Some(x) = stack.pop() {
             if x == anc {
                 return true;
             }
-            stack.extend(self.info[x as usize].0.iter().copied());
+            let (lo, hi, _) = self.info[x as usize];
+            stack.extend_from_slice(&self.parents[lo as usize..hi as usize]);
         }
         false
     }
@@ -226,7 +289,7 @@ impl Groups {
 
 // ---- abstract configurations -------------------------------------------------
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct QTrack {
     rank: u8,
     seq: u64,
@@ -234,48 +297,159 @@ struct QTrack {
     group: u32,
 }
 
-#[derive(Clone, Debug)]
-struct Config {
-    gates: GateMap,
-    flags: FlagSet,
+#[derive(Default)]
+struct Config<'a> {
+    state: State,
     queue: Vec<QTrack>,
-    accesses: Vec<Access>,
+    accesses: Vec<Access<'a>>,
     /// Dedup: one record per (kind, group) — duplicates add no conflict
     /// pairs and would blow up quadratic checking on looping paths.
-    seen: std::collections::HashSet<(AccessKind, u32)>,
+    seen: HashSet<(AccessKind<'a>, u32)>,
     groups: Groups,
     /// Which group set each par/and flag *in this reaction* (sequencing
     /// evidence for the rejoin continuation).
-    flag_owner: BTreeMap<SlotId, u32>,
+    flag_owner: Vec<(SlotId, u32)>,
     seq: u64,
     steps: u32,
     terminated: bool,
 }
 
+impl Clone for Config<'_> {
+    fn clone(&self) -> Self {
+        let mut c = Config::default();
+        c.clone_from(self);
+        c
+    }
+
+    /// Field by field, so a pooled config keeps its buffers.
+    fn clone_from(&mut self, src: &Self) {
+        self.state.clone_from(&src.state);
+        self.queue.clone_from(&src.queue);
+        self.accesses.clone_from(&src.accesses);
+        self.seen.clone_from(&src.seen);
+        self.groups.clone_from(&src.groups);
+        self.flag_owner.clone_from(&src.flag_owner);
+        self.seq = src.seq;
+        self.steps = src.steps;
+        self.terminated = src.terminated;
+    }
+}
+
+impl Config<'_> {
+    /// Starts a reaction from `state`, keeping the buffers.
+    fn reset(&mut self, state: &State) {
+        self.state.clone_from(state);
+        self.queue.clear();
+        self.accesses.clear();
+        self.seen.clear();
+        self.groups.clear();
+        self.flag_owner.clear();
+        self.seq = 0;
+        self.steps = 0;
+        self.terminated = false;
+    }
+}
+
 const STEP_LIMIT: u32 = 100_000;
+
+/// What one analysis keeps beside its `Dfa`: the state interner and the
+/// buffers every expansion reuses.
+#[derive(Default)]
+struct Explorer<'a> {
+    interner: Interner,
+    /// Spare configs.
+    pool: Vec<Config<'a>>,
+    /// Paths of the current reaction, in the order they finished.
+    done: Vec<Config<'a>>,
+    /// Then-branches suspended at an `if` while the else-branch runs, with
+    /// the block and group they resume at. LIFO, so a fork's whole
+    /// else-subtree finishes before its then-branch resumes.
+    suspended: Vec<(Config<'a>, BlockId, u32)>,
+    /// Paths finished in the current reaction.
+    paths: usize,
+    /// Labels leaving the state being expanded, each with the end of its
+    /// roots in `roots`.
+    labels: Vec<(Label, usize)>,
+    roots: Vec<GateId>,
+    /// `labels_of` work lists: external listeners as (event, gate), and
+    /// unknown-duration timers.
+    listeners: Vec<(EventId, GateId)>,
+    unknowns: Vec<GateId>,
+    /// Distinct successors of the current reaction.
+    targets: Vec<usize>,
+    /// Ancestor walk of `find_conflicts`.
+    ancestors: Vec<u32>,
+}
+
+/// Hash → index chains over `Dfa::states`, so a state is stored once.
+/// Seeded per analysis: states derive from user source.
+#[derive(Default)]
+struct Interner {
+    hasher: RandomState,
+    /// State hash → the latest state with that hash.
+    heads: HashMap<u64, usize>,
+    /// State → the previous state with the same hash (`usize::MAX` ends).
+    next: Vec<usize>,
+}
+
+impl Interner {
+    /// The index of `st` in `states`, appending a copy if it is new.
+    fn intern(&mut self, states: &mut Vec<State>, st: &State) -> usize {
+        let h = self.hasher.hash_one(st);
+        let head = self.heads.get(&h).copied().unwrap_or(usize::MAX);
+        let mut i = head;
+        while i != usize::MAX {
+            if states[i] == *st {
+                return i;
+            }
+            i = self.next[i];
+        }
+        let i = states.len();
+        states.push(st.clone());
+        self.next.push(head);
+        self.heads.insert(h, i);
+        i
+    }
+}
 
 struct Analyzer<'a> {
     prog: &'a CompiledProgram,
     opts: &'a DfaOptions,
-    /// slot → variable name (arrays map their whole range).
-    slot_name: Vec<Option<String>>,
+    /// Slot → variable.
+    slot_var: Vec<VarId>,
+    /// Variable → unique name (`#` suffix and all).
+    var_names: Vec<Cow<'a, str>>,
     internal: Vec<bool>,
 }
 
 /// Runs the temporal analysis over a compiled program.
 pub fn analyze(prog: &CompiledProgram, opts: &DfaOptions) -> Dfa {
-    let mut slot_name = vec![None; prog.data_len as usize];
+    let mut slot_name: Vec<Option<&str>> = vec![None; prog.data_len as usize];
     for s in &prog.slots {
         for k in 0..s.len {
-            let at = (s.slot + k) as usize;
-            if at < slot_name.len() {
-                slot_name[at] = Some(s.name.clone());
+            if let Some(n) = slot_name.get_mut((s.slot + k) as usize) {
+                *n = Some(&s.name);
             }
         }
     }
+    // one id per distinct name: two accesses touch the same variable
+    // exactly when their names are equal
+    let mut var_names: Vec<Cow<str>> = vec![Cow::Borrowed("*<pointer>")];
+    let mut ids: HashMap<Cow<str>, VarId> = HashMap::from([(var_names[0].clone(), POINTER)]);
+    let slot_var = slot_name
+        .iter()
+        .enumerate()
+        .map(|(slot, name)| {
+            let name = name.map_or_else(|| Cow::Owned(format!("slot{slot}")), Cow::Borrowed);
+            *ids.entry(name).or_insert_with_key(|name| {
+                var_names.push(name.clone());
+                (var_names.len() - 1) as VarId
+            })
+        })
+        .collect();
     let internal =
         prog.events.iter().map(|(_, e)| e.kind == ceu_ast::EventKind::Internal).collect();
-    let az = Analyzer { prog, opts, slot_name, internal };
+    let az = Analyzer { prog, opts, slot_var, var_names, internal };
     az.build()
 }
 
@@ -286,192 +460,198 @@ pub fn check_determinism(prog: &CompiledProgram) -> Vec<Conflict> {
 
 impl<'a> Analyzer<'a> {
     fn build(&self) -> Dfa {
-        let mut dfa = Dfa {
-            states: vec![State { gates: GateMap::new(), flags: FlagSet::new() }],
-            transitions: vec![],
-            conflicts: vec![],
-            truncated: false,
-        };
-        let mut interned: HashMap<State, usize> = HashMap::new();
-        interned.insert(dfa.states[0].clone(), 0);
-        let mut work: VecDeque<usize> = VecDeque::new();
-
-        // boot transition
-        let st0 = dfa.states[0].clone();
-        let boot_outcomes = self.expand(&st0, Label::Boot, vec![], Some(self.prog.boot), &mut dfa);
-        for st in boot_outcomes {
-            let idx = intern(&mut dfa, &mut interned, &mut work, st);
-            dfa.transitions.push(Trans { from: 0, label: Label::Boot, to: idx });
-        }
-
-        while let Some(s) = work.pop_front() {
+        let mut dfa =
+            Dfa { states: vec![], transitions: vec![], conflicts: vec![], truncated: false };
+        let mut ex = Explorer::default();
+        ex.interner.intern(&mut dfa.states, &State::default());
+        self.expand(&mut ex, &mut dfa, 0, &Label::Boot, &[], Some(self.prog.boot));
+        // new states are numbered in discovery order, so the BFS work
+        // queue is the range of states not expanded yet
+        let mut s = 1;
+        while s < dfa.states.len() {
             if dfa.states.len() >= self.opts.max_states {
                 dfa.truncated = true;
                 break;
             }
-            for (label, roots) in self.labels_of(&dfa.states[s]) {
-                let outcomes =
-                    self.expand(&dfa.states[s].clone(), label.clone(), roots, None, &mut dfa);
-                for st in outcomes {
-                    let idx = intern(&mut dfa, &mut interned, &mut work, st);
-                    dfa.transitions.push(Trans { from: s, label: label.clone(), to: idx });
-                }
-                // conflicts recorded during expansion get state/label fixed up
-                for c in dfa.conflicts.iter_mut().filter(|c| c.state == usize::MAX) {
-                    c.state = s;
-                    c.label = label.clone();
-                }
+            self.labels_of(&dfa.states[s], &mut ex);
+            let (labels, roots) = (std::mem::take(&mut ex.labels), std::mem::take(&mut ex.roots));
+            let mut start = 0;
+            for (label, end) in &labels {
+                let r = &roots[start..*end];
+                self.expand(&mut ex, &mut dfa, s, label, r, None);
+                start = *end;
             }
-        }
-        // boot-time conflicts
-        for c in dfa.conflicts.iter_mut().filter(|c| c.state == usize::MAX) {
-            c.state = 0;
-            c.label = Label::Boot;
+            (ex.labels, ex.roots) = (labels, roots);
+            s += 1;
         }
         dedup_conflicts(&mut dfa.conflicts);
         dfa
     }
 
-    /// All transition labels leaving a state, with their root gates.
-    fn labels_of(&self, state: &State) -> Vec<(Label, Vec<GateId>)> {
-        let mut out = Vec::new();
-        // external events with listeners
-        let mut by_event: BTreeMap<EventId, Vec<GateId>> = BTreeMap::new();
-        for (&g, &st) in &state.gates {
+    /// All transition labels leaving a state, with their root gates, into
+    /// `ex.labels` / `ex.roots`.
+    fn labels_of(&self, state: &State, ex: &mut Explorer<'a>) {
+        let Explorer { labels, roots, listeners, unknowns, .. } = ex;
+        labels.clear();
+        roots.clear();
+        // external events with listeners, by event then gate
+        listeners.clear();
+        for &(g, st) in &state.gates {
             if st == GateSt::Event {
                 if let GateKind::Evt(e) = self.prog.gate(g).kind {
                     if self.prog.events.get(e).external() {
-                        by_event.entry(e).or_default().push(g);
+                        listeners.push((e, g));
                     }
                 }
             }
         }
-        for (e, roots) in by_event {
-            out.push((Label::Event(e), roots));
+        listeners.sort_unstable();
+        for (i, &(e, g)) in listeners.iter().enumerate() {
+            roots.push(g);
+            if listeners.get(i + 1).is_none_or(|&(next, _)| next != e) {
+                labels.push((Label::Event(e), roots.len()));
+            }
         }
         // known deadlines: earliest fires; simultaneous ones share a reaction
-        let known: Vec<(GateId, u64)> = state
+        unknowns.clear();
+        unknowns
+            .extend(state.gates.iter().filter(|&&(_, st)| st == GateSt::TimeUnknown).map(|g| g.0));
+        let earliest = state
             .gates
             .iter()
-            .filter_map(|(&g, &st)| match st {
-                GateSt::Time(d) => Some((g, d)),
+            .filter_map(|&(_, st)| match st {
+                GateSt::Time(d) => Some(d),
                 _ => None,
             })
-            .collect();
-        let unknowns: Vec<GateId> = state
-            .gates
-            .iter()
-            .filter_map(|(&g, &st)| (st == GateSt::TimeUnknown).then_some(g))
-            .collect();
-        if let Some(&m) = known.iter().map(|(_, d)| d).min() {
-            let roots: Vec<GateId> =
-                known.iter().filter(|(_, d)| *d == m).map(|(g, _)| *g).collect();
-            out.push((Label::Time { rel: m, with_unknown: vec![] }, roots.clone()));
+            .min();
+        if let Some(m) = earliest {
+            let start = roots.len();
+            roots.extend(state.gates.iter().filter(|&&(_, st)| st == GateSt::Time(m)).map(|g| g.0));
+            let end = roots.len();
+            labels.push((Label::Time { rel: m, with_unknown: vec![] }, end));
             // an unknown-duration timer may coincide with the deadline
-            for &u in &unknowns {
-                let mut r = roots.clone();
-                r.push(u);
-                out.push((Label::Time { rel: m, with_unknown: vec![u] }, r));
+            for &u in unknowns.iter() {
+                roots.extend_from_within(start..end);
+                roots.push(u);
+                labels.push((Label::Time { rel: m, with_unknown: vec![u] }, roots.len()));
             }
         }
         // unknown timers alone and pairwise
         for (i, &u) in unknowns.iter().enumerate() {
-            out.push((Label::Unknown(vec![u]), vec![u]));
+            roots.push(u);
+            labels.push((Label::Unknown(vec![u]), roots.len()));
             for &v in &unknowns[i + 1..] {
-                out.push((Label::Unknown(vec![u, v]), vec![u, v]));
+                roots.extend([u, v]);
+                labels.push((Label::Unknown(vec![u, v]), roots.len()));
             }
         }
         // async completions
-        for (&g, &st) in &state.gates {
+        for &(g, st) in &state.gates {
             if st == GateSt::Async {
                 if let GateKind::AsyncDone(a) = self.prog.gate(g).kind {
-                    out.push((Label::AsyncDone(a), vec![g]));
+                    roots.push(g);
+                    labels.push((Label::AsyncDone(a), roots.len()));
                 }
             }
         }
-        out
     }
 
-    /// Expands one reaction: fires `roots` (or the boot block), abstractly
-    /// executes all paths, and returns the set of possible next states.
-    /// Conflicts found are appended to `dfa.conflicts` with `state` set to
-    /// `usize::MAX` (fixed up by the caller).
+    /// Expands one reaction from state `from`: fires `roots` (or the boot
+    /// block), abstractly executes all paths, interns the distinct next
+    /// states and records their transitions and the conflicts found.
     fn expand(
         &self,
-        state: &State,
-        label: Label,
-        roots: Vec<GateId>,
-        boot: Option<BlockId>,
+        ex: &mut Explorer<'a>,
         dfa: &mut Dfa,
-    ) -> Vec<State> {
-        let mut cfg = Config {
-            gates: state.gates.clone(),
-            flags: state.flags.clone(),
-            queue: Vec::new(),
-            accesses: Vec::new(),
-            seen: std::collections::HashSet::new(),
-            groups: Groups::new(),
-            flag_owner: BTreeMap::new(),
-            seq: 0,
-            steps: 0,
-            terminated: false,
-        };
+        from: usize,
+        label: &Label,
+        roots: &[GateId],
+        boot: Option<BlockId>,
+    ) {
+        let mut cfg = ex.pool.pop().unwrap_or_default();
+        cfg.reset(&dfa.states[from]);
         // age known deadlines when time passes
-        if let Label::Time { rel, .. } = label {
-            for st in cfg.gates.values_mut() {
+        if let Label::Time { rel, .. } = *label {
+            for (_, st) in &mut cfg.state.gates {
                 if let GateSt::Time(d) = st {
                     *d -= rel.min(*d);
                 }
             }
         }
         if let Some(b) = boot {
-            let g = cfg.groups.fresh(vec![], 0);
+            let g = cfg.groups.fresh([], 0);
             push_track(&mut cfg, self.prog, b, g);
         }
-        for root in roots {
-            cfg.gates.remove(&root);
+        for &root in roots {
+            cfg.state.remove_gate(root);
             let cont = self.prog.gate(root).cont;
-            let g = cfg.groups.fresh(vec![], 0);
+            let g = cfg.groups.fresh([], 0);
             push_track(&mut cfg, self.prog, cont, g);
         }
-        let mut done = Vec::new();
-        let mut paths = 0usize;
-        self.run(cfg, &mut done, &mut paths, dfa);
-        // collect conflicts per finished path, then map to states
-        let mut out: Vec<State> = Vec::new();
-        for c in done {
-            self.find_conflicts(&c, dfa);
-            let st = State { gates: c.gates, flags: c.flags };
-            if !out.contains(&st) {
-                out.push(st);
+        ex.paths = 0;
+        self.run(ex, cfg, &mut dfa.truncated);
+        // conflicts per finished path, then the distinct next states
+        ex.targets.clear();
+        let mut done = std::mem::take(&mut ex.done);
+        for c in done.drain(..) {
+            self.find_conflicts(&c, from, label, &mut ex.ancestors, &mut dfa.conflicts);
+            let to = ex.interner.intern(&mut dfa.states, &c.state);
+            if !ex.targets.contains(&to) {
+                ex.targets.push(to);
+                dfa.transitions.push(Trans { from, label: label.clone(), to });
             }
+            ex.pool.push(c);
         }
-        out
+        ex.done = done;
     }
 
-    /// Abstractly drains the track queue of a config, splitting on branches.
-    fn run(&self, mut cfg: Config, done: &mut Vec<Config>, paths: &mut usize, dfa: &mut Dfa) {
-        if *paths >= self.opts.max_paths_per_reaction {
-            dfa.truncated = true;
-            return;
-        }
-        loop {
-            if cfg.terminated || cfg.queue.is_empty() {
-                *paths += 1;
-                done.push(cfg);
-                return;
+    /// Abstractly drains the track queue of a config, splitting on
+    /// branches, until every path has finished into `ex.done`.
+    fn run(&self, ex: &mut Explorer<'a>, cfg: Config<'a>, truncated: &mut bool) {
+        let mut next = Some((cfg, None));
+        while let Some((cfg, at)) = next.take() {
+            if at.is_none() && ex.paths >= self.opts.max_paths_per_reaction {
+                *truncated = true;
+                ex.pool.push(cfg);
+            } else if let Some(fork) = self.advance(ex, cfg, at, truncated) {
+                next = Some((fork, None));
+                continue;
             }
-            let t = pop_track(&mut cfg);
-            let mut cur = t.block;
-            let mut group = t.group;
-            // run one track to its halt, splitting on conditionals
+            next = ex.suspended.pop().map(|(cfg, cur, group)| (cfg, Some((cur, group))));
+        }
+    }
+
+    /// Runs one path — from its queue, or resumed at block `at` — until it
+    /// finishes, or until an `if` suspends its then-branch and hands back
+    /// the else-branch.
+    fn advance(
+        &self,
+        ex: &mut Explorer<'a>,
+        mut cfg: Config<'a>,
+        mut at: Option<(BlockId, u32)>,
+        truncated: &mut bool,
+    ) -> Option<Config<'a>> {
+        loop {
+            let (mut cur, mut group) = match at.take() {
+                Some(resume) => resume,
+                None if cfg.terminated || cfg.queue.is_empty() => {
+                    ex.paths += 1;
+                    ex.done.push(cfg);
+                    return None;
+                }
+                None => {
+                    let t = pop_track(&mut cfg);
+                    (t.block, t.group)
+                }
+            };
+            // run one track to its halt
             loop {
                 cfg.steps += 1;
                 if cfg.steps > STEP_LIMIT {
-                    dfa.truncated = true;
-                    *paths += 1;
-                    done.push(cfg);
-                    return;
+                    *truncated = true;
+                    ex.paths += 1;
+                    ex.done.push(cfg);
+                    return None;
                 }
                 let blk = self.prog.block(cur);
                 let mut emitted = false;
@@ -485,35 +665,31 @@ impl<'a> Analyzer<'a> {
                         if emitted {
                             // stack policy: the emitter resumes only after
                             // the awakened trails (queued just above) react
-                            push_track_as(&mut cfg, self.prog, *b, group);
+                            push_track(&mut cfg, self.prog, *b, group);
                             break;
                         }
                         cur = *b;
                     }
                     Term::If { cond, then_b, else_b } => {
                         self.reads(&mut cfg, self.prog.expr(*cond), group, Span::default());
-                        // explore both branches
-                        let mut other = cfg.clone();
+                        // explore both branches, the else-branch first
+                        let mut other = ex.pool.pop().unwrap_or_default();
+                        other.clone_from(&cfg);
                         push_front_track(&mut other, self.prog, *else_b, group);
-                        self.run(other, done, paths, dfa);
-                        cur = *then_b;
+                        ex.suspended.push((cfg, *then_b, group));
+                        return Some(other);
                     }
                     Term::JoinAnd { lo, hi, cont } => {
                         // flags are tracked exactly, so the join outcome is
                         // deterministic per path
-                        if (*lo..*hi).all(|s| cfg.flags.contains(&s)) {
+                        if (*lo..*hi).all(|s| cfg.state.has_flag(s)) {
                             // the continuation is sequenced after *all*
                             // completed arms, not just the last one
-                            let mut parents = vec![group];
-                            for s in *lo..*hi {
-                                if let Some(&g) = cfg.flag_owner.get(&s) {
-                                    if !parents.contains(&g) {
-                                        parents.push(g);
-                                    }
-                                }
-                            }
+                            let owners = &cfg.flag_owner;
+                            let arms = (*lo..*hi)
+                                .filter_map(|s| owners.iter().find(|o| o.0 == s).map(|o| o.1));
                             let phase = cfg.groups.phase(group);
-                            group = cfg.groups.fresh(parents, phase);
+                            group = cfg.groups.fresh(std::iter::once(group).chain(arms), phase);
                             cur = *cont;
                         } else {
                             break;
@@ -523,7 +699,7 @@ impl<'a> Analyzer<'a> {
                         if let Some(v) = value {
                             self.reads(&mut cfg, self.prog.expr(*v), group, Span::default());
                         }
-                        cfg.gates.clear();
+                        cfg.state.gates.clear();
                         cfg.queue.clear();
                         cfg.terminated = true;
                         break;
@@ -534,7 +710,7 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn exec_abs(&self, cfg: &mut Config, op: &Op, span: Span, group: u32) {
+    fn exec_abs(&self, cfg: &mut Config<'a>, op: &'a Op, span: Span, group: u32) {
         match op {
             Op::Assign { dst, src } => {
                 self.reads(cfg, self.prog.expr(*src), group, span);
@@ -542,7 +718,7 @@ impl<'a> Analyzer<'a> {
             }
             Op::Eval(rv) => self.reads(cfg, self.prog.expr(*rv), group, span),
             Op::ActivateEvt { gate } => {
-                cfg.gates.insert(*gate, GateSt::Event);
+                cfg.state.set_gate(*gate, GateSt::Event);
                 if let GateKind::Evt(e) = self.prog.gate(*gate).kind {
                     if self.internal[e.index()] {
                         record(cfg, AccessKind::AwaitInt(e), group, span);
@@ -557,18 +733,17 @@ impl<'a> Analyzer<'a> {
                         GateSt::TimeUnknown
                     }
                 };
-                cfg.gates.insert(*gate, st);
+                cfg.state.set_gate(*gate, st);
             }
-            Op::ActivateNever { gate } => {
-                cfg.gates.insert(*gate, GateSt::Never);
+            Op::ActivateNever { gate } => cfg.state.set_gate(*gate, GateSt::Never),
+            Op::ActivateAsync { gate, .. } => cfg.state.set_gate(*gate, GateSt::Async),
+            Op::ClearRegion(r) => {
+                let region = self.prog.region(*r);
+                cfg.state.clear_gates(region.lo, region.hi);
             }
-            Op::ActivateAsync { gate, .. } => {
-                cfg.gates.insert(*gate, GateSt::Async);
-            }
-            Op::ClearRegion(r) => self.clear_region(cfg, *r),
             Op::Spawn(b) => {
                 let phase = self.prog.block(*b).rank;
-                let child = cfg.groups.fresh(vec![group], phase);
+                let child = cfg.groups.fresh([group], phase);
                 push_track(cfg, self.prog, *b, child);
             }
             Op::EmitInt { event, value } => {
@@ -576,19 +751,17 @@ impl<'a> Analyzer<'a> {
                     self.reads(cfg, self.prog.expr(*v), group, span);
                 }
                 record(cfg, AccessKind::EmitInt(*event), group, span);
-                // awaken listeners as children of the emitter (sequenced)
-                let listeners: Vec<GateId> = cfg
-                    .gates
-                    .iter()
-                    .filter(|(&g, &st)| {
-                        st == GateSt::Event && self.prog.gate(g).kind == GateKind::Evt(*event)
-                    })
-                    .map(|(&g, _)| g)
-                    .collect();
-                for l in listeners {
-                    cfg.gates.remove(&l);
-                    let cont = self.prog.gate(l).cont;
-                    let child = cfg.groups.fresh(vec![group], cfg.groups.phase(group));
+                // awaken listeners as children of the emitter (sequenced),
+                // in gate order
+                let mut i = 0;
+                while let Some(&(g, st)) = cfg.state.gates.get(i) {
+                    if st != GateSt::Event || self.prog.gate(g).kind != GateKind::Evt(*event) {
+                        i += 1;
+                        continue;
+                    }
+                    cfg.state.gates.remove(i);
+                    let cont = self.prog.gate(g).cont;
+                    let child = cfg.groups.fresh([group], cfg.groups.phase(group));
                     push_track(cfg, self.prog, cont, child);
                 }
             }
@@ -602,27 +775,17 @@ impl<'a> Analyzer<'a> {
             // excluded from the local-determinism analysis (§2.9)
             Op::EmitExt { .. } | Op::EmitTime(_) => {}
             Op::SetFlag(s) => {
-                cfg.flags.insert(*s);
-                cfg.flag_owner.insert(*s, group);
-            }
-            Op::ClearFlags { lo, hi } => {
-                for s in *lo..*hi {
-                    cfg.flags.remove(&s);
+                cfg.state.set_flag(*s);
+                match cfg.flag_owner.iter_mut().find(|o| o.0 == *s) {
+                    Some(o) => o.1 = group,
+                    None => cfg.flag_owner.push((*s, group)),
                 }
             }
+            Op::ClearFlags { lo, hi } => cfg.state.flags.retain(|s| !(*lo..*hi).contains(s)),
         }
     }
 
-    fn clear_region(&self, cfg: &mut Config, r: RegionId) {
-        let region = self.prog.region(r);
-        let doomed: Vec<GateId> =
-            cfg.gates.keys().copied().filter(|g| (region.lo..region.hi).contains(g)).collect();
-        for g in doomed {
-            cfg.gates.remove(&g);
-        }
-    }
-
-    fn write_place(&self, cfg: &mut Config, place: &Place, group: u32, span: Span) {
+    fn write_place(&self, cfg: &mut Config<'a>, place: &Place, group: u32, span: Span) {
         match place {
             Place::Slot(s) => self.var_access(cfg, *s, true, group, span),
             Place::Index(s, idx) => {
@@ -631,104 +794,111 @@ impl<'a> Analyzer<'a> {
             }
             Place::Deref(rv) => {
                 self.reads(cfg, self.prog.expr(*rv), group, span);
-                record(cfg, AccessKind::VarWrite("*<pointer>".into()), group, span);
+                record(cfg, AccessKind::VarWrite(POINTER), group, span);
             }
         }
     }
 
-    fn var_access(&self, cfg: &mut Config, slot: SlotId, write: bool, group: u32, span: Span) {
-        let name = self
-            .slot_name
-            .get(slot as usize)
-            .and_then(|n| n.clone())
-            .unwrap_or_else(|| format!("slot{slot}"));
-        let kind = if write { AccessKind::VarWrite(name) } else { AccessKind::VarRead(name) };
+    fn var_access(&self, cfg: &mut Config<'a>, slot: SlotId, write: bool, group: u32, span: Span) {
+        // a slot past `data_len` (never lowered) is a variable of its own
+        let var = self.slot_var.get(slot as usize).copied();
+        let var = var.unwrap_or(self.var_names.len() as VarId + slot);
+        let kind = if write { AccessKind::VarWrite(var) } else { AccessKind::VarRead(var) };
         record(cfg, kind, group, span);
     }
 
-    fn reads(&self, cfg: &mut Config, rv: &Rv, group: u32, span: Span) {
-        let mut stack = vec![rv];
-        while let Some(r) = stack.pop() {
-            match r {
-                Rv::Slot(s) | Rv::AddrOf(s) => self.var_access(cfg, *s, false, group, span),
-                Rv::Un(_, a) | Rv::Cast(a) | Rv::Field(a, _, _) => stack.push(a),
-                Rv::Deref(a) => {
-                    record(cfg, AccessKind::VarRead("*<pointer>".into()), group, span);
-                    stack.push(a);
-                }
-                Rv::Bin(_, a, b) | Rv::Index(a, b) => {
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Rv::CCall(name, args) => {
-                    record(cfg, AccessKind::CCall(name.clone()), group, span);
-                    for a in args {
-                        stack.push(a);
-                    }
-                }
-                _ => {}
+    /// Records the reads of an expression: pre-order, the last operand
+    /// first.
+    fn reads(&self, cfg: &mut Config<'a>, rv: &'a Rv, group: u32, span: Span) {
+        match rv {
+            Rv::Slot(s) | Rv::AddrOf(s) => self.var_access(cfg, *s, false, group, span),
+            Rv::Un(_, a) | Rv::Cast(a) | Rv::Field(a, _, _) => self.reads(cfg, a, group, span),
+            Rv::Deref(a) => {
+                record(cfg, AccessKind::VarRead(POINTER), group, span);
+                self.reads(cfg, a, group, span);
             }
+            Rv::Bin(_, a, b) | Rv::Index(a, b) => {
+                self.reads(cfg, b, group, span);
+                self.reads(cfg, a, group, span);
+            }
+            Rv::CCall(name, args) => {
+                record(cfg, AccessKind::CCall(name), group, span);
+                for a in args.iter().rev() {
+                    self.reads(cfg, a, group, span);
+                }
+            }
+            _ => {}
         }
     }
 
-    /// Pairwise conflict check over the accesses of one finished path.
-    fn find_conflicts(&self, cfg: &Config, dfa: &mut Dfa) {
-        let acc = &cfg.accesses;
-        for i in 0..acc.len() {
-            for j in i + 1..acc.len() {
-                let (a, b) = (&acc[i], &acc[j]);
+    fn var_name(&self, var: VarId) -> Cow<'_, str> {
+        match self.var_names.get(var as usize) {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(format!("slot{}", var as usize - self.var_names.len())),
+        }
+    }
+
+    /// Pairwise conflict check over the accesses of one finished path of
+    /// the reaction `from --label-->`.
+    fn find_conflicts(
+        &self,
+        cfg: &Config<'a>,
+        from: usize,
+        label: &Label,
+        ancestors: &mut Vec<u32>,
+        conflicts: &mut Vec<Conflict>,
+    ) {
+        use AccessKind::*;
+        let (acc, groups) = (&cfg.accesses, &cfg.groups);
+        for (i, a) in acc.iter().enumerate() {
+            for b in &acc[i + 1..] {
                 if a.group == b.group
-                    || cfg.groups.phase(a.group) != cfg.groups.phase(b.group)
-                    || cfg.groups.related(a.group, b.group)
+                    || groups.phase(a.group) != groups.phase(b.group)
+                    || groups.related(a.group, b.group, ancestors)
                 {
                     continue;
                 }
-                let conflict = match (&a.kind, &b.kind) {
-                    (AccessKind::VarWrite(x), AccessKind::VarWrite(y))
-                    | (AccessKind::VarWrite(x), AccessKind::VarRead(y))
-                    | (AccessKind::VarRead(x), AccessKind::VarWrite(y))
+                let (kind, what) = match (a.kind, b.kind) {
+                    (VarWrite(x), VarWrite(y))
+                    | (VarWrite(x), VarRead(y))
+                    | (VarRead(x), VarWrite(y))
                         if x == y =>
                     {
-                        Some((ConflictKind::Variable, format!("`{}`", strip(x))))
+                        (ConflictKind::Variable, format!("`{}`", strip(&self.var_name(x))))
                     }
-                    (AccessKind::EmitOut(x), AccessKind::EmitOut(y)) if x == y => Some((
+                    (EmitOut(x), EmitOut(y)) if x == y => (
                         ConflictKind::InternalEvent,
-                        format!("`{}` (output)", self.prog.events.get(*x).name),
-                    )),
-                    (AccessKind::EmitInt(x), AccessKind::EmitInt(y))
-                    | (AccessKind::EmitInt(x), AccessKind::AwaitInt(y))
-                    | (AccessKind::AwaitInt(x), AccessKind::EmitInt(y))
+                        format!("`{}` (output)", self.prog.events.get(x).name),
+                    ),
+                    (EmitInt(x), EmitInt(y))
+                    | (EmitInt(x), AwaitInt(y))
+                    | (AwaitInt(x), EmitInt(y))
                         if x == y =>
                     {
-                        Some((
-                            ConflictKind::InternalEvent,
-                            format!("`{}`", self.prog.events.get(*x).name),
-                        ))
+                        (ConflictKind::InternalEvent, format!("`{}`", self.prog.events.get(x).name))
                     }
-                    (AccessKind::CCall(f), AccessKind::CCall(g))
+                    (CCall(f), CCall(g))
                         if self.opts.check_ccalls && !self.prog.annotations.compatible(f, g) =>
                     {
-                        Some((ConflictKind::CCall, format!("`_{f}` and `_{g}`")))
+                        (ConflictKind::CCall, format!("`_{f}` and `_{g}`"))
                     }
-                    _ => None,
+                    _ => continue,
                 };
-                if let Some((kind, what)) = conflict {
-                    dfa.conflicts.push(Conflict {
-                        kind,
-                        what,
-                        spans: (a.span, b.span),
-                        state: usize::MAX,
-                        label: Label::Boot,
-                    });
-                }
+                conflicts.push(Conflict {
+                    kind,
+                    what,
+                    spans: (a.span, b.span),
+                    state: from,
+                    label: label.clone(),
+                });
             }
         }
     }
 }
 
 /// Records an access once per (kind, group) within a reaction path.
-fn record(cfg: &mut Config, kind: AccessKind, group: u32, span: Span) {
-    if cfg.seen.insert((kind.clone(), group)) {
+fn record<'a>(cfg: &mut Config<'a>, kind: AccessKind<'a>, group: u32, span: Span) {
+    if cfg.seen.insert((kind, group)) {
         cfg.accesses.push(Access { kind, group, span });
     }
 }
@@ -738,21 +908,16 @@ fn strip(unique: &str) -> &str {
     unique.split('#').next().unwrap_or(unique)
 }
 
+/// Enqueues a track; also the emitter's resumption, which keeps its group.
 fn push_track(cfg: &mut Config, prog: &CompiledProgram, block: BlockId, group: u32) {
     cfg.seq += 1;
     cfg.queue.push(QTrack { rank: prog.block(block).rank, seq: cfg.seq, block, group });
 }
 
-/// Used for emit-awakened trails: they run before previously queued tracks
-/// (stack policy approximation).
+/// Used for the else-branch of a fork: it runs before previously queued
+/// tracks of its rank.
 fn push_front_track(cfg: &mut Config, prog: &CompiledProgram, block: BlockId, group: u32) {
     cfg.queue.insert(0, QTrack { rank: prog.block(block).rank, seq: 0, block, group });
-}
-
-/// Enqueues a continuation keeping the given group (emitter resumption).
-fn push_track_as(cfg: &mut Config, prog: &CompiledProgram, block: BlockId, group: u32) {
-    cfg.seq += 1;
-    cfg.queue.push(QTrack { rank: prog.block(block).rank, seq: cfg.seq, block, group });
 }
 
 fn pop_track(cfg: &mut Config) -> QTrack {
@@ -763,22 +928,6 @@ fn pop_track(cfg: &mut Config) -> QTrack {
         }
     }
     cfg.queue.remove(best)
-}
-
-fn intern(
-    dfa: &mut Dfa,
-    interned: &mut HashMap<State, usize>,
-    work: &mut VecDeque<usize>,
-    st: State,
-) -> usize {
-    if let Some(&i) = interned.get(&st) {
-        return i;
-    }
-    let i = dfa.states.len();
-    dfa.states.push(st.clone());
-    interned.insert(st, i);
-    work.push_back(i);
-    i
 }
 
 fn dedup_conflicts(conflicts: &mut Vec<Conflict>) {
@@ -805,7 +954,7 @@ pub fn to_dot(dfa: &Dfa, prog: &CompiledProgram) -> String {
     let conflict_states: BTreeSet<usize> = dfa.conflicts.iter().map(|c| c.state).collect();
     for (i, s) in dfa.states.iter().enumerate() {
         let mut label = format!("DFA #{i}\\n");
-        for (&g, st) in &s.gates {
+        for &(g, st) in &s.gates {
             let gi = prog.gate(g);
             let what = match gi.kind {
                 GateKind::Evt(e) => format!("await {}", prog.events.get(e).name),

@@ -124,6 +124,19 @@ fn conflict_metadata_is_usable() {
 }
 
 #[test]
+fn boot_conflicts_are_attributed_to_the_boot_reaction() {
+    // the conflicting writes run at boot; the state after boot has a
+    // listener of its own, which must not take the conflict over
+    let src = "input void A;\nint v;\npar do\n v = 1;\n await A;\nwith\n v = 2;\n await A;\nend";
+    let d = dfa(src);
+    assert_eq!(d.conflicts.len(), 1);
+    let c = &d.conflicts[0];
+    assert_eq!((c.state, &c.label), (0, &Label::Boot));
+    assert_eq!(d.conflict_depth(c), Some(0));
+    assert_eq!((c.spans.0.line, c.spans.1.line), (4, 7));
+}
+
+#[test]
 fn suspend_bodies_are_analyzed_conservatively() {
     // the pause could serialise these, but the analysis ignores pausing
     // (may-analysis): still flagged
@@ -203,7 +216,7 @@ fn three_phase_timer_cycle_converges() {
     assert!(d.states.len() <= 8);
     // relative deadlines appear in the states
     use ceu_analysis::GateSt;
-    assert!(d.states.iter().any(|s| s.gates.values().any(|g| matches!(g, GateSt::Time(_)))));
+    assert!(d.states.iter().any(|s| s.gates.iter().any(|(_, g)| matches!(g, GateSt::Time(_)))));
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use ceu::analysis::{self, ConflictKind, DfaOptions};
 use ceu::codegen::{cbackend, memory_report};
 use ceu::runtime::{RecordingHost, Status, Value};
-use ceu::{Compiler, Error, Simulator};
+use ceu::{CompileOptions, Compiler, Error, Simulator};
 
 /// The §4 guiding example used throughout the implementation section.
 const GUIDING: &str = r#"
@@ -192,6 +192,19 @@ fn dfa_options_cap_state_explosion() {
     let opts = DfaOptions { max_states: 200, ..Default::default() };
     let dfa = analysis::analyze(&program, &opts);
     assert!(dfa.truncated || dfa.states.len() <= 200);
+}
+
+#[test]
+fn unbounded_program_analysis_runs_on_a_default_stack() {
+    // with the bounded check off, a loop whose else path never awaits
+    // forks at every iteration until the step limit; the explorer keeps
+    // the suspended branches on the heap, so this default-size test
+    // thread does not overflow
+    let src = include_str!("../corpus/reject/tight_if_without_await.ceu");
+    let compiler =
+        Compiler::with_options(CompileOptions { check_bounded: false, ..Default::default() });
+    let (_, dfa) = compiler.analyze(src).expect("the analysis returns");
+    assert!(dfa.truncated, "the step limit must cut the path");
 }
 
 #[test]
