@@ -18,7 +18,7 @@
 //! runtime's tree-eval ablation) and its postfix form in
 //! [`CompiledProgram::flat`] (the runtime's hot path).
 
-use crate::flat::FlatPool;
+use crate::flat::{FlatOp, FlatPool};
 use ceu_ast::{BinOp, EventId, EventTable, Span, UnOp};
 use std::collections::HashMap;
 use std::fmt;
@@ -423,50 +423,272 @@ impl CompiledProgram {
         self.blocks.iter().map(|b| b.instrs.len() + 1).sum()
     }
 
-    /// Stable identity of this artifact: an FNV-1a hash over a canonical
-    /// dump of everything that affects execution. The Rust backend bakes
-    /// it into emitted code and `Machine::set_native` refuses a native
-    /// program whose fingerprint does not match — catching stale
-    /// emissions and optimizer drift (raw and optimized artifacts hash
-    /// differently because the flat pool is included).
+    /// Stable identity of this artifact: a structural hash of everything
+    /// that affects execution. The Rust backend bakes it into emitted code
+    /// and `Machine::set_native` refuses a native program whose
+    /// fingerprint does not match — catching stale emissions and
+    /// optimizer drift (raw and optimized artifacts hash differently
+    /// because the flat pool is included).
     ///
-    /// Only deterministically ordered structures are hashed — never the
-    /// `dispatch.slot_by_name` HashMap.
+    /// Hashed: `data_len` and `boot`; per block its rank, every
+    /// instruction's op and span, the terminator and the regions; per gate
+    /// its kind and continuation; region bounds, asyncs, suspends, event
+    /// names, and the flat pool's `code` and `ranges`. Every integer is
+    /// fed as a `u64` value and every enum variant as a tag assigned here,
+    /// so the value depends on the artifact alone — not on the toolchain,
+    /// the `usize` width or the byte order. Only deterministically ordered
+    /// structures are hashed — never the `dispatch.slot_by_name` HashMap.
     pub fn fingerprint(&self) -> u64 {
-        struct Fnv(u64);
-        impl fmt::Write for Fnv {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                for b in s.as_bytes() {
-                    self.0 ^= *b as u64;
-                    self.0 = self.0.wrapping_mul(0x100000001b3);
-                }
-                Ok(())
+        let mut h = Fingerprint::new();
+        h.int(self.data_len);
+        h.int(self.boot);
+        h.len(self.blocks.len());
+        for b in &self.blocks {
+            h.int(b.rank);
+            h.len(b.instrs.len());
+            for i in &b.instrs {
+                h.span(i.span);
+                h.op(&i.op);
+            }
+            h.term(&b.term);
+            h.ints(&b.regions);
+        }
+        h.len(self.gates.len());
+        for g in &self.gates {
+            match g.kind {
+                GateKind::Evt(e) => h.tagged(0, e.0),
+                GateKind::Timer => h.int(1u8),
+                GateKind::Never => h.int(2u8),
+                GateKind::AsyncDone(a) => h.tagged(3, a),
+            }
+            h.int(g.cont);
+        }
+        h.len(self.regions.len());
+        for r in &self.regions {
+            h.int(r.lo);
+            h.int(r.hi);
+        }
+        h.len(self.asyncs.len());
+        for a in &self.asyncs {
+            h.int(a.entry);
+            h.opt(a.result);
+            h.int(a.done_gate);
+        }
+        h.len(self.suspends.len());
+        for s in &self.suspends {
+            h.int(s.event.0);
+            h.int(s.region);
+        }
+        h.len(self.events.len());
+        for (_, e) in self.events.iter() {
+            h.str(&e.name);
+        }
+        h.len(self.flat.code.len());
+        for op in &self.flat.code {
+            h.flat_op(op);
+        }
+        h.len(self.flat.ranges.len());
+        for &(lo, hi) in &self.flat.ranges {
+            h.int(lo);
+            h.int(hi);
+        }
+        h.finish()
+    }
+}
+
+/// The fingerprint's hasher: one rotate, xor and multiply per integer
+/// (the FxHash step — a bijection of the state for a fixed input, so
+/// changing any one integer of a fixed-shape artifact always changes the
+/// result), and a final avalanche so every input bit reaches every
+/// output bit.
+struct Fingerprint(u64);
+
+impl Fingerprint {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn new() -> Self {
+        Fingerprint(0xcbf2_9ce4_8422_2325)
+    }
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(Self::K);
+    }
+
+    #[inline]
+    fn int(&mut self, v: impl Into<u64>) {
+        self.word(v.into());
+    }
+
+    fn len(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    fn ints(&mut self, vs: &[u32]) {
+        self.len(vs.len());
+        for &v in vs {
+            self.int(v);
+        }
+    }
+
+    /// A variant tag followed by its payload.
+    fn tagged(&mut self, tag: u8, v: impl Into<u64>) {
+        self.int(tag);
+        self.int(v);
+    }
+
+    fn opt(&mut self, v: Option<u32>) {
+        match v {
+            None => self.int(0u8),
+            Some(v) => self.tagged(1, v),
+        }
+    }
+
+    fn span(&mut self, s: Span) {
+        self.int(s.line);
+        self.int(s.col);
+    }
+
+    /// Length, then the bytes in little-endian 8-byte words (the last one
+    /// zero-padded).
+    fn str(&mut self, s: &str) {
+        self.len(s.len());
+        let mut chunks = s.as_bytes().chunks_exact(8);
+        for c in &mut chunks {
+            self.word(u64::from_le_bytes(c.try_into().unwrap()));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+
+    fn time(&mut self, t: TimeAmount) {
+        match t {
+            TimeAmount::Const(us) => self.tagged(0, us),
+            TimeAmount::Dyn(e) => self.tagged(1, e),
+        }
+    }
+
+    fn place(&mut self, p: Place) {
+        match p {
+            Place::Slot(s) => self.tagged(0, s),
+            Place::Index(s, e) => {
+                self.tagged(1, s);
+                self.int(e);
+            }
+            Place::Deref(e) => self.tagged(2, e),
+        }
+    }
+
+    fn emit(&mut self, tag: u8, event: EventId, value: Option<ExprId>) {
+        self.tagged(tag, event.0);
+        self.opt(value);
+    }
+
+    fn op(&mut self, op: &Op) {
+        match *op {
+            Op::Assign { dst, src } => {
+                self.int(0u8);
+                self.place(dst);
+                self.int(src);
+            }
+            Op::Eval(e) => self.tagged(1, e),
+            Op::ActivateEvt { gate } => self.tagged(2, gate),
+            Op::ActivateTime { gate, us } => {
+                self.tagged(3, gate);
+                self.time(us);
+            }
+            Op::ActivateNever { gate } => self.tagged(4, gate),
+            Op::ActivateAsync { gate, async_id } => {
+                self.tagged(5, gate);
+                self.int(async_id);
+            }
+            Op::ClearRegion(r) => self.tagged(6, r),
+            Op::Spawn(b) => self.tagged(7, b),
+            Op::EmitInt { event, value } => self.emit(8, event, value),
+            Op::EmitExt { event, value } => self.emit(9, event, value),
+            Op::EmitOut { event, value } => self.emit(10, event, value),
+            Op::EmitTime(t) => {
+                self.int(11u8);
+                self.time(t);
+            }
+            Op::SetFlag(s) => self.tagged(12, s),
+            Op::ClearFlags { lo, hi } => {
+                self.tagged(13, lo);
+                self.int(hi);
             }
         }
-        use fmt::Write;
-        let mut h = Fnv(0xcbf29ce484222325);
-        let w = &mut h;
-        let _ = write!(w, "data:{};boot:{};", self.data_len, self.boot);
-        for b in &self.blocks {
-            let _ = write!(w, "blk:{}:{:?}:{:?}:{:?};", b.rank, b.instrs, b.term, b.regions);
+    }
+
+    fn term(&mut self, t: &Term) {
+        match *t {
+            Term::Halt => self.int(0u8),
+            Term::Goto(b) => self.tagged(1, b),
+            Term::If { cond, then_b, else_b } => {
+                self.tagged(2, cond);
+                self.int(then_b);
+                self.int(else_b);
+            }
+            Term::JoinAnd { lo, hi, cont } => {
+                self.tagged(3, lo);
+                self.int(hi);
+                self.int(cont);
+            }
+            Term::TerminateProgram { value } => {
+                self.int(4u8);
+                self.opt(value);
+            }
+            Term::TerminateAsync { value } => {
+                self.int(5u8);
+                self.opt(value);
+            }
         }
-        for g in &self.gates {
-            let _ = write!(w, "gate:{:?}:{};", g.kind, g.cont);
+    }
+
+    fn flat_op(&mut self, op: &FlatOp) {
+        match op {
+            FlatOp::Const(v) => self.tagged(0, *v as u64),
+            FlatOp::Str(s) => {
+                self.int(1u8);
+                self.str(s);
+            }
+            FlatOp::Null => self.int(2u8),
+            FlatOp::Slot(s) => self.tagged(3, *s),
+            FlatOp::AddrOf(s) => self.tagged(4, *s),
+            FlatOp::EventVal(e) => self.tagged(5, e.0),
+            FlatOp::CGlobal(name) => {
+                self.int(6u8);
+                self.str(name);
+            }
+            // operator tags are their declaration index in ceu-ast
+            FlatOp::Un(op) => self.tagged(7, *op as u8),
+            FlatOp::Bin(op) => self.tagged(8, *op as u8),
+            FlatOp::ShortAnd(n) => self.tagged(9, *n),
+            FlatOp::ShortOr(n) => self.tagged(10, *n),
+            FlatOp::Truthy => self.int(11u8),
+            FlatOp::Index => self.int(12u8),
+            FlatOp::CCall { name, argc } => {
+                self.tagged(13, *argc);
+                self.str(name);
+            }
+            FlatOp::Deref => self.int(14u8),
+            FlatOp::Field { name, arrow } => {
+                self.tagged(15, *arrow);
+                self.str(name);
+            }
         }
-        for r in &self.regions {
-            let _ = write!(w, "region:{}:{};", r.lo, r.hi);
-        }
-        for a in &self.asyncs {
-            let _ = write!(w, "async:{}:{:?}:{};", a.entry, a.result, a.done_gate);
-        }
-        for s in &self.suspends {
-            let _ = write!(w, "susp:{:?}:{};", s.event, s.region);
-        }
-        for (_, e) in self.events.iter() {
-            let _ = write!(w, "evt:{};", e.name);
-        }
-        let _ = write!(w, "flat:{:?}:{:?};", self.flat.code, self.flat.ranges);
-        h.0
+    }
+
+    fn finish(self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 }
 
