@@ -8,6 +8,7 @@ pub mod lexer;
 pub mod parser;
 
 pub use error::{ParseError, Result};
+pub use parser::MAX_NESTING;
 
 use ceu_ast::Program;
 
