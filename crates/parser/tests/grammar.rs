@@ -165,6 +165,15 @@ fn deeply_nested_structures_do_not_overflow() {
 }
 
 #[test]
+fn error_columns_count_characters() {
+    // `é` is two bytes but one column: both lines put the `;` at column 19
+    for comment in ["ééé", "eee"] {
+        let e = parse(&format!("int x;\n/* {comment} */ x = 1 + ;")).unwrap_err();
+        assert_eq!(e.to_string(), "parse error at 2:19: expected expression, found `;`");
+    }
+}
+
+#[test]
 fn long_expression_chains_parse() {
     let mut e = String::from("1");
     for i in 0..200 {

@@ -136,6 +136,24 @@ fn compile_errors_are_rejected_at_admission() {
 }
 
 #[test]
+fn deeply_nested_sources_are_rejected_at_admission() {
+    // compiled in-process: a source nested past the parser's limit must be
+    // a compile error, not a stack overflow that takes the service down
+    let svc = SessionService::start(ServeConfig::default());
+    let parens = format!("int x;\nx = {}1{};", "(".repeat(100_000), ")".repeat(100_000));
+    let blocks = format!("{}nothing;{}", "do\n".repeat(100_000), "\nend".repeat(100_000));
+    for src in [parens, blocks] {
+        match svc.open_session_unchecked(&src) {
+            Err(AdmitError::CompileError { message, .. }) => {
+                assert!(message.contains("nesting deeper than"), "{message}");
+            }
+            other => panic!("expected a nesting error, got {other:?}"),
+        }
+    }
+    assert!(svc.open_session(HEALTHY).is_ok(), "the service still admits sessions");
+}
+
+#[test]
 fn runaway_is_fuel_evicted_and_neighbours_survive() {
     let cfg = ServeConfig { fuel_limit: Some(10_000), workers: 2, ..ServeConfig::default() };
     let svc = SessionService::start(cfg);
