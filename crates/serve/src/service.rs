@@ -390,6 +390,12 @@ struct State {
     running: usize,
     /// Workers currently processing an epoch.
     busy: usize,
+    /// Workers blocked on `Inner::work`. Changed only under the lock, around
+    /// the wait, so a pusher that reads 0 knows no worker can miss its push.
+    parked: usize,
+    /// Threads blocked on `Inner::quiesced` (`settle`, `drain`), counted
+    /// the same way.
+    watchers: usize,
     draining: bool,
     shutdown: bool,
     next_id: u64,
@@ -400,17 +406,71 @@ struct Inner {
     cfg: ServeConfig,
     cache: ArtifactCache,
     state: Mutex<State>,
-    /// Signalled when `run_queue` gains work or shutdown flips.
+    /// Signalled when `run_queue` gains work or shutdown flips, and only
+    /// while a worker is parked on it.
     work: Condvar,
-    /// Signalled when the service may have gone quiescent
-    /// (`run_queue` empty and no busy workers).
+    /// Signalled when an epoch ends (the service or one session may have
+    /// gone quiescent), and only while someone watches.
     quiesced: Condvar,
+    /// Bumped on every push to `run_queue` and at shutdown. An idle worker
+    /// watches it, unlocked, before it parks. It publishes nothing: the
+    /// worker re-checks the queue under the lock.
+    work_gen: AtomicU64,
+    /// `spin_loop` iterations an idle worker watches `work_gen` before it
+    /// parks (0 = park at once; see [`wsn_sim::spin_budget`]).
+    spin_iters: u32,
     worker_deaths: AtomicU64,
 }
 
 impl Inner {
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, st: &mut State, id: u64) {
+        st.run_queue.push_back(id);
+        self.work_gen.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Schedules session `id` and releases the lock, waking a worker only
+    /// if one is parked: the push and the `parked` read share one critical
+    /// section with the worker's own empty-queue check.
+    fn wake(&self, mut st: MutexGuard<'_, State>, id: u64) {
+        self.push(&mut st, id);
+        let parked = st.parked > 0;
+        drop(st);
+        if parked {
+            self.work.notify_one();
+        }
+    }
+
+    /// End of an epoch (or of a skipped one): hands leftover work to a
+    /// parked peer, and lets `settle`/`drain` re-check their predicates.
+    fn epoch_done(&self, st: &State) {
+        if st.parked > 0 && !st.run_queue.is_empty() {
+            self.work.notify_one();
+        }
+        if st.watchers > 0 {
+            self.quiesced.notify_all();
+        }
+    }
+
+    /// Blocks on `quiesced` as a counted watcher.
+    fn watch<'a>(&self, mut st: MutexGuard<'a, State>, timeout: Duration) -> MutexGuard<'a, State> {
+        st.watchers += 1;
+        let (mut st, _) =
+            self.quiesced.wait_timeout(st, timeout).unwrap_or_else(PoisonError::into_inner);
+        st.watchers -= 1;
+        st
+    }
+
+    /// Stops the workers after their current epoch: a spinning one sees the
+    /// generation move, a parked one is woken.
+    fn shut_down(&self, mut st: MutexGuard<'_, State>) {
+        st.shutdown = true;
+        self.work_gen.fetch_add(1, Ordering::Relaxed);
+        drop(st);
+        self.work.notify_all();
     }
 }
 
@@ -422,6 +482,7 @@ pub struct SessionService {
 
 impl SessionService {
     pub fn start(cfg: ServeConfig) -> Self {
+        let n = cfg.workers.max(1);
         let inner = Arc::new(Inner {
             cache: ArtifactCache::new(cfg.cache_capacity),
             cfg,
@@ -431,6 +492,8 @@ impl SessionService {
                 global_queued: 0,
                 running: 0,
                 busy: 0,
+                parked: 0,
+                watchers: 0,
                 draining: false,
                 shutdown: false,
                 next_id: 0,
@@ -438,9 +501,10 @@ impl SessionService {
             }),
             work: Condvar::new(),
             quiesced: Condvar::new(),
+            work_gen: AtomicU64::new(0),
+            spin_iters: wsn_sim::spin_budget(n),
             worker_deaths: AtomicU64::new(0),
         });
-        let n = inner.cfg.workers.max(1);
         let workers = (0..n)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -517,9 +581,7 @@ impl SessionService {
         st.running += 1;
         st.stats.sessions_admitted += 1;
         st.stats.peak_resident = st.stats.peak_resident.max(st.running);
-        st.run_queue.push_back(id);
-        drop(st);
-        self.inner.work.notify_one();
+        self.inner.wake(st, id);
         Ok(SessionId(id))
     }
 
@@ -539,9 +601,14 @@ impl SessionService {
         self.admit(src, true)
     }
 
-    fn enqueue(&self, id: SessionId, msg: Msg) -> Result<(), SendError> {
+    /// Queues `msg` under the caller's lock acquisition.
+    fn enqueue(
+        &self,
+        mut st: MutexGuard<'_, State>,
+        id: SessionId,
+        msg: Msg,
+    ) -> Result<(), SendError> {
         let cfg = &self.inner.cfg;
-        let mut st = self.inner.lock();
         if st.draining {
             return Err(SendError::Draining);
         }
@@ -552,7 +619,11 @@ impl SessionService {
             SessionState::Terminated(_) => return Err(SendError::Terminated),
             SessionState::Crashed { .. } => return Err(SendError::Quarantined),
         }
-        if sess.mailbox.len() >= cfg.session_queue_cap || st.global_queued >= cfg.global_queue_cap {
+        // A queued boot does not count: it is always at the front, pushed
+        // into an empty mailbox by `admit` or `restart`.
+        let queued =
+            sess.mailbox.len() - usize::from(matches!(sess.mailbox.front(), Some(Msg::Boot)));
+        if queued >= cfg.session_queue_cap || st.global_queued >= cfg.global_queue_cap {
             st.stats.events_shed += 1;
             return Err(SendError::Shed { retry_after_us: cfg.retry_after_us });
         }
@@ -562,17 +633,13 @@ impl SessionService {
         // Fresh client input re-arms the async self-scheduling allowance.
         sess.async_epochs = 0;
         let need_schedule = !sess.scheduled;
-        if need_schedule {
-            sess.scheduled = true;
-        }
+        sess.scheduled = true;
         if counts {
             st.global_queued += 1;
             st.stats.events_enqueued += 1;
         }
         if need_schedule {
-            st.run_queue.push_back(id.0);
-            drop(st);
-            self.inner.work.notify_one();
+            self.inner.wake(st, id.0);
         }
         Ok(())
     }
@@ -586,22 +653,20 @@ impl SessionService {
         event: &str,
         value: Option<Value>,
     ) -> Result<(), SendError> {
-        let event_id = {
-            let st = self.inner.lock();
-            let sess = st.sessions.get(&id.0).ok_or(SendError::UnknownSession)?;
-            match sess.prog.events.lookup(event) {
-                Some(eid) if sess.prog.events.get(eid).external() => eid,
-                _ => return Err(SendError::UnknownEvent(event.to_string())),
-            }
+        let st = self.inner.lock();
+        let sess = st.sessions.get(&id.0).ok_or(SendError::UnknownSession)?;
+        let event_id = match sess.prog.events.lookup(event) {
+            Some(eid) if sess.prog.events.get(eid).external() => eid,
+            _ => return Err(SendError::UnknownEvent(event.to_string())),
         };
-        self.enqueue(id, Msg::Event(event_id, value))
+        self.enqueue(st, id, Msg::Event(event_id, value))
     }
 
     /// Queues a session-clock advance of `delta_us` µs (timers fire as
     /// deadlines expire). Each session owns its clock — tenants do not
     /// share time.
     pub fn advance_time(&self, id: SessionId, delta_us: u64) -> Result<(), SendError> {
-        self.enqueue(id, Msg::Time(delta_us))
+        self.enqueue(self.inner.lock(), id, Msg::Time(delta_us))
     }
 
     /// Client-requested restart of a crashed session, gated by the
@@ -645,9 +710,7 @@ impl SessionService {
         st.running += 1;
         st.stats.restarts += 1;
         st.stats.peak_resident = st.stats.peak_resident.max(st.running);
-        st.run_queue.push_back(id.0);
-        drop(st);
-        self.inner.work.notify_one();
+        self.inner.wake(st, id.0);
         Ok(())
     }
 
@@ -700,12 +763,7 @@ impl SessionService {
             if now >= deadline {
                 return false;
             }
-            let (g, _) = self
-                .inner
-                .quiesced
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = g;
+            st = self.inner.watch(st, deadline - now);
         }
     }
 
@@ -717,30 +775,19 @@ impl SessionService {
     /// reached).
     pub fn drain(mut self, timeout: Duration) -> DrainReport {
         let deadline = Instant::now() + timeout;
-        let clean;
-        {
-            let mut st = self.inner.lock();
-            st.draining = true;
-            loop {
-                if st.run_queue.is_empty() && st.busy == 0 {
-                    clean = true;
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    clean = false;
-                    break;
-                }
-                let (g, _) = self
-                    .inner
-                    .quiesced
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = g;
+        let mut st = self.inner.lock();
+        st.draining = true;
+        let clean = loop {
+            if st.run_queue.is_empty() && st.busy == 0 {
+                break true;
             }
-            st.shutdown = true;
-        }
-        self.inner.work.notify_all();
+            let now = Instant::now();
+            if now >= deadline {
+                break false;
+            }
+            st = self.inner.watch(st, deadline - now);
+        };
+        self.inner.shut_down(st);
         for w in self.workers.drain(..) {
             if w.join().is_err() {
                 self.inner.worker_deaths.fetch_add(1, Ordering::Relaxed);
@@ -762,13 +809,10 @@ impl Drop for SessionService {
     fn drop(&mut self) {
         // Not drained: stop workers hard (after their current epoch).
         if !self.workers.is_empty() {
-            {
-                let mut st = self.inner.lock();
-                st.draining = true;
-                st.shutdown = true;
-                st.run_queue.clear();
-            }
-            self.inner.work.notify_all();
+            let mut st = self.inner.lock();
+            st.draining = true;
+            st.run_queue.clear();
+            self.inner.shut_down(st);
             for w in self.workers.drain(..) {
                 let _ = w.join();
             }
@@ -785,7 +829,6 @@ struct EpochOutcome {
     rt: Option<Box<SessionRt>>,
     processed_events: u64,
     crash: Option<EvictCause>,
-    latencies_ns: Vec<u64>,
     async_slices: u64,
     async_only: bool,
     /// `Machine::reactions_started` at epoch end — captured even on crash
@@ -818,13 +861,18 @@ fn apply_msg(rt: &mut SessionRt, msg: &Msg) -> Result<(), RuntimeError> {
 
 /// Runs the checked-out messages (and a bounded async follow-up) against
 /// the machine, catching panics at each step so a blown reaction is a
-/// session crash, not a worker death.
-fn run_epoch(cfg: &ServeConfig, mut rt: Box<SessionRt>, msgs: &[Msg]) -> EpochOutcome {
+/// session crash, not a worker death. Each message's run time is appended
+/// to `latencies_ns`.
+fn run_epoch(
+    cfg: &ServeConfig,
+    mut rt: Box<SessionRt>,
+    msgs: &[Msg],
+    latencies_ns: &mut Vec<u64>,
+) -> EpochOutcome {
     let mut out = EpochOutcome {
         rt: None,
         processed_events: 0,
         crash: None,
-        latencies_ns: Vec::with_capacity(msgs.len()),
         async_slices: 0,
         async_only: msgs.is_empty(),
         reactions: 0,
@@ -833,7 +881,7 @@ fn run_epoch(cfg: &ServeConfig, mut rt: Box<SessionRt>, msgs: &[Msg]) -> EpochOu
     for msg in msgs {
         let t0 = Instant::now();
         let res = catch_unwind(AssertUnwindSafe(|| apply_msg(&mut rt, msg)));
-        out.latencies_ns.push(t0.elapsed().as_nanos() as u64);
+        latencies_ns.push(t0.elapsed().as_nanos() as u64);
         match res {
             Ok(Ok(())) => {
                 if msg.counts_against_queues() {
@@ -883,9 +931,15 @@ fn run_epoch(cfg: &ServeConfig, mut rt: Box<SessionRt>, msgs: &[Msg]) -> EpochOu
 
 fn worker_loop(inner: &Inner) {
     let cfg = &inner.cfg;
+    // Reused by every epoch, so a steady-state epoch allocates nothing.
+    let mut msgs: Vec<Msg> = Vec::new();
+    let mut latencies_ns: Vec<u64> = Vec::new();
     let mut st = inner.lock();
     loop {
-        // Pull the next scheduled session; park when there is none.
+        // Pull the next scheduled session. With none, watch the work
+        // generation for a while (the next event is often microseconds
+        // away), then park.
+        let mut spun = false;
         let id = loop {
             if let Some(id) = st.run_queue.pop_front() {
                 break id;
@@ -893,14 +947,30 @@ fn worker_loop(inner: &Inner) {
             if st.shutdown {
                 return;
             }
+            if !spun && inner.spin_iters > 0 {
+                spun = true;
+                let seen = inner.work_gen.load(Ordering::Relaxed);
+                drop(st);
+                for _ in 0..inner.spin_iters {
+                    if inner.work_gen.load(Ordering::Relaxed) != seen {
+                        break;
+                    }
+                    std::hint::spin_loop();
+                }
+                st = inner.lock();
+                continue;
+            }
+            st.parked += 1;
             st = inner.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st.parked -= 1;
         };
         let Some(sess) = st.sessions.get_mut(&id) else {
             // Closed while queued.
+            inner.epoch_done(&st);
             continue;
         };
         let take = sess.mailbox.len().min(cfg.epoch_batch.max(1));
-        let msgs: Vec<Msg> = sess.mailbox.drain(..take).collect();
+        msgs.extend(sess.mailbox.drain(..take));
         let counted = msgs.iter().filter(|m| m.counts_against_queues()).count();
         let Some(rt) = sess.rt.take() else {
             // Defensive: no machine (crash raced the queue). Unschedule and
@@ -910,24 +980,28 @@ fn worker_loop(inner: &Inner) {
             sess.scheduled = false;
             st.global_queued -= counted + rest;
             st.stats.events_dropped += (counted + rest) as u64;
+            msgs.clear();
+            inner.epoch_done(&st);
             continue;
         };
         st.global_queued -= counted;
         st.busy += 1;
         drop(st);
 
-        let out = run_epoch(cfg, rt, &msgs);
+        let out = run_epoch(cfg, rt, &msgs, &mut latencies_ns);
+        msgs.clear();
 
         st = inner.lock();
         st.busy -= 1;
+        let mut requeue = false;
         // Disjoint field borrows: the session entry and the rest of the
         // scheduler state are updated together below.
-        let State { sessions, run_queue, global_queued, running, draining, stats, .. } = &mut *st;
+        let State { sessions, global_queued, running, draining, stats, .. } = &mut *st;
         stats.epochs += 1;
         stats.events_processed += out.processed_events;
         stats.async_slices += out.async_slices;
-        for ns in &out.latencies_ns {
-            stats.reaction_ns.record(*ns);
+        for ns in latencies_ns.drain(..) {
+            stats.reaction_ns.record(ns);
         }
         if let Some(sess) = sessions.get_mut(&id) {
             sess.events_processed += out.processed_events;
@@ -976,29 +1050,21 @@ fn worker_loop(inner: &Inner) {
                         if out.async_only {
                             sess.async_epochs += 1;
                         }
-                        if !sess.mailbox.is_empty() {
-                            run_queue.push_back(id);
-                        } else if has_async
-                            && !*draining
-                            && sess.async_epochs < cfg.max_async_epochs
-                        {
-                            // Async-driven self-scheduling, bounded so one
-                            // async-heavy tenant cannot monopolise the pool.
-                            run_queue.push_back(id);
-                        } else {
-                            sess.scheduled = false;
-                        }
+                        // Async-driven self-scheduling is bounded so one
+                        // async-heavy tenant cannot monopolise the pool.
+                        requeue = !sess.mailbox.is_empty()
+                            || (has_async
+                                && !*draining
+                                && sess.async_epochs < cfg.max_async_epochs);
+                        sess.scheduled = requeue;
                     }
                 }
             }
         }
         // else: session closed while we ran its epoch; drop the machine.
-
-        if !st.run_queue.is_empty() {
-            inner.work.notify_one();
+        if requeue {
+            inner.push(&mut st, id);
         }
-        // Wakes both drain() (global quiescence) and settle() waiters
-        // (watching one session); each re-checks its own predicate.
-        inner.quiesced.notify_all();
+        inner.epoch_done(&st);
     }
 }

@@ -283,6 +283,31 @@ fn overload_sheds_instead_of_buffering() {
 }
 
 #[test]
+fn a_queued_boot_does_not_count_against_the_mailbox_cap() {
+    // One worker, kept busy by a large fuel runaway, so the victim's boot
+    // waits in its mailbox while the client sends.
+    let cfg = ServeConfig {
+        workers: 1,
+        fuel_limit: Some(4_000_000),
+        session_queue_cap: 1,
+        ..ServeConfig::default()
+    };
+    let svc = SessionService::start(cfg);
+    let hog = svc.open_session_unchecked(RUNAWAY_BOOT).unwrap();
+    let victim = svc.open_session(HEALTHY).unwrap();
+    assert_eq!(svc.send_event(victim, "Go", Some(Value::Int(5))), Ok(()));
+    assert!(matches!(
+        svc.send_event(victim, "Go", Some(Value::Int(5))),
+        Err(SendError::Shed { .. })
+    ));
+    assert!(svc.settle(hog, SETTLE) && svc.settle(victim, SETTLE));
+    let status = svc.status(victim).unwrap();
+    assert_eq!(status.state, SessionState::Running);
+    assert_eq!(status.events_processed, 1);
+    assert_eq!(svc.stats().events_shed, 1);
+}
+
+#[test]
 fn admission_cap_sheds_sessions() {
     let cfg = ServeConfig { max_sessions: 2, ..ServeConfig::default() };
     let svc = SessionService::start(cfg);

@@ -32,6 +32,7 @@ pub use parstats::{
     run_to_json, shard_to_json, window_to_json, write_par_stats_jsonl, Attribution, ParShardStats,
     ParStats, ParTotals, ParWindowStats,
 };
+pub use pool::spin_budget;
 pub use radio::{LinkLatency, Packet, Radio, RadioStats, Topology};
 pub use sched::EventHeap;
 pub use shard::{ShardPlan, DEFAULT_TARGET_SHARDS};

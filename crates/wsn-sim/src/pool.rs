@@ -21,20 +21,32 @@ use crate::world::panic_message;
 use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender, TryRecvError};
 use std::time::Instant;
 
-/// Bounded spin before a blocking `recv()`. Inter-window gaps are usually
-/// a few microseconds of simulation-thread bookkeeping — far shorter than
-/// a futex sleep/wake round trip (tens of µs on a busy host), which would
+/// Bounded spin before a blocking wait. Inter-window gaps are usually a
+/// few microseconds of simulation-thread bookkeeping — far shorter than a
+/// futex sleep/wake round trip (tens of µs on a busy host), which would
 /// otherwise be paid twice per window per worker and show up as
 /// barrier-bound thread-time. The bound keeps idle periods (world-event
 /// barriers, gaps between `run_until_parallel` calls) from pinning cores:
-/// after ~a few tens of µs the receiver parks as before.
-///
-/// Spinning is only ever a win when every spinner has a core to itself;
-/// on an oversubscribed (or single-core) host it *steals* the cycles the
-/// simulation thread needs to produce the next batch. [`WorkerPool::new`]
-/// therefore disables the spin (0 iterations) unless the machine has
-/// strictly more cores than pool workers.
+/// after ~a few tens of µs the waiter parks as before.
 const SPIN_ITERS: u32 = 20_000;
+
+/// Spin budget, in `spin_loop` iterations, for a pool of `threads`
+/// waiting threads (0 = park at once). The shard-worker pool and
+/// `ceu-serve`'s workers both take their budget from here.
+///
+/// Spinning is only ever a win when every spinner has a core to itself
+/// *and* the thread that produces its work has one too; on an
+/// oversubscribed (or single-core) host it *steals* the producer's
+/// cycles. So the spin is off unless the machine has strictly more cores
+/// than `threads`.
+pub fn spin_budget(threads: usize) -> u32 {
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    if cores > threads {
+        SPIN_ITERS
+    } else {
+        0
+    }
+}
 
 fn recv_spin<T>(rx: &Receiver<T>, spin_iters: u32) -> Result<T, RecvError> {
     for _ in 0..spin_iters {
@@ -102,10 +114,7 @@ pub(crate) struct WorkerPool {
 impl WorkerPool {
     pub fn new(size: usize) -> Self {
         let size = size.max(1);
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        // workers + the simulation thread must all have a core before
-        // busy-waiting beats parking
-        let spin_iters = if cores > size { SPIN_ITERS } else { 0 };
+        let spin_iters = spin_budget(size);
         let (results_tx, results_rx) = sync_channel::<BatchOut>(size);
         let mut senders = Vec::with_capacity(size);
         let mut handles = Vec::with_capacity(size);
