@@ -19,6 +19,9 @@
 //! - **raw vs optimized**: the host-observable surface (status, reaction
 //!   count, final data, calls, outputs) is identical. Traces are not
 //!   compared across artifacts — dead-block elimination renumbers blocks.
+//! - **traced vs bare interpreter** (both artifacts): a machine with the
+//!   event buffer and metrics on and a bare one agree on the same
+//!   host-observable surface.
 //! - **native vs interpreter** (both artifacts): the AOT Rust build from
 //!   `ceu-native-corpus` is attached via `Machine::set_native` and driven
 //!   through the same schedule on a bare machine (no event buffer —
@@ -170,8 +173,8 @@ fn drive_bare(
     (obs, native_steps)
 }
 
-/// Counts the tracks a native program is entered for: a track starts at
-/// `ip == 0`, while a resume after a trap starts past it.
+/// Counts the tracks a native program is entered for: one `step` call
+/// per track.
 struct CountEntries {
     inner: Arc<dyn NativeProgram>,
     entries: AtomicU64,
@@ -186,11 +189,9 @@ impl NativeProgram for CountEntries {
         self.inner.gate_conts()
     }
 
-    fn step(&self, block: u32, ip: u32, ctx: &mut NativeCtx<'_>) -> ceu::runtime::Result<Step> {
-        if ip == 0 {
-            self.entries.fetch_add(1, Ordering::Relaxed);
-        }
-        self.inner.step(block, ip, ctx)
+    fn step(&self, block: u32, ctx: &mut NativeCtx<'_>) -> ceu::runtime::Result<Step> {
+        self.entries.fetch_add(1, Ordering::Relaxed);
+        self.inner.step(block, ctx)
     }
 }
 
@@ -278,11 +279,33 @@ fn native_lane_matches_the_interpreter_across_the_corpus() {
     }
 }
 
-/// `dataflow_chain` with its native build: each `Go` runs the `Go` track
-/// (entry, then resume after its `emit v1_evt` trap), the `v1_evt` track
-/// (entry, resume after `emit v2_evt`) and the `v2_evt` track — 5 native
-/// steps, 3 of them inside nested reactions. An interpreter fallback for
-/// nested tracks would leave only the outer 2.
+/// Traced vs bare interpreter: observability must not change what a
+/// program does. The internal-emit shortcuts (no level of its own for an
+/// empty emitter level, a lone root run in place) run in both modes.
+#[test]
+fn traced_and_bare_interpreters_agree_across_the_corpus() {
+    for (name, src) in corpus() {
+        for (what, optimized) in [("raw", false), ("optimized", true)] {
+            let compiler =
+                if optimized { ceu::Compiler::new() } else { ceu::Compiler::unoptimized() };
+            let prog = Arc::new(compiler.compile(&src).unwrap_or_else(|e| panic!("{name}: {e}")));
+            let traced = drive(Arc::clone(&prog), false);
+            let (bare, _) = drive_bare(prog, None);
+            assert_eq!(bare.status, traced.status, "{name} ({what}): status");
+            assert_eq!(bare.reactions, traced.reactions, "{name} ({what}): reaction count");
+            assert!(bare.reactions > 0, "{name} ({what}): schedule must drive reactions");
+            assert_eq!(bare.data, traced.data, "{name} ({what}): final data slots");
+            assert_eq!(bare.calls, traced.calls, "{name} ({what}): host calls");
+            assert_eq!(bare.outputs, traced.outputs, "{name} ({what}): host outputs");
+        }
+    }
+}
+
+/// `dataflow_chain` with its native build: each `Go` runs the `Go` track,
+/// the `v1_evt` track its `emit v1_evt` wakes and the `v2_evt` track the
+/// nested `emit v2_evt` wakes — 3 native steps, 2 of them inside nested
+/// reactions. An interpreter fallback for nested tracks would leave only
+/// the outer 1.
 #[test]
 fn nested_emits_run_their_tracks_native() {
     let prog = Arc::new(ceu::Compiler::new().compile(ceu_corpus::DATAFLOW_CHAIN).unwrap());
@@ -295,7 +318,7 @@ fn nested_emits_run_their_tracks_native() {
     for n in 1..=20 {
         let before = m.native_steps();
         m.go_event(go, None, &mut h).unwrap();
-        assert_eq!(m.native_steps() - before, 5, "Go #{n}");
+        assert_eq!(m.native_steps() - before, 3, "Go #{n}");
     }
     assert_eq!(m.read_var("v3#2"), Some(&Value::Int(402)));
 }

@@ -24,10 +24,11 @@
 //! * dispatch tables (`GATE_CONT`, `BLOCK_RANK`) are baked as `const`
 //!   arrays;
 //! * scheduler-visible instructions (spawn, emits, region kills, async
-//!   starts) are not lowered — they `return Step::Trap`, the machine
-//!   interprets that one instruction, and native execution resumes at the
-//!   next one. Each instruction is guarded by `if ip <= k`, which is what
-//!   makes mid-block resumption linear in code size;
+//!   starts) are not lowered — they call `ctx.sched(block, ip)`, which
+//!   runs that one instruction through the machine's scheduler in place
+//!   (an internal emit's whole nested reaction included) and says whether
+//!   the track must stop; otherwise native execution carries on with the
+//!   next instruction;
 //! * operator semantics are *not* re-emitted: generated code calls the
 //!   same `ceu_runtime::native::{bin_op, un_op}` the interpreter uses.
 //!
@@ -174,10 +175,10 @@ impl<T: fmt::Debug> Piece for Dbg<T> {
     }
 }
 
-/// `true` for instructions the native code must hand back to the
-/// interpreter (they touch scheduler state the [`NativeCtx`] split borrow
-/// deliberately excludes).
-fn is_trap(op: &Op) -> bool {
+/// `true` for instructions the native code hands to the machine's
+/// scheduler through `NativeCtx::sched` (they touch the track queue, the
+/// async table or the region-kill log).
+fn is_sched(op: &Op) -> bool {
     matches!(
         op,
         Op::Spawn(_)
@@ -322,16 +323,11 @@ impl<'a> Emitter<'a> {
         o.push_str("    fn fingerprint(&self) -> u64 {\n        FINGERPRINT\n    }\n\n");
         o.push_str("    fn gate_conts(&self) -> &'static [u32] {\n        GATE_CONT\n    }\n\n");
         o.push_str("    #[allow(unused_variables, unused_mut, unused_assignments, unused_labels, unreachable_code, unreachable_patterns, clippy::all)]\n");
-        o.push_str("    fn step(&self, block: u32, ip: u32, ctx: &mut NativeCtx<'_>) -> Result<Step, RuntimeError> {\n");
+        o.push_str("    fn step(&self, block: u32, ctx: &mut NativeCtx<'_>) -> Result<Step, RuntimeError> {\n");
         o.push_str("        let mut blk = block;\n");
-        o.push_str("        let mut ip = ip;\n");
         o.push_str("        loop {\n");
-        o.push_str("            // one fuel unit per fresh block entry (trap resumes are free),\n");
-        o.push_str("            // mirroring the interpreter's per-track budget\n");
-        o.push_str("            if ip == 0 {\n");
-        o.push_str("                if *ctx.fuel == 0 {\n                    return Ok(Step::OutOfFuel);\n                }\n");
-        o.push_str("                *ctx.fuel -= 1;\n");
-        o.push_str("            }\n");
+        o.push_str("            // one fuel unit per block entered, like the interpreter\n");
+        o.push_str("            ctx.burn()?;\n");
         o.push_str("            match blk {\n");
         for (b, blk) in p.blocks.iter().enumerate() {
             self.emit_block(&mut o, b as u32, blk);
@@ -350,24 +346,20 @@ impl<'a> Emitter<'a> {
         let ind = &self.spaces[..16];
         put!(o; ind, "// ", blk.label.as_str(), " (rank ", u32::from(blk.rank), ")\n");
         put!(o; ind, b, "u32 => {\n");
-        let guard = self.deeper(ind);
+        let body = self.deeper(ind);
         for (k, instr) in blk.instrs.iter().enumerate() {
-            if k == 0 {
-                put!(o; guard, "if ip == 0 {\n");
-            } else {
-                put!(o; guard, "if ip <= ", k, " {\n");
-            }
-            self.emit_instr(o, self.deeper(guard), b, k as u32, instr);
-            put!(o; guard, "}\n");
+            self.emit_instr(o, body, b, k as u32, instr);
         }
-        self.emit_term(o, guard, blk);
+        self.emit_term(o, body, blk);
         put!(o; ind, "}\n");
     }
 
     fn emit_instr(&mut self, o: &mut String, ind: &'a str, b: u32, k: u32, instr: &Instr) {
-        if is_trap(&instr.op) {
-            put!(o; ind, "// \"", op_name(&instr.op), "\" → interpreter\n");
-            put!(o; ind, "return Ok(Step::Trap { block: ", b, ", ip: ", k, " });\n");
+        if is_sched(&instr.op) {
+            put!(o; ind, "// \"", op_name(&instr.op), "\" → scheduler\n");
+            put!(o; ind, "if ctx.sched(", b, ", ", k, ")? {\n");
+            put!(o; ind, "    return Ok(Step::Halt);\n");
+            put!(o; ind, "}\n");
             return;
         }
         let sp = SpanLit(instr.span);
@@ -423,7 +415,7 @@ impl<'a> Emitter<'a> {
             },
             Op::SetFlag(s) => put!(o; ind, "ctx.set_slot(", s, ", Value::Int(1));\n"),
             Op::ClearFlags { lo, hi } => put!(o; ind, "ctx.clear_flags(", lo, ", ", hi, ");\n"),
-            trap => unreachable!("trap op emitted inline: {trap:?}"),
+            sched => unreachable!("scheduler op emitted inline: {sched:?}"),
         }
     }
 
@@ -433,7 +425,7 @@ impl<'a> Emitter<'a> {
         self.n = 0;
         match blk.term {
             Term::Halt => put!(o; ind, "return Ok(Step::Halt);\n"),
-            Term::Goto(t) => put!(o; ind, "blk = ", t, ";\n", ind, "ip = 0;\n"),
+            Term::Goto(t) => put!(o; ind, "blk = ", t, ";\n"),
             Term::If { cond, then_b, else_b } => {
                 let code = self.p.flat.code_of(cond);
                 if int_pure(code) {
@@ -450,13 +442,12 @@ impl<'a> Emitter<'a> {
                 let v = self.expr(o, inner, cond, sp);
                 put!(o; inner, "blk = if (", v, ").truthy() { ", then_b, " } else { ", else_b, " };\n");
                 put!(o; ind, "}\n");
-                put!(o; ind, "ip = 0;\n");
             }
             Term::JoinAnd { lo, hi, cont } => {
                 put!(o; ind, "if !ctx.flags_set(", lo, ", ", hi, ") {\n");
                 put!(o; ind, "    return Ok(Step::Halt);\n");
                 put!(o; ind, "}\n");
-                put!(o; ind, "blk = ", cont, ";\n", ind, "ip = 0;\n");
+                put!(o; ind, "blk = ", cont, ";\n");
             }
             Term::TerminateProgram { value: Some(rv) } => {
                 put!(o; ind, "{\n");
@@ -585,8 +576,8 @@ impl<'a> Emitter<'a> {
             }
             let t = self.fresh(Operand::I);
             let (place, i) = match key {
-                IntLoad::Slot(s) => ("&ctx.data[", s),
-                IntLoad::Evt(e) => ("&ctx.evtval[", e),
+                IntLoad::Slot(s) => ("&ctx.data()[", s),
+                IntLoad::Evt(e) => ("&ctx.evtval()[", e),
             };
             put!(o; ind, "let &Value::Int(", t, ") = ", place, i, "usize] else { break 'ifast false };\n");
             self.loads.push((key, t));
@@ -734,11 +725,11 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_instructions_become_traps() {
+    fn scheduler_instructions_call_the_scheduler() {
         let p =
             compile_source("input void A, B;\npar do\n await A;\nwith\n await B;\nend").unwrap();
         let rs = emit_rust(&p);
-        assert!(rs.contains("Step::Trap"), "spawns must trap to the interpreter:\n{rs}");
+        assert!(rs.contains("if ctx.sched(0, 0)? {"), "spawns must call the scheduler:\n{rs}");
     }
 
     #[test]

@@ -6,17 +6,18 @@
 //! [`Machine`](crate::Machine) can step *instead of* interpreting the
 //! block instructions (see [`Machine::set_native`](crate::Machine::set_native)).
 //!
-//! The contract is **trap-and-resume**: the scheduler — track queue,
+//! The contract is **call, don't trap**: the scheduler — track queue,
 //! gates, timers, regions, asyncs, internal-event stack policy — stays in
 //! the machine. Generated code runs the *data plane* (assignments,
-//! expression evaluation, gate arming, par/and flags) at native speed and
-//! returns a [`Step`] whenever an instruction needs scheduler state it
-//! cannot see: the machine interprets exactly that one instruction via its
-//! ordinary `exec` path and resumes the native block at the next
-//! instruction. Semantics therefore cannot drift: every scheduler-visible
-//! effect runs through the same interpreter code, and the arithmetic both
-//! sides use lives here, in [`bin_op`]/[`un_op`], shared by the flat
-//! interpreter and every emitted program.
+//! expression evaluation, gate arming, par/and flags) at native speed and,
+//! at every instruction that needs scheduler state, calls
+//! [`NativeCtx::sched`]: the machine runs exactly that one instruction
+//! through its ordinary `exec` path (an internal emit's nested reaction
+//! included) and the native code carries on with the next one. Semantics
+//! therefore cannot drift: every scheduler-visible effect runs through the
+//! same interpreter code, and the arithmetic both sides use lives here, in
+//! [`bin_op`]/[`un_op`], shared by the flat interpreter and every emitted
+//! program.
 //!
 //! The flat interpreter remains the differential oracle — the corpus
 //! equivalence test drives tree, flat, and native lanes over identical
@@ -24,26 +25,22 @@
 
 use crate::error::{Result, RuntimeError};
 use crate::host::Host;
+use crate::machine::State;
 use crate::value::{Ptr, Value};
 // Re-exported so emitted code (and its generated-crate harness) only
 // needs a `ceu-runtime` dependency.
 pub use ceu_ast::{BinOp, Span, UnOp};
+use ceu_codegen::CompiledProgram;
 
-/// What a native step produced.
+/// How a native track ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// The track yielded to the scheduler (`Term::Halt`, or a par/and
-    /// join whose flags are not all set).
+    /// The track yielded to the scheduler (`Term::Halt`, a par/and join
+    /// whose flags are not all set, or a scheduler instruction after which
+    /// the track must stop).
     Halt,
     /// Top-level `return` — the machine terminates the program.
     Terminate(Option<i64>),
-    /// Instruction `ip` of `block` needs the scheduler (spawn, emit,
-    /// region kill, async start): the machine interprets that single
-    /// instruction and resumes native execution at `ip + 1`.
-    Trap { block: u32, ip: u32 },
-    /// The shared reaction budget ran out mid-chain — the machine raises
-    /// the same watchdog error the interpreter would.
-    OutOfFuel,
 }
 
 /// An AOT-compiled program: one `step` entry point over the same block
@@ -62,53 +59,75 @@ pub trait NativeProgram: Send + Sync {
     /// attached; not consulted on the hot path.
     fn gate_conts(&self) -> &'static [u32];
 
-    /// Runs block `block` from instruction `ip` (0 for a fresh entry,
-    /// `trap.ip + 1` when resuming), chasing gotos natively, until the
-    /// track halts, terminates, traps, or exhausts the fuel.
-    fn step(&self, block: u32, ip: u32, ctx: &mut NativeCtx<'_>) -> Result<Step>;
+    /// Runs one track from the start of block `block`, chasing gotos
+    /// natively, until the track halts or terminates. Scheduler
+    /// instructions run in place through [`NativeCtx::sched`].
+    fn step(&self, block: u32, ctx: &mut NativeCtx<'_>) -> Result<Step>;
 }
 
-/// The mutable machine state a native step may touch, lent via split
-/// borrows for the duration of one [`NativeProgram::step`] call. The
-/// scheduler structures (track queue, async table, clear log, pending
-/// input) are deliberately absent — instructions that need them trap.
+/// What a native track runs against: the machine's mutable state, the
+/// program it was compiled from and the native build itself (for the
+/// nested reactions a scheduler instruction starts), lent for one
+/// [`NativeProgram::step`] call.
 pub struct NativeCtx<'a> {
-    /// The data slot vector (read/write).
-    pub data: &'a mut [Value],
-    /// Last value carried by each event (read-only: emits trap).
-    pub evtval: &'a [Value],
-    /// Gate activation vector (the `Activate*` ops arm gates directly).
-    pub gate_active: &'a mut [bool],
-    /// Absolute timer deadlines, indexed by gate.
-    pub deadline: &'a mut [u64],
-    /// The machine's logical "now" (µs).
-    pub now: u64,
+    pub(crate) st: &'a mut State,
+    pub(crate) prog: &'a CompiledProgram,
+    pub(crate) native: &'a dyn NativeProgram,
     /// Logical time base of the running track (timer chains, §2.3).
-    pub base: Option<u64>,
-    /// Shared reaction budget: decremented once per block entered, like
-    /// the interpreter's per-track budget.
-    pub fuel: &'a mut u32,
-    /// The C world.
-    pub host: &'a mut dyn Host,
+    pub(crate) base: Option<u64>,
+    pub(crate) host: &'a mut dyn Host,
 }
 
 impl NativeCtx<'_> {
+    /// Runs instruction `ip` of `block` — a spawn, emit, region kill or
+    /// async start — through the machine's scheduler. Returns `true` when
+    /// the track must stop: the program terminated, or a nested reaction
+    /// killed a region the track lives in.
+    #[inline]
+    pub fn sched(&mut self, block: u32, ip: u32) -> Result<bool> {
+        let blk = self.prog.block(block);
+        self.st.exec_at(self.prog, Some(self.native), blk, ip as usize, self.base, self.host)
+    }
+
+    /// Charges one unit of the shared reaction budget for a block entry,
+    /// like the interpreter's per-block budget.
+    #[inline]
+    pub fn burn(&mut self) -> Result<()> {
+        if self.st.budget == 0 {
+            return Err(self.st.out_of_fuel_error());
+        }
+        self.st.budget -= 1;
+        Ok(())
+    }
+
+    /// The data slot vector (the i64 fast path's guarded loads).
+    #[inline]
+    pub fn data(&self) -> &[Value] {
+        &self.st.data
+    }
+
+    /// The last value carried by each event.
+    #[inline]
+    pub fn evtval(&self) -> &[Value] {
+        &self.st.evtval
+    }
+
     /// Read a data slot (`FlatOp::Slot`).
     #[inline]
     pub fn slot(&self, s: u32) -> Value {
-        self.data[s as usize].clone()
+        self.st.data[s as usize].clone()
     }
 
     /// Write a data slot (`Place::Slot`, `Op::SetFlag`).
     #[inline]
     pub fn set_slot(&mut self, s: u32, v: Value) {
-        self.data[s as usize] = v;
+        self.st.data[s as usize] = v;
     }
 
     /// Read an event's last value (`FlatOp::EventVal`).
     #[inline]
     pub fn evt(&self, e: usize) -> Value {
-        self.evtval[e].clone()
+        self.st.evtval[e].clone()
     }
 
     /// Read a C global (`FlatOp::CGlobal`).
@@ -123,35 +142,16 @@ impl NativeCtx<'_> {
         self.host.call(name, args).map_err(|e| RuntimeError::new(span, e))
     }
 
-    /// `base[idx]` (`FlatOp::Index`) — same data/host split as the
-    /// interpreter.
+    /// `base[idx]` (`FlatOp::Index`) — the interpreter's own access.
     #[inline]
     pub fn index(&mut self, base: Value, idx: Value, span: Span) -> Result<Value> {
-        let i = idx.as_int().ok_or_else(|| RuntimeError::new(span, "index must be an integer"))?;
-        match base {
-            Value::Ptr(Ptr::Data(a)) => {
-                let at = a as i64 + i;
-                self.data
-                    .get(at as usize)
-                    .cloned()
-                    .ok_or_else(|| RuntimeError::new(span, "index out of bounds"))
-            }
-            other => self.host.index(&other, i).map_err(|e| RuntimeError::new(span, e)),
-        }
+        self.st.load_index(base, idx, span, self.host)
     }
 
     /// `*p` (`FlatOp::Deref`).
     #[inline]
     pub fn deref(&mut self, v: Value, span: Span) -> Result<Value> {
-        match v {
-            Value::Ptr(Ptr::Data(a)) => self
-                .data
-                .get(a)
-                .cloned()
-                .ok_or_else(|| RuntimeError::new(span, "dangling data pointer")),
-            Value::Ptr(Ptr::Host(h)) => self.host.deref(h).map_err(|e| RuntimeError::new(span, e)),
-            other => Err(RuntimeError::new(span, format!("cannot dereference {other}"))),
-        }
+        self.st.load_deref(v, span, self.host)
     }
 
     /// `base.f` / `base->f` (`FlatOp::Field`).
@@ -163,62 +163,42 @@ impl NativeCtx<'_> {
     /// `arr[idx] = v` (`Place::Index`).
     #[inline]
     pub fn store_index(&mut self, s: u32, idx: Value, v: Value, span: Span) -> Result<()> {
-        let i = idx.as_int().ok_or_else(|| RuntimeError::new(span, "index must be an integer"))?;
-        let at = s as i64 + i;
-        let slot = self
-            .data
-            .get_mut(at as usize)
-            .ok_or_else(|| RuntimeError::new(span, "index out of bounds"))?;
-        *slot = v;
-        Ok(())
+        self.st.store_index(s, idx, v, span)
     }
 
     /// `*p = v` (`Place::Deref`).
     #[inline]
     pub fn store_deref(&mut self, target: Value, v: Value, span: Span) -> Result<()> {
-        match target {
-            Value::Ptr(Ptr::Data(a)) => {
-                let slot = self
-                    .data
-                    .get_mut(a)
-                    .ok_or_else(|| RuntimeError::new(span, "dangling data pointer"))?;
-                *slot = v;
-                Ok(())
-            }
-            Value::Ptr(Ptr::Host(h)) => {
-                self.host.store(h, v).map_err(|e| RuntimeError::new(span, e))
-            }
-            other => Err(RuntimeError::new(span, format!("cannot store through {other}"))),
-        }
+        self.st.store_deref(target, v, span, self.host)
     }
 
     /// Arm an event / `await forever` gate (`Op::ActivateEvt` /
     /// `Op::ActivateNever`).
     #[inline]
     pub fn arm(&mut self, g: u32) {
-        self.gate_active[g as usize] = true;
+        self.st.gate_active[g as usize] = true;
     }
 
     /// Arm a timer gate: the deadline accumulates from the track's
     /// logical base (residual-delta semantics, §2.3).
     #[inline]
     pub fn arm_time(&mut self, g: u32, us: u64) {
-        self.deadline[g as usize] = self.base.unwrap_or(self.now) + us;
-        self.gate_active[g as usize] = true;
+        self.st.deadline[g as usize] = self.base.unwrap_or(self.st.now) + us;
+        self.st.gate_active[g as usize] = true;
     }
 
     /// Reset a par/and's completion flags (`Op::ClearFlags`).
     #[inline]
     pub fn clear_flags(&mut self, lo: u32, hi: u32) {
         for s in lo..hi {
-            self.data[s as usize] = Value::Int(0);
+            self.st.data[s as usize] = Value::Int(0);
         }
     }
 
     /// `Term::JoinAnd`'s test: all completion flags in `[lo, hi)` set.
     #[inline]
     pub fn flags_set(&self, lo: u32, hi: u32) -> bool {
-        (lo..hi).all(|s| self.data[s as usize].truthy())
+        (lo..hi).all(|s| self.st.data[s as usize].truthy())
     }
 }
 

@@ -82,6 +82,12 @@ impl TrackQueue {
         self.len
     }
 
+    /// `true` while `block` is queued, at any level.
+    #[inline]
+    pub(crate) fn is_queued(&self, block: BlockId) -> bool {
+        self.link[block as usize] != IDLE
+    }
+
     /// Appends `block` to `bucket`'s FIFO. Returns `false` (and changes
     /// nothing) when the block is already queued, at any level.
     #[inline]

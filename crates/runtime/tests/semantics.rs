@@ -721,3 +721,217 @@ fn figure1_reaction_chains() {
     let discards = events.iter().filter(|e| matches!(e, TraceEvent::Discarded { .. })).count();
     assert_eq!(discards, 1);
 }
+
+/// Runs `drive` over `src` on a bare machine and on a traced one (full
+/// event buffer plus metrics), checks that both end with the same status,
+/// data and host calls, and returns the traced machine's metrics and the
+/// arguments of its `_log` calls, in call order.
+fn bare_and_traced(
+    src: &str,
+    drive: impl Fn(&mut Machine, &mut RecordingHost),
+) -> (Metrics, Vec<i64>) {
+    let prog = std::sync::Arc::new(compile_source(src).unwrap_or_else(|e| panic!("compile: {e}")));
+    let run = |traced: bool| {
+        let mut m = Machine::from_arc(prog.clone());
+        if traced {
+            m.enable_metrics();
+            m.enable_events(TraceMask::Full);
+        }
+        let mut h = RecordingHost::new();
+        drive(&mut m, &mut h);
+        (m, h)
+    };
+    let (bare, bare_host) = run(false);
+    let (mut traced, traced_host) = run(true);
+    assert_eq!(bare.status(), traced.status(), "status");
+    assert_eq!(bare.data(), traced.data(), "data");
+    assert_eq!(bare_host.calls, traced_host.calls, "host calls");
+    let log = traced_host
+        .calls
+        .iter()
+        .filter(|(name, _)| name == "log")
+        .map(|(_, args)| args[0].as_int().unwrap())
+        .collect();
+    (traced.take_metrics().unwrap(), log)
+}
+
+/// Boots, then sends `Go` `n` times; the metrics count the `Go`
+/// reactions only.
+fn go_times(n: usize) -> impl Fn(&mut Machine, &mut RecordingHost) {
+    move |m, h| {
+        m.go_init(h).unwrap();
+        m.take_metrics();
+        let go = m.event_id("Go").unwrap();
+        for _ in 0..n {
+            m.go_event(go, None, h).unwrap();
+        }
+    }
+}
+
+#[test]
+fn emit_with_a_track_still_queued_runs_the_nested_reaction_first() {
+    // `Go` wakes two trails; the first emits while the second is still
+    // queued on the same level, so the nested reaction must run (and the
+    // emitter resume) before the second trail does
+    let src = r#"
+        input void Go;
+        internal void e;
+        par do
+           loop do
+              await Go;
+              _log(1);
+              emit e;
+              _log(11);
+           end
+        with
+           loop do
+              await Go;
+              _log(2);
+           end
+        with
+           loop do
+              await e;
+              _log(3);
+           end
+        end
+    "#;
+    let (metrics, log) = bare_and_traced(src, go_times(2));
+    assert_eq!(log, [1, 3, 11, 2, 1, 3, 11, 2]);
+    // each Go spawns 2 + 1
+    assert_eq!(metrics.trail_spawns, 2 * 3);
+    assert_eq!(metrics.queue_peak, 2);
+    assert_eq!(metrics.emit_depth_hwm, 1);
+}
+
+#[test]
+fn emit_with_two_roots_runs_both_before_the_emitter_resumes() {
+    let src = r#"
+        input void Go;
+        internal void e;
+        par do
+           loop do
+              await Go;
+              _log(1);
+              emit e;
+              _log(11);
+           end
+        with
+           loop do
+              await e;
+              _log(2);
+           end
+        with
+           loop do
+              await e;
+              _log(3);
+           end
+        end
+    "#;
+    let (metrics, log) = bare_and_traced(src, go_times(2));
+    assert_eq!(log, [1, 2, 3, 11, 1, 2, 3, 11]);
+    assert_eq!(metrics.trail_spawns, 2 * 3);
+    assert_eq!(metrics.queue_peak, 2);
+    assert_eq!(metrics.emit_depth_hwm, 1);
+}
+
+#[test]
+fn lone_root_killing_the_emitters_region_stops_the_emitter() {
+    // the one trail awaiting `e` ends the par/or, which kills the emitter
+    let src = r#"
+        input void Go;
+        internal void e;
+        par/or do
+           await Go;
+           _log(1);
+           emit e;
+           _log(11);
+           await forever;
+        with
+           await e;
+           _log(2);
+        end
+        _log(3);
+        await Go;
+        _log(4);
+    "#;
+    let (metrics, log) = bare_and_traced(src, go_times(2));
+    assert_eq!(log, [1, 2, 3, 4]);
+    // the emitter, the lone root and the par/or's rejoin; then `await Go`
+    assert_eq!(metrics.trail_spawns, 3 + 1);
+    assert_eq!(metrics.queue_peak, 1);
+    assert_eq!(metrics.emit_depth_hwm, 1);
+}
+
+#[test]
+fn lone_root_terminating_the_program_stops_the_emitter() {
+    let src = r#"
+        input void Go;
+        internal void e;
+        par do
+           await Go;
+           _log(1);
+           emit e;
+           _log(11);
+           await forever;
+        with
+           await e;
+           _log(2);
+           return 7;
+        end
+    "#;
+    let drive = |m: &mut Machine, h: &mut RecordingHost| {
+        go_times(1)(m, h);
+        assert_eq!(m.status(), Status::Terminated(Some(7)));
+    };
+    let (metrics, log) = bare_and_traced(src, drive);
+    assert_eq!(log, [1, 2]);
+    assert_eq!(metrics.trail_spawns, 2);
+    assert_eq!(metrics.queue_peak, 1);
+    assert_eq!(metrics.emit_depth_hwm, 1);
+}
+
+#[test]
+fn a_64_deep_chain_of_nested_emits_runs_to_the_end() {
+    // `Go` emits e0; the trail awaiting e(k) emits e(k+1), up to e63
+    const DEPTH: usize = 64;
+    let events: Vec<String> = (0..DEPTH).map(|k| format!("e{k}")).collect();
+    let mut src = format!("input void Go;\ninternal void {};\nint n;\npar do\n", events.join(", "));
+    src.push_str("   loop do\n      await Go;\n      emit e0;\n      _log(0);\n   end\n");
+    for k in 0..DEPTH {
+        let next = if k + 1 < DEPTH { format!("emit e{};", k + 1) } else { "_log(64);".into() };
+        src.push_str(&format!(
+            "with\n   loop do\n      await e{k};\n      n = n + 1;\n      {next}\n   end\n"
+        ));
+    }
+    src.push_str("end\n");
+    let (metrics, log) = bare_and_traced(&src, go_times(3));
+    assert_eq!(log, [64, 0, 64, 0, 64, 0], "the innermost trail runs before the emitters resume");
+    assert_eq!(metrics.trail_spawns as usize, 3 * (DEPTH + 1));
+    assert_eq!(metrics.queue_peak, 1);
+    assert_eq!(metrics.emit_depth_hwm, DEPTH as u32);
+}
+
+#[test]
+fn a_paused_timer_has_no_next_deadline() {
+    // `go_time` skips a timer inside a paused `suspend`, so
+    // `next_deadline` must too — and report the shifted deadline once the
+    // region resumes
+    let src = r#"
+        input int Pause;
+        suspend Pause do
+           await 100ms;
+        end
+        await forever;
+    "#;
+    let mut m = machine(src);
+    let mut h = NullHost;
+    m.go_init(&mut h).unwrap();
+    assert_eq!(m.next_deadline(), Some(100_000));
+    let pause = m.event_id("Pause").unwrap();
+    m.go_time(40_000, &mut h).unwrap();
+    m.go_event(pause, Some(Value::Int(1)), &mut h).unwrap();
+    assert_eq!(m.next_deadline(), None, "paused");
+    m.go_time(240_000, &mut h).unwrap();
+    m.go_event(pause, Some(Value::Int(0)), &mut h).unwrap();
+    assert_eq!(m.next_deadline(), Some(300_000), "shifted by the 200 ms pause");
+}

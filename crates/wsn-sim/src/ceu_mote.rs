@@ -317,7 +317,7 @@ impl Backend for CeuMote {
         if let Err(e) = self.machine.go_time(ctx.now, &mut self.host) {
             return self.fail_with(ctx, &e);
         }
-        let h = self.host.alloc_msg_from(packet.payload.clone(), packet.src as i64);
+        let h = self.host.alloc_msg_from(packet.payload, packet.src as i64);
         if let Err(e) = self.machine.go_event_from(
             evt,
             Some(Value::Ptr(Ptr::Host(h as u64))),

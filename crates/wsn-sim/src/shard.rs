@@ -307,6 +307,9 @@ pub(crate) struct Shard {
     /// Persistent per-callback VM-event scratch, lent to each [`MoteCtx`]
     /// and drained in place — steady-state tracing allocates nothing here.
     pub vm_scratch: Vec<TraceEvent>,
+    /// Persistent per-callback send buffer, lent to each [`MoteCtx`] like
+    /// `vm_scratch` and drained after the callback.
+    pub outbox: Vec<(MoteId, Packet)>,
     /// Scratch: per-mote send-emission counter, reset each window.
     send_idx: Vec<u32>,
 }
@@ -358,6 +361,7 @@ impl Shard {
             recorder: None,
             trace_on: false,
             vm_scratch: Vec::new(),
+            outbox: Vec::new(),
             send_idx: Vec::new(),
         }
     }
@@ -497,6 +501,7 @@ impl Shard {
                 mote,
                 skewed(now, self.skew_ppm[l]),
                 &mut self.leds[l],
+                &mut self.outbox,
                 &mut self.vm_scratch,
             );
             let backend = self.backends[l].as_mut();
@@ -511,7 +516,6 @@ impl Shard {
                 out.panicked = Some((mote, panic_message(payload)));
                 break;
             }
-            let outbox = std::mem::take(&mut ctx.outbox);
             let timer_request = ctx.timer_request;
             let wants_cpu = ctx.wants_cpu;
             let failure = ctx.take_failure();
@@ -564,9 +568,10 @@ impl Shard {
                 self.timer_at[l] = None;
                 self.cpu_scheduled[l] = false;
                 out.crashes.push((now, mote, self.send_idx[l] as usize));
+                self.outbox.clear();
                 continue; // discard this callback's sends / timer / CPU asks
             }
-            for (to, packet) in outbox {
+            for (to, packet) in self.outbox.drain(..) {
                 self.stats[l].sent += 1;
                 let i = self.send_idx[l] as usize;
                 self.send_idx[l] += 1;

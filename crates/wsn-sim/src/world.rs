@@ -236,8 +236,10 @@ pub struct MoteCtx<'w> {
     pub now: u64,
     /// LED state (bitmask) plus toggle history, recorded by the harnesses.
     pub leds: &'w mut Leds,
-    /// Packets to transmit, collected after the callback returns.
-    pub outbox: Vec<(MoteId, Packet)>,
+    /// Packets to transmit, collected after the callback returns. Borrows
+    /// the owning shard's persistent outbox, like `vm_events`, so sending
+    /// is allocation-free in steady state.
+    pub outbox: &'w mut Vec<(MoteId, Packet)>,
     /// Absolute time of the next timer callback this mote wants (if any).
     pub timer_request: Option<u64>,
     /// Whether this mote wants CPU slices (long computations pending).
@@ -260,13 +262,14 @@ impl<'w> MoteCtx<'w> {
         id: MoteId,
         now: u64,
         leds: &'w mut Leds,
+        outbox: &'w mut Vec<(MoteId, Packet)>,
         vm_events: &'w mut Vec<TraceEvent>,
     ) -> MoteCtx<'w> {
         MoteCtx {
             id,
             now,
             leds,
-            outbox: Vec::new(),
+            outbox,
             timer_request: None,
             wants_cpu: false,
             vm_events,
@@ -1306,13 +1309,20 @@ impl World {
         let now = self.now;
         let skew = self.shards[s].skew_ppm[l];
         let mut backend = std::mem::replace(&mut self.shards[s].backends[l], Box::new(Inert));
-        let (outbox, timer_request, wants_cpu, failure);
+        let (timer_request, wants_cpu, failure);
+        // the shard's outbox, lent to the callback and handed back with
+        // its capacity once its packets are transmitted
+        let mut outbox = std::mem::take(&mut self.shards[s].outbox);
         {
             let shard = &mut self.shards[s];
-            let mut ctx =
-                MoteCtx::new(id, skewed(now, skew), &mut shard.leds[l], &mut shard.vm_scratch);
+            let mut ctx = MoteCtx::new(
+                id,
+                skewed(now, skew),
+                &mut shard.leds[l],
+                &mut outbox,
+                &mut shard.vm_scratch,
+            );
             f(backend.as_mut(), &mut ctx);
-            outbox = std::mem::take(&mut ctx.outbox);
             timer_request = ctx.timer_request;
             wants_cpu = ctx.wants_cpu;
             failure = ctx.take_failure();
@@ -1346,10 +1356,12 @@ impl World {
         if let Some(cause) = failure {
             // graceful degradation: the failing callback's pending effects
             // (sends, timer/CPU requests) die with the mote
+            outbox.clear();
+            self.shards[s].outbox = outbox;
             self.crash_mote(id, cause, None);
             return;
         }
-        for (to, packet) in outbox {
+        for (to, packet) in outbox.drain(..) {
             self.shards[s].stats[l].sent += 1;
             if let Some(arrival) = self.radio.transmit(now, id, to, &packet) {
                 self.schedule(arrival, Fire::Deliver { to, packet });
@@ -1358,6 +1370,7 @@ impl World {
                 self.shards[s].stats[l].lost += 1;
             }
         }
+        self.shards[s].outbox = outbox;
         if let Some(at) = timer_request {
             // the backend asked in its own (skewed) clock; convert back
             let at = unskew(at, skew).max(now);

@@ -174,3 +174,44 @@ fn mantis_round_robin_is_fair_among_equals() {
     // among long computations" — this is the MantisOS half; the Céu half is
     // go_async's round robin, covered in the runtime tests
 }
+
+/// A timer inside a paused `suspend` cannot fire, so the mote must not ask
+/// the world for it either: mote 1 pauses its 1 ms blinker on the first
+/// radio reception (at 500 µs) and stays paused, and the world must still
+/// reach its horizon. The paused timer's deadline used to be requested
+/// after every callback, which re-armed the mote at the same instant
+/// forever.
+#[test]
+fn a_paused_timer_does_not_stall_the_world() {
+    const SENDER: &str = r#"
+        _message_t msg;
+        _Radio_send(1, &msg);
+        await forever;
+    "#;
+    const PAUSED: &str = r#"
+        input _message_t* Radio_receive;
+        suspend Radio_receive do
+           loop do
+              await 1ms;
+              _Leds_led0Toggle();
+           end
+        end
+    "#;
+    for threads in [1, 2] {
+        let mut w = World::new(Radio::new(Topology::Full, 500, 0.0, 1));
+        w.add_mote(Box::new(CeuMote::new(Compiler::new().compile(SENDER).unwrap(), 0)));
+        w.add_mote(Box::new(CeuMote::new(Compiler::new().compile(PAUSED).unwrap(), 1)));
+        w.boot();
+        if threads == 1 {
+            w.run_until(10_000);
+        } else {
+            w.run_until_parallel(10_000, threads);
+        }
+        assert_eq!(w.now(), 10_000, "{threads} thread(s)");
+        assert_eq!(w.stats.delivered, 1, "{threads} thread(s)");
+        assert!(w.leds(1).history.is_empty(), "{threads} thread(s): paused before the first tick");
+        // the 1 ms timer requested at boot fires once, finds its gate
+        // paused, and is not requested again
+        assert_eq!(w.mote_stats(1).timer_firings, 1, "{threads} thread(s)");
+    }
+}
