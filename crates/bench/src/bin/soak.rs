@@ -18,7 +18,11 @@
 //! small enough for a shared runner. Results land as `ceu-soak/v1` JSONL
 //! (one `kind:"run"` line, then one `kind:"shard"` line per shard) in
 //! `target/experiments/soak.jsonl` unless `--out` says otherwise; CI
-//! uploads the file as an artifact.
+//! uploads the file as an artifact. The scheduler record of the run goes
+//! to `target/experiments/par_stats.jsonl` as `ceu-par-stats/v2`, the
+//! input of `ceu-trace par-report` and `to-perfetto --par-stats`.
+//! `--threads` must be at least 2: a 1-thread run falls back to the
+//! sequential stepper, a different engine than the one being soaked.
 //!
 //! The run is stepped in slices with a one-line health heartbeat after
 //! each (virtual time, cumulative events/s, RSS, flight-recorder ring
@@ -84,9 +88,15 @@ fn main() {
             other => panic!("unknown flag `{other}`"),
         }
     }
+    if threads < 2 {
+        eprintln!(
+            "soak: --threads {threads}: need at least 2 (1 thread runs the sequential stepper)"
+        );
+        std::process::exit(1);
+    }
     let clusters = motes.div_ceil(CLUSTER_SIZE).max(1);
     let motes = clusters * CLUSTER_SIZE; // whole clusters only
-    let shards = if shards == 0 { (threads * 8).clamp(2, clusters) } else { shards };
+    let shards = if shards == 0 { (threads * 8).min(clusters) } else { shards };
     let out = out.unwrap_or_else(|| ceu_bench::out_dir().join("soak.jsonl"));
 
     println!(
@@ -181,6 +191,11 @@ fn main() {
     }
     std::fs::write(&out, lines.join("\n") + "\n")
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
+    let stats_path = ceu_bench::out_dir().join("par_stats.jsonl");
+    let mut stats_jsonl = Vec::new();
+    wsn_sim::write_par_stats_jsonl(&stats, &mut stats_jsonl).expect("writing to a Vec");
+    std::fs::write(&stats_path, stats_jsonl)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", stats_path.display()));
 
     let max_busy = stats.per_shard.iter().map(|s| s.busy_ns).max().unwrap_or(0);
     let mean_busy = busy_total / (stats.per_shard.len().max(1) as u64);
@@ -197,6 +212,7 @@ fn main() {
         stats.utilization() * 100.0
     );
     println!("soak -> {}", out.display());
+    println!("par stats -> {}", stats_path.display());
     ceu_bench::write_combined_metrics_out(None, Some(&w), Some(&stats));
     assert!(events > 0, "a soak that fired no events measured nothing");
 }

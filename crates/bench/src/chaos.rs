@@ -113,24 +113,14 @@ pub fn named_plans() -> Vec<(&'static str, FaultPlan)> {
 /// A fresh chaos world: lossy full-mesh radio, reboot policy armed, the
 /// fault plan scheduled, traces on everywhere.
 pub fn build_chaos_world(plan: &FaultPlan) -> World {
-    build_chaos_world_opts(plan, true)
-}
-
-/// [`build_chaos_world`] with tracing optional — the throughput/overhead
-/// benchmarks step the same network without the trace-buffer cost.
-pub fn build_chaos_world_opts(plan: &FaultPlan, trace: bool) -> World {
     let mut w = World::new(Radio::new(Topology::Full, 700, 0.15, 23));
-    if trace {
-        w.enable_trace();
-    }
+    w.enable_trace();
     w.enable_flight_recorder(CHAOS_RECORDER_CAPACITY);
     w.set_reboot_policy(RebootPolicy::After(2_500));
     let prog = ceu::Compiler::new().compile(CHAOS_MOTE_CEU).expect("chaos program compiles");
     for id in 0..CHAOS_MOTES as i64 {
         let mut mote = CeuMote::new(prog.clone(), id);
-        if trace {
-            mote.enable_trace();
-        }
+        mote.enable_trace();
         w.add_mote(Box::new(mote));
     }
     w.set_fault_plan(plan).expect("plan fits the roster");

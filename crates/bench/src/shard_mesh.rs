@@ -1,6 +1,5 @@
 //! Shard-mesh workload: the clustered network the sharded PDES engine is
-//! shaped for, used by the world-level `par_throughput` sweep, the
-//! `world_shard` regression rows and (scaled up) the `soak` bin.
+//! shaped for, used (scaled up) by the `soak` bin.
 //!
 //! The chaos ring is deliberately hostile to parallelism — six motes on a
 //! full mesh share one global lookahead, so a window holds ~one event per
@@ -18,12 +17,10 @@
 //! cross-shard traffic is exercised (and sampled into the
 //! `ceu-par-stats/v2` flow arrows) without dominating the run.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use wsn_sim::{CeuMote, Radio, RebootPolicy, World};
 
-use crate::chaos::MoteHandle;
-
-/// Cluster count of the standard mesh; the builders pin the shard target
+/// Cluster count of the standard mesh; the builder pins the shard target
 /// to this, so each cluster is exactly one shard.
 pub const MESH_CLUSTERS: usize = 6;
 /// Motes per cluster.
@@ -101,49 +98,6 @@ pub fn build_shard_mesh_world(trace: bool) -> World {
     }
     w.boot();
     w
-}
-
-/// [`build_shard_mesh_world`] with the flight recorder on: coarse-masked
-/// machine traces feed the bounded per-shard rings, the unbounded world
-/// trace stays off and the per-track firehose never leaves the machines.
-/// This is the "always-on black box" configuration whose overhead the
-/// `recorder_overhead` regression rows track.
-pub fn build_shard_mesh_world_recorded(capacity: usize) -> World {
-    let mut w = World::new(mesh_radio());
-    w.set_target_shards(MESH_CLUSTERS);
-    w.enable_flight_recorder(capacity);
-    w.set_reboot_policy(RebootPolicy::After(2_500));
-    let prog = Arc::new(
-        ceu::Compiler::new().compile(&mesh_program(MESH_MOTES)).expect("mesh program compiles"),
-    );
-    for id in 0..MESH_MOTES as i64 {
-        let mut mote = CeuMote::from_shared(Arc::clone(&prog), id);
-        mote.enable_trace_coarse();
-        w.add_mote(Box::new(mote));
-    }
-    w.boot();
-    w
-}
-
-/// [`build_shard_mesh_world`] with mote 0 held through a shared handle
-/// and machine metrics on — the `--metrics-out` source for the
-/// world-level sweep.
-pub fn build_shard_mesh_world_instrumented() -> (World, MoteHandle) {
-    let mut w = World::new(mesh_radio());
-    w.set_target_shards(MESH_CLUSTERS);
-    w.set_reboot_policy(RebootPolicy::After(2_500));
-    let prog = Arc::new(
-        ceu::Compiler::new().compile(&mesh_program(MESH_MOTES)).expect("mesh program compiles"),
-    );
-    let mut first = CeuMote::from_shared(Arc::clone(&prog), 0);
-    first.enable_metrics();
-    let handle = Arc::new(Mutex::new(first));
-    w.add_mote(Box::new(Arc::clone(&handle)));
-    for id in 1..MESH_MOTES as i64 {
-        w.add_mote(Box::new(CeuMote::from_shared(Arc::clone(&prog), id)));
-    }
-    w.boot();
-    (w, handle)
 }
 
 #[cfg(test)]

@@ -198,8 +198,8 @@ pub const BLINK_SYNC_CEU: &str = r#"
     end
 "#;
 
-/// Expression-heavy reaction loop — the `bench_regression` latency
-/// workload (exercises the flat evaluator / native expression lowering).
+/// Expression-heavy reaction loop — `benchmark/`'s `react_expr` workloads
+/// (exercises the flat evaluator / native expression lowering).
 pub const EXPR_HEAVY: &str = r#"
     input int E;
     int v, acc;

@@ -21,13 +21,11 @@
 //!
 //! Usage:
 //!   serve-load [--quick] [--seed N] [--workers N] [--out PATH]
-//!              [--snapshot PATH] [--skip-determinism]
+//!              [--skip-determinism]
 //!
 //! Results land as `ceu-serve-load/v1` JSON in
-//! `target/experiments/BENCH_PR10.json` (override with `--out`);
-//! `--snapshot PATH` writes a second copy (committed as `BENCH_PR10.json`
-//! at the repo root). Exits non-zero if any assertion fails, so CI can run
-//! it directly.
+//! `target/experiments/serve_load.json` (override with `--out`). Exits
+//! non-zero if any assertion fails, so CI can run it directly.
 
 use ceu::Value;
 use ceu_serve::{
@@ -696,7 +694,6 @@ fn main() {
     let mut seed = 42u64;
     let mut workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).min(4);
     let mut out: Option<std::path::PathBuf> = None;
-    let mut snapshot: Option<std::path::PathBuf> = None;
     let mut check_determinism = true;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -705,7 +702,6 @@ fn main() {
             "--seed" => seed = args.next().expect("--seed N").parse().expect("seed"),
             "--workers" => workers = args.next().expect("--workers N").parse().expect("workers"),
             "--out" => out = Some(args.next().expect("--out PATH").into()),
-            "--snapshot" => snapshot = Some(args.next().expect("--snapshot PATH").into()),
             "--skip-determinism" => check_determinism = false,
             other => {
                 eprintln!("unknown flag {other}");
@@ -790,15 +786,10 @@ fn main() {
     let out = out.unwrap_or_else(|| {
         let dir = std::path::Path::new("target").join("experiments");
         std::fs::create_dir_all(&dir).expect("create target/experiments");
-        dir.join("BENCH_PR10.json")
+        dir.join("serve_load.json")
     });
     std::fs::write(&out, &doc).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
     println!("results -> {}", out.display());
-    if let Some(snap) = snapshot {
-        std::fs::write(&snap, &doc)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", snap.display()));
-        println!("snapshot -> {}", snap.display());
-    }
 
     let mut all: Vec<&String> = Vec::new();
     all.extend(clean.violations.iter());

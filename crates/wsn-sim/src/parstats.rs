@@ -4,15 +4,13 @@
 //! The conservative-PDES stepper advances in lookahead-wide windows:
 //! drain the heap into per-mote batches (serial), step the batches on
 //! worker threads (parallel), then merge cross-window effects back
-//! deterministically (serial). Nothing in that loop used to say *where
-//! the wall-clock goes* — which is why BENCH_PR4.json could record a
-//! 0.99× "speedup" at 2 threads with no further diagnosis. This module
-//! is the instrument panel: when enabled, every window records its span,
-//! lookahead, per-worker busy time, merge/drain durations, heap traffic
-//! and cross-window send volume into a preallocated collector (zero cost
-//! when disabled, bounded memory when enabled), and the whole run can be
-//! emitted as the stable JSONL schema **`ceu-par-stats/v2`** for
-//! `ceu-trace par-report` and the Perfetto worker-track export.
+//! deterministically (serial). This module is the instrument panel:
+//! when enabled, every window records its span, lookahead, per-worker
+//! busy time, merge/drain durations, heap traffic and cross-window send
+//! volume into a preallocated collector (zero cost when disabled,
+//! bounded memory when enabled), and the whole run can be emitted as the
+//! stable JSONL schema **`ceu-par-stats/v2`** for `ceu-trace par-report`
+//! and the Perfetto worker-track export.
 //!
 //! v2 extends v1 **additively** for the sharded scheduler: the run line
 //! gains `shards`, per-shard aggregate lines (`kind:"shard"`: mote count,

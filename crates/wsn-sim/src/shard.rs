@@ -1,12 +1,6 @@
 //! Topology-sharded conservative-PDES core.
 //!
-//! The parallel stepper used to treat every mote as its own unit of work:
-//! each lookahead window re-batched all motes, spawned a fresh thread
-//! scope, and sized every window by the *global* minimum radio latency.
-//! `ceu-par-stats/v1` showed where that goes to die — ~78% of thread-time
-//! capacity was barrier-bound (BENCH_PR6.json).
-//!
-//! This module is the replacement substrate:
+//! This module is the parallel stepper's substrate:
 //!
 //! * [`ShardPlan`] partitions the mote roster into **shards derived from
 //!   the radio topology** — cluster-aligned ranges for

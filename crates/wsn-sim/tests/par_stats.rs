@@ -1,7 +1,7 @@
 //! `ceu-par-stats/v2` acceptance: schema stability, non-interference
 //! with the deterministic parallel stepper, and the exact stall-
 //! attribution identity — the three properties `ceu-trace par-report`
-//! and the bench snapshots rely on.
+//! and the `soak` bin's `par_stats.jsonl` rely on.
 
 use ceu::runtime::TraceEvent;
 use wsn_sim::{write_par_stats_jsonl, Backend, MoteCtx, MoteId, Packet, Radio, Topology, World};
