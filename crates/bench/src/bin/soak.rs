@@ -57,6 +57,21 @@ fn rss_bytes() -> u64 {
         .map_or(0, |pages| pages * 4096)
 }
 
+/// Reports a malformed command line and exits 1.
+fn usage(msg: &str) -> ! {
+    eprintln!(
+        "soak: {msg}\nusage: soak [--quick] [--motes N] [--horizon-us T] [--threads T] \
+         [--shards S] [--out PATH] [--metrics-out PATH] [--blackbox PATH]"
+    );
+    std::process::exit(1);
+}
+
+/// The value following `flag`, parsed.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let Some(v) = args.next() else { usage(&format!("{flag} needs a value")) };
+    v.parse().unwrap_or_else(|_| usage(&format!("{flag}: `{v}` is not a valid value")))
+}
+
 fn main() {
     let mut motes = 1_000_000usize;
     let mut horizon_us = 10_000u64;
@@ -69,30 +84,27 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--motes" => motes = args.next().and_then(|v| v.parse().ok()).expect("--motes N"),
-            "--horizon-us" => {
-                horizon_us = args.next().and_then(|v| v.parse().ok()).expect("--horizon-us T")
-            }
-            "--threads" => threads = args.next().and_then(|v| v.parse().ok()).expect("--threads T"),
-            "--shards" => shards = args.next().and_then(|v| v.parse().ok()).expect("--shards S"),
-            "--out" => out = Some(args.next().expect("--out PATH").into()),
+            "--motes" => motes = value(&mut args, "--motes"),
+            "--horizon-us" => horizon_us = value(&mut args, "--horizon-us"),
+            "--threads" => threads = value(&mut args, "--threads"),
+            "--shards" => shards = value(&mut args, "--shards"),
+            "--out" => out = Some(value::<String>(&mut args, "--out").into()),
             "--metrics-out" => {
                 // consumed later by `write_combined_metrics_out`
-                args.next().expect("--metrics-out PATH");
+                value::<String>(&mut args, "--metrics-out");
             }
-            "--blackbox" => blackbox = Some(args.next().expect("--blackbox PATH")),
+            "--blackbox" => blackbox = Some(value(&mut args, "--blackbox")),
             "--quick" => {
                 motes = 50_000;
                 horizon_us = 5_000;
             }
-            other => panic!("unknown flag `{other}`"),
+            other => usage(&format!("unknown flag `{other}`")),
         }
     }
     if threads < 2 {
-        eprintln!(
-            "soak: --threads {threads}: need at least 2 (1 thread runs the sequential stepper)"
-        );
-        std::process::exit(1);
+        usage(&format!(
+            "--threads {threads}: need at least 2 (1 thread runs the sequential stepper)"
+        ));
     }
     let clusters = motes.div_ceil(CLUSTER_SIZE).max(1);
     let motes = clusters * CLUSTER_SIZE; // whole clusters only

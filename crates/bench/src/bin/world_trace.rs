@@ -1,13 +1,16 @@
 //! **World-trace export** — runs a three-mote Céu radio ring with the
 //! unified world trace enabled, twice: on the sequential stepper and on
 //! the 4-thread conservative-parallel stepper. Both merged streams land
-//! as JSONL under `target/experiments/` for the `ceu-trace` CLI:
+//! as JSONL under `target/experiments/` for the `ceu-trace` CLI, beside
+//! the parallel run's scheduler record (`ceu-par-stats/v2`), so its
+//! worker-thread tracks describe the run the trace came from:
 //!
 //! ```sh
 //! cargo run --release -p ceu-bench --bin world_trace
 //! ceu-trace diff target/experiments/world_trace_seq.jsonl \
 //!                target/experiments/world_trace_par.jsonl   # zero divergence
-//! ceu-trace to-perfetto target/experiments/world_trace_seq.jsonl -o ring.json
+//! ceu-trace to-perfetto target/experiments/world_trace_par.jsonl \
+//!     --par-stats target/experiments/world_trace_par_stats.jsonl -o ring.json
 //! ```
 //!
 //! The export is the paper's determinism argument made inspectable: the
@@ -74,8 +77,10 @@ fn main() {
     let seq_trace = seq.take_trace();
 
     let mut par = build_world();
+    par.enable_par_stats();
     par.run_until_parallel(DEADLINE_US, 4);
     let par_trace = par.take_trace();
+    let stats = par.take_par_stats().expect("par stats enabled");
 
     assert_eq!(seq_trace, par_trace, "sequential vs 4-thread world traces must be identical");
     let cross_links = seq_trace
@@ -99,6 +104,14 @@ fn main() {
         write_trace_jsonl(trace, file).expect("write world trace");
         println!("world trace -> {}", path.display());
     }
+    let mut stats_jsonl = Vec::new();
+    wsn_sim::write_par_stats_jsonl(&stats, &mut stats_jsonl).expect("writing to a Vec");
+    let stats_jsonl = String::from_utf8(stats_jsonl).expect("JSON is UTF-8");
+    let windows = stats_jsonl.lines().filter(|l| l.contains("\"kind\":\"window\"")).count();
+    assert!(windows >= 1, "the parallel run must record its windows");
+    let path = dir.join("world_trace_par_stats.jsonl");
+    std::fs::write(&path, stats_jsonl).expect("write par stats");
+    println!("scheduler record ({windows} windows) -> {}", path.display());
     println!(
         "3 motes, {} events, {cross_links} causal radio links, seq == par(4) ✓",
         seq_trace.len()

@@ -31,12 +31,15 @@ pub type AsyncId = u32;
 /// Index of an interned expression: `CompiledProgram::exprs[id]` is the
 /// tree, `CompiledProgram::flat.code_of(id)` its postfix code.
 pub type ExprId = u32;
+/// Index of a string literal in the artifact's pool: equal ids are equal
+/// text, and [`CompiledProgram::str`] gives the text.
+pub type StrId = u32;
 
 /// A lowered r-value expression.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Rv {
     Const(i64),
-    Str(String),
+    Str(StrId),
     Null,
     /// Read a data slot (scalar variable).
     Slot(SlotId),
@@ -272,6 +275,69 @@ pub struct Dispatch {
     /// `>= r`, clamped to the last bucket. Monotone, so bucket order is
     /// rank order.
     pub rank_slot: Box<[u8; 256]>,
+    /// Where a machine's artifact-sized state lives; sized by
+    /// [`StateLayout::of`] once the program is assembled.
+    pub state: StateLayout,
+}
+
+/// A machine's artifact-sized state, laid out once per artifact: §4.2's
+/// static slot layout, extended from the data slots to the scheduler's
+/// bookkeeping. A machine holds it in three blocks, one per element
+/// type, each allocated zeroed at boot; the fields are offsets into them.
+/// What a zero word means (an idle queue link, an idle async) is the
+/// runtime's encoding.
+///
+/// * `Value` block: the data slots `[0, data_len)`, one last value per
+///   event from `evtval`, the operand stack from `stack`; `values` long.
+/// * `u32` block: one queue link per block `[0, blocks)`, a `(head,
+///   tail)` pair per rank bucket from `ends`, a `(cursor, ip)` pair per
+///   async from `asyncs`; `words` long.
+/// * `u64` block: the gate-active bits `[0, paused)`, the suspend-paused
+///   bits from `paused`, one deadline per gate from `deadline`, one pause
+///   start per suspend from `since`, one time base per queued block from
+///   `base`; `wide` long.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StateLayout {
+    pub evtval: u32,
+    pub stack: u32,
+    pub values: u32,
+    pub ends: u32,
+    pub asyncs: u32,
+    pub words: u32,
+    pub paused: u32,
+    pub deadline: u32,
+    pub since: u32,
+    pub base: u32,
+    pub wide: u32,
+}
+
+impl StateLayout {
+    /// The layout for `p`'s counts (slots, events, stack depth, blocks,
+    /// rank buckets, asyncs, gates, suspends).
+    pub fn of(p: &CompiledProgram) -> Self {
+        let len = |n: usize| n as u32;
+        let bits = |n: usize| len(n.div_ceil(64));
+        let (blocks, gates, suspends) = (len(p.blocks.len()), p.gates.len(), p.suspends.len());
+        let stack = p.data_len + len(p.events.len());
+        let asyncs = blocks + 2 * len(p.dispatch.slot_ranks.len().max(1));
+        let paused = bits(gates);
+        let deadline = paused + bits(suspends);
+        let since = deadline + len(gates);
+        let base = since + len(suspends);
+        StateLayout {
+            evtval: p.data_len,
+            stack,
+            values: stack + p.flat.max_stack,
+            ends: blocks,
+            asyncs,
+            words: asyncs + 2 * len(p.asyncs.len()),
+            paused,
+            deadline,
+            since,
+            base,
+            wide: base + blocks,
+        }
+    }
 }
 
 impl Dispatch {
@@ -320,6 +386,7 @@ impl Dispatch {
             slot_by_name,
             slot_ranks,
             rank_slot,
+            state: StateLayout::default(),
         }
     }
 }
@@ -375,6 +442,8 @@ pub struct CompiledProgram {
     pub suspends: Vec<SuspendInfo>,
     /// Concatenated `C do … end` code, passed through to the C backend.
     pub c_code: String,
+    /// String literals, deduplicated and indexed by [`StrId`].
+    pub strs: Vec<Box<str>>,
     /// Interned expression trees, indexed by [`ExprId`] (C backend,
     /// analyses, tree-eval ablation).
     pub exprs: Vec<Rv>,
@@ -413,6 +482,11 @@ impl CompiledProgram {
         &self.exprs[id as usize]
     }
 
+    /// The text of a string literal.
+    pub fn str(&self, id: StrId) -> &str {
+        &self.strs[id as usize]
+    }
+
     /// Gates that await the given event (precomputed table).
     pub fn gates_of_event(&self, event: EventId) -> impl Iterator<Item = GateId> + '_ {
         self.dispatch.event_gates.get(event.index()).into_iter().flatten().copied()
@@ -433,7 +507,8 @@ impl CompiledProgram {
     /// Hashed: `data_len` and `boot`; per block its rank, every
     /// instruction's op and span, the terminator and the regions; per gate
     /// its kind and continuation; region bounds, asyncs, suspends, event
-    /// names, and the flat pool's `code` and `ranges`. Every integer is
+    /// names, and the flat pool's `code` (string literals by their text)
+    /// and `ranges`. Every integer is
     /// fed as a `u64` value and every enum variant as a tag assigned here,
     /// so the value depends on the artifact alone — not on the toolchain,
     /// the `usize` width or the byte order. Only deterministically ordered
@@ -485,7 +560,7 @@ impl CompiledProgram {
         }
         h.len(self.flat.code.len());
         for op in &self.flat.code {
-            h.flat_op(op);
+            h.flat_op(op, &self.strs);
         }
         h.len(self.flat.ranges.len());
         for &(lo, hi) in &self.flat.ranges {
@@ -648,12 +723,14 @@ impl Fingerprint {
         }
     }
 
-    fn flat_op(&mut self, op: &FlatOp) {
+    /// A string literal is hashed as its text, so the pool's numbering
+    /// does not reach the fingerprint.
+    fn flat_op(&mut self, op: &FlatOp, strs: &[Box<str>]) {
         match op {
             FlatOp::Const(v) => self.tagged(0, *v as u64),
             FlatOp::Str(s) => {
                 self.int(1u8);
-                self.str(s);
+                self.str(&strs[*s as usize]);
             }
             FlatOp::Null => self.int(2u8),
             FlatOp::Slot(s) => self.tagged(3, *s),

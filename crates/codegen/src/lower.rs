@@ -65,6 +65,8 @@ struct Lower<'a> {
     exprs: Vec<Rv>,
     /// Postfix code for the same expressions.
     flat: FlatPool,
+    /// String literals, deduplicated (indexed by `StrId`).
+    strs: Vec<Box<str>>,
     region_stack: Vec<RegionId>,
     /// Nesting depth of rank-carrying constructs (loops, par/or, value blocks).
     depth: u8,
@@ -90,6 +92,7 @@ pub fn compile_with_layout(resolved: &Resolved, layout: &Layout) -> Result<Compi
         c_code: String::new(),
         exprs: Vec::new(),
         flat: FlatPool::default(),
+        strs: Vec::new(),
         region_stack: Vec::new(),
         depth: 0,
         in_async: false,
@@ -109,7 +112,7 @@ pub fn compile_with_layout(resolved: &Resolved, layout: &Layout) -> Result<Compi
         resolved.events.len(),
     );
     let debug = DebugMap::build(&lw.blocks);
-    Ok(CompiledProgram {
+    let mut prog = CompiledProgram {
         blocks: lw.blocks,
         boot,
         gates: lw.gates,
@@ -121,11 +124,14 @@ pub fn compile_with_layout(resolved: &Resolved, layout: &Layout) -> Result<Compi
         asyncs: lw.asyncs,
         suspends: lw.suspends,
         c_code: lw.c_code,
+        strs: lw.strs,
         exprs: lw.exprs,
         flat: lw.flat,
         dispatch,
         debug,
-    })
+    };
+    prog.dispatch.state = StateLayout::of(&prog);
+    Ok(prog)
 }
 
 impl<'a> Lower<'a> {
@@ -162,6 +168,15 @@ impl<'a> Lower<'a> {
         debug_assert_eq!(id as usize, self.exprs.len());
         self.exprs.push(rv);
         id
+    }
+
+    /// The pool id of a string literal; equal texts share one id.
+    fn str_id(&mut self, s: &str) -> StrId {
+        let at = self.strs.iter().position(|t| **t == *s).unwrap_or_else(|| {
+            self.strs.push(s.into());
+            self.strs.len() - 1
+        });
+        at as StrId
     }
 
     /// Lowers an AST expression and interns it in one step.
@@ -671,7 +686,7 @@ impl<'a> Lower<'a> {
         Ok(match &e.kind {
             ExprKind::Num(n) => Rv::Const(*n),
             ExprKind::Chr(c) => Rv::Const(*c as i64),
-            ExprKind::Str(s) => Rv::Str(s.clone()),
+            ExprKind::Str(s) => Rv::Str(self.str_id(s)),
             ExprKind::Null => Rv::Null,
             ExprKind::Var(unique) => {
                 let (slot, is_array) = self.var_slot(unique, e.span)?;

@@ -25,7 +25,7 @@
 //! constant zero is **never** folded — it stays a runtime error.
 
 use crate::flat::FlatPool;
-use crate::ir::{CompiledProgram, Op, Rv, Term};
+use crate::ir::{CompiledProgram, Op, Rv, StateLayout, Term};
 use ceu_ast::{BinOp, UnOp};
 
 /// What the pass did, for logs, tests and `ceuc` diagnostics.
@@ -74,6 +74,7 @@ pub fn optimize(prog: &mut CompiledProgram) -> OptStats {
     // 3. + 4.
     stats.blocks_removed = remove_dead_blocks(prog);
     stats.gates_pruned = prune_unarmable_gates(prog);
+    prog.dispatch.state = StateLayout::of(prog);
     stats
 }
 

@@ -18,7 +18,7 @@
 //! * int-pure expressions (arithmetic over slots/constants/event values)
 //!   additionally get an **i64 fast path**: each operand is guarded for
 //!   `Value::Int` at entry, the computation runs in plain `i64` locals
-//!   (registers, no `Value` moves or drop glue), and any non-int operand
+//!   (registers, no `Value` moves), and any non-int operand
 //!   or division by zero falls back to the generic lowering, which
 //!   re-derives the result and raises the real error;
 //! * dispatch tables (`GATE_CONT`, `BLOCK_RANK`) are baked as `const`
@@ -40,7 +40,6 @@
 use crate::flat::FlatOp;
 use crate::ir::{BBlock, CompiledProgram, Instr, Op, Place, Term, TimeAmount};
 use ceu_ast::{BinOp, Span, UnOp};
-use std::collections::HashMap;
 use std::fmt::{self, Write};
 
 /// Emits the complete Rust source for `p`. The output is a self-contained
@@ -220,11 +219,6 @@ struct Emitter<'a> {
     p: &'a CompiledProgram,
     /// A run of spaces every indentation is a prefix of.
     spaces: &'a str,
-    /// Interned string literals, in first-occurrence order over the flat
-    /// pool (deterministic). Emitted code clones `Arc`s out of
-    /// `Program::strs` instead of allocating per evaluation.
-    strs: Vec<&'a str>,
-    str_ids: HashMap<&'a str, usize>,
     /// The symbolic operand stack, shared by every expression.
     st: Vec<Operand>,
     /// The fast path's guarded loads, for the expression being emitted.
@@ -235,17 +229,7 @@ struct Emitter<'a> {
 
 impl<'a> Emitter<'a> {
     fn new(p: &'a CompiledProgram, spaces: &'a str) -> Self {
-        let mut strs: Vec<&'a str> = Vec::new();
-        let mut str_ids = HashMap::new();
-        for op in &p.flat.code {
-            if let FlatOp::Str(s) = op {
-                str_ids.entry(&**s).or_insert_with(|| {
-                    strs.push(s);
-                    strs.len() - 1
-                });
-            }
-        }
-        Emitter { p, spaces, strs, str_ids, st: Vec::new(), loads: Vec::new(), n: 0 }
+        Emitter { p, spaces, st: Vec::new(), loads: Vec::new(), n: 0 }
     }
 
     /// The indentation one level (4 columns) deeper than `ind`.
@@ -287,8 +271,7 @@ impl<'a> Emitter<'a> {
         o.push_str("#[allow(unused_imports)]\n");
         o.push_str("use ceu_runtime::native::{bin_op, time_value, un_op, BinOp, NativeCtx, NativeProgram, Span, Step, UnOp};\n");
         o.push_str("#[allow(unused_imports)]\n");
-        o.push_str("use ceu_runtime::{Ptr, RuntimeError, Value};\n");
-        o.push_str("#[allow(unused_imports)]\nuse std::sync::Arc;\n\n");
+        o.push_str("use ceu_runtime::{Ptr, RuntimeError, Value};\n\n");
         let _ = writeln!(o, "#[allow(dead_code)]\npub const FINGERPRINT: u64 = {fp:#018x};");
         // baked dispatch tables: gate → continuation block, block → rank
         o.push_str("#[allow(dead_code)]\npub const GATE_CONT: &[u32] = &[");
@@ -307,18 +290,8 @@ impl<'a> Emitter<'a> {
             put!(&mut o; u32::from(b.rank));
         }
         o.push_str("];\n\n");
-        o.push_str("#[allow(dead_code)]\npub struct Program {\n    strs: Vec<Arc<str>>,\n}\n\n");
-        o.push_str("#[allow(dead_code)]\npub fn program() -> Program {\n");
-        if self.strs.is_empty() {
-            o.push_str("    Program { strs: Vec::new() }\n");
-        } else {
-            o.push_str("    Program {\n        strs: vec![\n");
-            for s in &self.strs {
-                put!(&mut o; "            Arc::from(", Dbg(s), "),\n");
-            }
-            o.push_str("        ],\n    }\n");
-        }
-        o.push_str("}\n\n");
+        o.push_str("#[allow(dead_code)]\npub struct Program;\n\n");
+        o.push_str("#[allow(dead_code)]\npub fn program() -> Program {\n    Program\n}\n\n");
         o.push_str("impl NativeProgram for Program {\n");
         o.push_str("    fn fingerprint(&self) -> u64 {\n        FINGERPRINT\n    }\n\n");
         o.push_str("    fn gate_conts(&self) -> &'static [u32] {\n        GATE_CONT\n    }\n\n");
@@ -488,9 +461,7 @@ impl<'a> Emitter<'a> {
             let t = self.open(o, ind, Operand::T);
             match op {
                 FlatOp::Const(v) => put!(o; "Value::Int(", *v, "i64);\n"),
-                FlatOp::Str(s) => {
-                    put!(o; "Value::Str(Arc::clone(&self.strs[", self.str_ids[&**s], "]));\n");
-                }
+                FlatOp::Str(s) => put!(o; "Value::Str(", *s, ");\n"),
                 FlatOp::Null => put!(o; "Value::Null;\n"),
                 FlatOp::Slot(s) => put!(o; "ctx.slot(", *s, ");\n"),
                 FlatOp::AddrOf(s) => put!(o; "Value::Ptr(Ptr::Data(", *s, "));\n"),
@@ -575,11 +546,11 @@ impl<'a> Emitter<'a> {
                 continue;
             }
             let t = self.fresh(Operand::I);
-            let (place, i) = match key {
-                IntLoad::Slot(s) => ("&ctx.data()[", s),
-                IntLoad::Evt(e) => ("&ctx.evtval()[", e),
+            let (load, i) = match key {
+                IntLoad::Slot(s) => ("ctx.slot(", s),
+                IntLoad::Evt(e) => ("ctx.evt(", e),
             };
-            put!(o; ind, "let &Value::Int(", t, ") = ", place, i, "usize] else { break 'ifast false };\n");
+            put!(o; ind, "let Value::Int(", t, ") = ", load, i, ") else { break 'ifast false };\n");
             self.loads.push((key, t));
         }
     }

@@ -85,10 +85,7 @@ fn every_hashed_field_moves_the_fingerprint() {
     moves("a suspend's event", |q| q.suspends[0].event = EventId(q.suspends[0].event.0 + 1));
     moves("a suspend's region", |q| q.suspends[0].region += 1);
     moves("an event name", |q| q.events.events[0].name.push('X'));
-    moves("a string flat op", |q| {
-        let s = q.flat.code.iter_mut().find(|op| matches!(op, FlatOp::Str(_))).unwrap();
-        *s = FlatOp::Str("tock %d\n".into());
-    });
+    moves("a string literal's text", |q| q.strs[0] = "tock %d\n".into());
     moves("a C call's argument count", |q| {
         if let FlatOp::CCall { argc, .. } = &mut q.flat.code[ccall] {
             *argc += 1;

@@ -639,6 +639,7 @@ fn exec_script(
                     .find(|n| n.split('#').next() == Some(name))
                     .ok_or_else(|| err(lineno, &format!("no variable `{name}`")))?;
                 match sim.read_var(unique) {
+                    Some(Value::Str(s)) => println!("{name} = {}", sim.machine().program().str(*s)),
                     Some(v) => println!("{name} = {v}"),
                     None => return Err(err(lineno, "variable not readable")),
                 }

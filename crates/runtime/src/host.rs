@@ -98,15 +98,15 @@ impl RecordingHost {
 impl Host for RecordingHost {
     fn call(&mut self, name: &str, args: &[Value]) -> HostResult<Value> {
         self.calls.push((name.to_string(), args.to_vec()));
-        Ok(self.returns.get(name).cloned().unwrap_or(Value::Int(0)))
+        Ok(self.returns.get(name).copied().unwrap_or(Value::Int(0)))
     }
 
     fn global(&mut self, name: &str) -> HostResult<Value> {
-        self.globals.get(name).cloned().ok_or_else(|| format!("no canned global `_{name}`"))
+        self.globals.get(name).copied().ok_or_else(|| format!("no canned global `_{name}`"))
     }
 
     fn deref(&mut self, handle: u64) -> HostResult<Value> {
-        Ok(self.cells.get(&handle).cloned().unwrap_or(Value::Int(0)))
+        Ok(self.cells.get(&handle).copied().unwrap_or(Value::Int(0)))
     }
 
     fn store(&mut self, handle: u64, v: Value) -> HostResult<()> {
@@ -115,7 +115,7 @@ impl Host for RecordingHost {
     }
 
     fn output(&mut self, event: &str, value: Option<&Value>) -> HostResult<()> {
-        self.outputs.push((event.to_string(), value.cloned()));
+        self.outputs.push((event.to_string(), value.copied()));
         Ok(())
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::error::{Result, RuntimeError};
 use crate::host::Host;
-use crate::machine::State;
+use crate::machine::{set_bit, State};
 use crate::value::{Ptr, Value};
 // Re-exported so emitted code (and its generated-crate harness) only
 // needs a `ceu-runtime` dependency.
@@ -100,34 +100,36 @@ impl NativeCtx<'_> {
         Ok(())
     }
 
-    /// The data slot vector (the i64 fast path's guarded loads).
+    /// The data slot vector.
     #[inline]
     pub fn data(&self) -> &[Value] {
-        &self.st.data
+        self.st.data(self.prog)
     }
 
     /// The last value carried by each event.
     #[inline]
     pub fn evtval(&self) -> &[Value] {
-        &self.st.evtval
+        let lay = &self.prog.dispatch.state;
+        &self.st.vals[lay.evtval as usize..lay.stack as usize]
     }
 
-    /// Read a data slot (`FlatOp::Slot`).
+    /// Read a data slot (`FlatOp::Slot`, the i64 fast path's guarded
+    /// loads).
     #[inline]
     pub fn slot(&self, s: u32) -> Value {
-        self.st.data[s as usize].clone()
+        self.st.vals[s as usize]
     }
 
     /// Write a data slot (`Place::Slot`, `Op::SetFlag`).
     #[inline]
     pub fn set_slot(&mut self, s: u32, v: Value) {
-        self.st.data[s as usize] = v;
+        self.st.vals[s as usize] = v;
     }
 
     /// Read an event's last value (`FlatOp::EventVal`).
     #[inline]
     pub fn evt(&self, e: usize) -> Value {
-        self.st.evtval[e].clone()
+        self.st.vals[State::evt_at(self.prog, e)]
     }
 
     /// Read a C global (`FlatOp::CGlobal`).
@@ -145,13 +147,13 @@ impl NativeCtx<'_> {
     /// `base[idx]` (`FlatOp::Index`) — the interpreter's own access.
     #[inline]
     pub fn index(&mut self, base: Value, idx: Value, span: Span) -> Result<Value> {
-        self.st.load_index(base, idx, span, self.host)
+        self.st.load_index(self.prog, base, idx, span, self.host)
     }
 
     /// `*p` (`FlatOp::Deref`).
     #[inline]
     pub fn deref(&mut self, v: Value, span: Span) -> Result<Value> {
-        self.st.load_deref(v, span, self.host)
+        self.st.load_deref(self.prog, v, span, self.host)
     }
 
     /// `base.f` / `base->f` (`FlatOp::Field`).
@@ -163,42 +165,40 @@ impl NativeCtx<'_> {
     /// `arr[idx] = v` (`Place::Index`).
     #[inline]
     pub fn store_index(&mut self, s: u32, idx: Value, v: Value, span: Span) -> Result<()> {
-        self.st.store_index(s, idx, v, span)
+        self.st.store_index(self.prog, s, idx, v, span)
     }
 
     /// `*p = v` (`Place::Deref`).
     #[inline]
     pub fn store_deref(&mut self, target: Value, v: Value, span: Span) -> Result<()> {
-        self.st.store_deref(target, v, span, self.host)
+        self.st.store_deref(self.prog, target, v, span, self.host)
     }
 
     /// Arm an event / `await forever` gate (`Op::ActivateEvt` /
     /// `Op::ActivateNever`).
     #[inline]
     pub fn arm(&mut self, g: u32) {
-        self.st.gate_active[g as usize] = true;
+        set_bit(&mut self.st.wide, g, true);
     }
 
     /// Arm a timer gate: the deadline accumulates from the track's
     /// logical base (residual-delta semantics, §2.3).
     #[inline]
     pub fn arm_time(&mut self, g: u32, us: u64) {
-        self.st.deadline[g as usize] = self.base.unwrap_or(self.st.now) + us;
-        self.st.gate_active[g as usize] = true;
+        *self.st.deadline_mut(self.prog, g) = self.base.unwrap_or(self.st.now) + us;
+        set_bit(&mut self.st.wide, g, true);
     }
 
     /// Reset a par/and's completion flags (`Op::ClearFlags`).
     #[inline]
     pub fn clear_flags(&mut self, lo: u32, hi: u32) {
-        for s in lo..hi {
-            self.st.data[s as usize] = Value::Int(0);
-        }
+        self.st.vals[lo as usize..hi as usize].fill(Value::Int(0));
     }
 
     /// `Term::JoinAnd`'s test: all completion flags in `[lo, hi)` set.
     #[inline]
     pub fn flags_set(&self, lo: u32, hi: u32) -> bool {
-        (lo..hi).all(|s| self.st.data[s as usize].truthy())
+        self.st.vals[lo as usize..hi as usize].iter().all(Value::truthy)
     }
 }
 
@@ -230,20 +230,44 @@ pub fn un_op(op: UnOp, v: Value, span: Span) -> Result<Value> {
 }
 
 /// The non-integer cases of [`un_op`] (truthiness of pointers/strings,
-/// every error).
+/// `null` read as 0, every error).
 #[cold]
 fn un_op_slow(op: UnOp, v: Value, span: Span) -> Result<Value> {
-    let int = |v: &Value| {
-        v.as_int().ok_or_else(|| RuntimeError::new(span, format!("expected integer, got {v}")))
-    };
-    Ok(match op {
-        UnOp::Not => Value::Int(!v.truthy() as i64),
-        UnOp::Neg => Value::Int(-int(&v)?),
-        UnOp::Plus => Value::Int(int(&v)?),
-        UnOp::BitNot => Value::Int(!int(&v)?),
-        UnOp::Addr | UnOp::Deref => {
-            return Err(RuntimeError::new(span, "internal error: unlowered &/*"))
+    match (op, v.as_int()) {
+        (UnOp::Addr | UnOp::Deref, _) => {
+            Err(RuntimeError::new(span, "internal error: unlowered &/*"))
         }
+        (UnOp::Not, _) => Ok(Value::Int(!v.truthy() as i64)),
+        (_, Some(x)) => un_op(op, Value::Int(x), span),
+        (_, None) => Err(RuntimeError::new(span, format!("expected integer, got {v}"))),
+    }
+}
+
+/// The int×int operators: wrapping arithmetic, comparisons, bit ops.
+/// `None` for division or modulo by zero and for the operators that are
+/// not int×int (`&&`/`||`, which are lowered to jumps).
+#[inline(always)]
+fn int_op(op: BinOp, x: i64, y: i64) -> Option<i64> {
+    use BinOp::*;
+    Some(match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Div if y != 0 => x.wrapping_div(y),
+        Mod if y != 0 => x.wrapping_rem(y),
+        Lt => (x < y) as i64,
+        Gt => (x > y) as i64,
+        Le => (x <= y) as i64,
+        Ge => (x >= y) as i64,
+        // `c_eq` on two ints is plain equality
+        Eq => (x == y) as i64,
+        Ne => (x != y) as i64,
+        BitAnd => x & y,
+        BitOr => x | y,
+        BitXor => x ^ y,
+        Shl => x.wrapping_shl(y as u32),
+        Shr => x.wrapping_shr(y as u32),
+        Div | Mod | And | Or => return None,
     })
 }
 
@@ -259,90 +283,43 @@ fn un_op_slow(op: UnOp, v: Value, span: Span) -> Result<Value> {
 /// inline the original single-body version at every generated call site.
 #[inline(always)]
 pub fn bin_op(op: BinOp, a: Value, b: Value, span: Span) -> Result<Value> {
-    use BinOp::*;
-    if let (Value::Int(x), Value::Int(y)) = (&a, &b) {
-        let (x, y) = (*x, *y);
-        let v = match op {
-            Add => x.wrapping_add(y),
-            Sub => x.wrapping_sub(y),
-            Mul => x.wrapping_mul(y),
-            // division by zero errors on the slow path
-            Div if y != 0 => x.wrapping_div(y),
-            Mod if y != 0 => x.wrapping_rem(y),
-            Lt => (x < y) as i64,
-            Gt => (x > y) as i64,
-            Le => (x <= y) as i64,
-            Ge => (x >= y) as i64,
-            // `c_eq` on two ints is plain equality
-            Eq => (x == y) as i64,
-            Ne => (x != y) as i64,
-            BitAnd => x & y,
-            BitOr => x | y,
-            BitXor => x ^ y,
-            Shl => x.wrapping_shl(y as u32),
-            Shr => x.wrapping_shr(y as u32),
-            _ => return bin_op_slow(op, a, b, span),
-        };
-        return Ok(Value::Int(v));
+    if let (Value::Int(x), Value::Int(y)) = (a, b) {
+        if let Some(v) = int_op(op, x, y) {
+            return Ok(Value::Int(v));
+        }
     }
     bin_op_slow(op, a, b, span)
 }
 
 /// The non-int×int cases of [`bin_op`]: pointer offsetting, C equality
-/// against null/strings, and every error.
+/// against null/strings, `null` read as 0, and every error.
 #[cold]
 fn bin_op_slow(op: BinOp, a: Value, b: Value, span: Span) -> Result<Value> {
     use BinOp::*;
-    // pointer arithmetic: data pointers offset by integers
-    if let (Value::Ptr(Ptr::Data(base)), Value::Int(i)) = (&a, &b) {
-        match op {
-            Add => return Ok(Value::Ptr(Ptr::Data((*base as i64 + i) as usize))),
-            Sub => return Ok(Value::Ptr(Ptr::Data((*base as i64 - i) as usize))),
-            _ => {}
+    match (op, a, b) {
+        // pointer arithmetic: data pointers offset by integers
+        (Add, Value::Ptr(Ptr::Data(p)), Value::Int(i)) => {
+            return Ok(Value::Ptr(Ptr::Data((p as i64 + i) as usize)))
         }
-    }
-    match op {
-        Eq => return Ok(Value::Int(a.c_eq(&b) as i64)),
-        Ne => return Ok(Value::Int(!a.c_eq(&b) as i64)),
+        (Sub, Value::Ptr(Ptr::Data(p)), Value::Int(i)) => {
+            return Ok(Value::Ptr(Ptr::Data((p as i64 - i) as usize)))
+        }
+        (Eq, ..) => return Ok(Value::Int(a.c_eq(&b) as i64)),
+        (Ne, ..) => return Ok(Value::Int(!a.c_eq(&b) as i64)),
         _ => {}
     }
-    let (x, y) = match (a.as_int(), b.as_int()) {
-        (Some(x), Some(y)) => (x, y),
-        _ => {
-            return Err(RuntimeError::new(
-                span,
-                format!("operator `{}` needs integers, got {a} and {b}", op.symbol()),
-            ))
-        }
+    let (Some(x), Some(y)) = (a.as_int(), b.as_int()) else {
+        return Err(RuntimeError::new(
+            span,
+            format!("operator `{}` needs integers, got {a} and {b}", op.symbol()),
+        ));
     };
-    let v = match op {
-        Add => x.wrapping_add(y),
-        Sub => x.wrapping_sub(y),
-        Mul => x.wrapping_mul(y),
-        Div => {
-            if y == 0 {
-                return Err(RuntimeError::new(span, "division by zero"));
-            }
-            x.wrapping_div(y)
-        }
-        Mod => {
-            if y == 0 {
-                return Err(RuntimeError::new(span, "modulo by zero"));
-            }
-            x.wrapping_rem(y)
-        }
-        Lt => (x < y) as i64,
-        Gt => (x > y) as i64,
-        Le => (x <= y) as i64,
-        Ge => (x >= y) as i64,
-        BitAnd => x & y,
-        BitOr => x | y,
-        BitXor => x ^ y,
-        Shl => x.wrapping_shl(y as u32),
-        Shr => x.wrapping_shr(y as u32),
-        And | Or | Eq | Ne => unreachable!("handled above"),
-    };
-    Ok(Value::Int(v))
+    match (op, int_op(op, x, y)) {
+        (_, Some(v)) => Ok(Value::Int(v)),
+        (Div, None) => Err(RuntimeError::new(span, "division by zero")),
+        (Mod, None) => Err(RuntimeError::new(span, "modulo by zero")),
+        _ => unreachable!("`&&`/`||` are lowered to jumps"),
+    }
 }
 
 #[cfg(test)]
@@ -372,12 +349,12 @@ mod tests {
         let sp = Span::default();
         assert_eq!(un_op(UnOp::Not, Value::Int(0), sp).unwrap(), Value::Int(1));
         assert_eq!(un_op(UnOp::Neg, Value::Null, sp).unwrap(), Value::Int(0));
-        assert!(un_op(UnOp::Neg, Value::from("s"), sp).is_err());
+        assert!(un_op(UnOp::Neg, Value::Str(0), sp).is_err());
     }
 
     #[test]
     fn time_value_clamps_negative_durations() {
         assert_eq!(time_value(Value::Int(-3), Span::default()).unwrap(), 0);
-        assert!(time_value(Value::from("s"), Span::default()).is_err());
+        assert!(time_value(Value::Str(0), Span::default()).is_err());
     }
 }

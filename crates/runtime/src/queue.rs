@@ -13,7 +13,11 @@
 //! once, so one link per block threads every bucket through a single
 //! array, and the link doubles as the dedup flag. Per-machine state is
 //! therefore one `u32` link and one time base per block, plus two ends
-//! per bucket.
+//! per bucket. They live in the machine's `u32` and `u64` state blocks
+//! (`ceu_codegen::StateLayout`), which it lends to every queue operation:
+//! the links at the front of the `u32` block, the ends and the time bases
+//! at the offsets the queue was built with. The blocks start zeroed, and
+//! a zero link is an idle block, so a new machine's queue is empty.
 //!
 //! Nested reactions (internal emits, §2.2) run on a fresh *level*:
 //! [`open_level`](TrackQueue::open_level) parks the current level's
@@ -27,8 +31,8 @@
 
 use ceu_codegen::BlockId;
 
-/// Link of a block that is not queued.
-const IDLE: u32 = u32::MAX;
+/// A queued block's time base when it was spawned with none.
+const NO_BASE: u64 = u64::MAX;
 
 /// Occupancy words: one bit per bucket, and ranks are `u8`s.
 const WORDS: usize = 4;
@@ -42,38 +46,40 @@ struct Frame {
     parked_at: u32,
 }
 
+/// `true` while `block` is queued, at any level (`words` is the
+/// machine's `u32` block).
+#[inline]
+pub(crate) fn is_queued(words: &[u32], block: BlockId) -> bool {
+    words[block as usize] != 0
+}
+
+/// The queue's control state: the current level's occupancy, the parked
+/// levels, and where its arrays sit in the state blocks. Link `b` is word
+/// `b` of the `u32` block: 0 when the block is not queued, otherwise 1 +
+/// the next block of its bucket's FIFO (the tail links to itself).
+/// Buckets are numbered from 0 and there is always at least one (the FIFO
+/// ablation puts every block in bucket 0).
 pub(crate) struct TrackQueue {
-    /// Per block: `IDLE` when not queued; otherwise the next block of its
-    /// bucket's FIFO (the tail links to itself).
-    link: Vec<u32>,
-    /// Per queued block: the logical time base it was spawned with.
-    base: Vec<Option<u64>>,
-    /// Per bucket: `(head, tail)` of the current level's FIFO, valid while
-    /// the bucket's occupancy bit is set.
-    ends: Vec<(u32, u32)>,
     /// Occupancy of the current level, one bit per bucket.
     mask: [u64; WORDS],
     /// Tracks queued at the current level.
     len: u32,
+    /// Where the `(head, tail)` pair of each bucket starts in the `u32`
+    /// block; valid while the bucket's occupancy bit is set.
+    ends: u32,
+    /// Where each queued block's logical time base starts in the `u64`
+    /// block.
+    base: u32,
     frames: Vec<Frame>,
     /// Bucket ends of every parked level, in bucket order per frame.
     parked: Vec<(u32, u32)>,
 }
 
 impl TrackQueue {
-    /// A queue for `n_blocks` blocks spread over `n_buckets` buckets
-    /// (at least one: the FIFO ablation puts every block in bucket 0).
-    pub(crate) fn new(n_blocks: usize, n_buckets: usize) -> Self {
-        debug_assert!(n_buckets <= WORDS * 64);
-        TrackQueue {
-            link: vec![IDLE; n_blocks],
-            base: vec![None; n_blocks],
-            ends: vec![(0, 0); n_buckets.max(1)],
-            mask: [0; WORDS],
-            len: 0,
-            frames: Vec::new(),
-            parked: Vec::new(),
-        }
+    /// A queue whose bucket ends start at word `ends` of the `u32` block
+    /// and whose time bases start at word `base` of the `u64` block.
+    pub(crate) fn new(ends: u32, base: u32) -> Self {
+        TrackQueue { mask: [0; WORDS], len: 0, ends, base, frames: Vec::new(), parked: Vec::new() }
     }
 
     /// Tracks queued at the current level.
@@ -82,63 +88,76 @@ impl TrackQueue {
         self.len
     }
 
-    /// `true` while `block` is queued, at any level.
+    /// Index of `bucket`'s head in the `u32` block (its tail follows).
     #[inline]
-    pub(crate) fn is_queued(&self, block: BlockId) -> bool {
-        self.link[block as usize] != IDLE
+    fn head(&self, bucket: usize) -> usize {
+        self.ends as usize + 2 * bucket
     }
 
     /// Appends `block` to `bucket`'s FIFO. Returns `false` (and changes
     /// nothing) when the block is already queued, at any level.
     #[inline]
-    pub(crate) fn push(&mut self, block: BlockId, bucket: usize, base: Option<u64>) -> bool {
+    pub(crate) fn push(
+        &mut self,
+        words: &mut [u32],
+        wide: &mut [u64],
+        block: BlockId,
+        bucket: usize,
+        base: Option<u64>,
+    ) -> bool {
         let b = block as usize;
-        if self.link[b] != IDLE {
+        if words[b] != 0 {
             return false;
         }
-        self.link[b] = block;
-        self.base[b] = base;
+        words[b] = block + 1;
+        wide[self.base as usize + b] = base.unwrap_or(NO_BASE);
         let (w, bit) = (bucket / 64, 1u64 << (bucket % 64));
+        let at = self.head(bucket);
         if self.mask[w] & bit != 0 {
-            let tail = self.ends[bucket].1;
-            self.link[tail as usize] = block;
-            self.ends[bucket].1 = block;
+            let tail = words[at + 1];
+            words[tail as usize] = block + 1;
         } else {
-            self.ends[bucket] = (block, block);
+            words[at] = block;
             self.mask[w] |= bit;
         }
+        words[at + 1] = block;
         self.len += 1;
         true
     }
 
     /// Removes the head of the lowest occupied bucket of the current level.
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(BlockId, Option<u64>)> {
+    pub(crate) fn pop(
+        &mut self,
+        words: &mut [u32],
+        wide: &[u64],
+    ) -> Option<(BlockId, Option<u64>)> {
         if self.len == 0 {
             return None;
         }
         let w = self.mask.iter().position(|&m| m != 0)?;
         let bit = self.mask[w].trailing_zeros() as usize;
-        let bucket = w * 64 + bit;
-        let (head, tail) = self.ends[bucket];
+        let at = self.head(w * 64 + bit);
+        let head = words[at];
         let h = head as usize;
-        if head == tail {
+        if head == words[at + 1] {
             self.mask[w] &= !(1u64 << bit);
         } else {
-            self.ends[bucket].0 = self.link[h];
+            words[at] = words[h] - 1;
         }
-        self.link[h] = IDLE;
+        words[h] = 0;
         self.len -= 1;
-        Some((head, self.base[h]))
+        let base = wide[self.base as usize + h];
+        Some((head, (base != NO_BASE).then_some(base)))
     }
 
     /// Drops every track of the current level (parked levels are kept).
-    pub(crate) fn clear_level(&mut self) {
-        while self.pop().is_some() {}
+    pub(crate) fn clear_level(&mut self, words: &mut [u32], wide: &[u64]) {
+        while self.pop(words, wide).is_some() {}
     }
 
     /// Parks the current level and starts an empty one.
-    pub(crate) fn open_level(&mut self) {
+    pub(crate) fn open_level(&mut self, words: &[u32]) {
         self.frames.push(Frame {
             mask: self.mask,
             len: self.len,
@@ -147,7 +166,8 @@ impl TrackQueue {
         for (w, &bits) in self.mask.iter().enumerate() {
             let mut m = bits;
             while m != 0 {
-                self.parked.push(self.ends[w * 64 + m.trailing_zeros() as usize]);
+                let at = self.head(w * 64 + m.trailing_zeros() as usize);
+                self.parked.push((words[at], words[at + 1]));
                 m &= m - 1;
             }
         }
@@ -157,15 +177,15 @@ impl TrackQueue {
 
     /// Drops what is left of the current level and restores the level
     /// parked by the matching [`open_level`](Self::open_level).
-    pub(crate) fn close_level(&mut self) {
-        self.clear_level();
+    pub(crate) fn close_level(&mut self, words: &mut [u32], wide: &[u64]) {
+        self.clear_level(words, wide);
         let f = self.frames.pop().expect("close_level without open_level");
-        let mut at = f.parked_at as usize;
+        let mut parked = self.parked[f.parked_at as usize..].iter();
         for (w, &bits) in f.mask.iter().enumerate() {
             let mut m = bits;
             while m != 0 {
-                self.ends[w * 64 + m.trailing_zeros() as usize] = self.parked[at];
-                at += 1;
+                let at = self.head(w * 64 + m.trailing_zeros() as usize);
+                (words[at], words[at + 1]) = *parked.next().expect("a parked pair per bucket");
                 m &= m - 1;
             }
         }
@@ -178,6 +198,41 @@ impl TrackQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A queue with blocks of its own, zeroed as a booting machine's
+    /// are: links then bucket ends in `words`, time bases in `wide`.
+    struct Owned {
+        q: TrackQueue,
+        words: Vec<u32>,
+        wide: Vec<u64>,
+    }
+
+    impl Owned {
+        fn new(n_blocks: usize, n_buckets: usize) -> Self {
+            let q = TrackQueue::new(n_blocks as u32, 0);
+            Owned { q, words: vec![0; n_blocks + 2 * n_buckets], wide: vec![0; n_blocks] }
+        }
+
+        fn push(&mut self, block: BlockId, bucket: usize, base: Option<u64>) -> bool {
+            self.q.push(&mut self.words, &mut self.wide, block, bucket, base)
+        }
+
+        fn pop(&mut self) -> Option<(BlockId, Option<u64>)> {
+            self.q.pop(&mut self.words, &self.wide)
+        }
+
+        fn open_level(&mut self) {
+            self.q.open_level(&self.words);
+        }
+
+        fn close_level(&mut self) {
+            self.q.close_level(&mut self.words, &self.wide);
+        }
+
+        fn len(&self) -> u32 {
+            self.q.len()
+        }
+    }
 
     /// `(rank, seq, block, base)`.
     type Entry = (u8, u64, BlockId, Option<u64>);
@@ -237,7 +292,7 @@ mod tests {
             let block_rank: Vec<u8> =
                 (0..n_blocks).map(|_| ranks[r(ranks.len() as u64) as usize]).collect();
             let bucket = |b: BlockId| ranks.iter().position(|&x| x == block_rank[b as usize]);
-            let mut q = TrackQueue::new(n_blocks, ranks.len());
+            let mut q = Owned::new(n_blocks, ranks.len());
             let mut m = Model { levels: vec![Vec::new()], queued: vec![false; n_blocks], seq: 0 };
             for step in 0..600 {
                 match r(10) {
@@ -273,7 +328,7 @@ mod tests {
 
     #[test]
     fn a_nested_level_runs_lower_ranks_before_the_parked_ones() {
-        let mut q = TrackQueue::new(8, 2);
+        let mut q = Owned::new(8, 2);
         assert!(q.push(3, 1, None));
         assert!(q.push(4, 1, Some(7)));
         q.open_level();
@@ -294,7 +349,7 @@ mod tests {
 
     #[test]
     fn closing_a_level_releases_its_leftovers() {
-        let mut q = TrackQueue::new(4, 1);
+        let mut q = Owned::new(4, 1);
         q.open_level();
         assert!(q.push(2, 0, None));
         q.close_level();
@@ -305,7 +360,7 @@ mod tests {
 
     #[test]
     fn buckets_past_the_first_word_are_found() {
-        let mut q = TrackQueue::new(4, 200);
+        let mut q = Owned::new(4, 200);
         assert!(q.push(0, 199, None));
         assert!(q.push(1, 70, None));
         assert_eq!(q.pop(), Some((1, None)));

@@ -3,10 +3,11 @@
 //! Céu's native data are machine integers; pointers arise from `&v`,
 //! arrays, and the C world. A pointer either targets the program's own
 //! `DATA` vector (taking the address of a Céu variable) or an opaque host
-//! handle (anything returned by C calls).
+//! handle (anything returned by C calls). Strings are the program's
+//! literals, named by their id in the artifact's pool.
 
+use ceu_codegen::StrId;
 use std::fmt;
-use std::sync::Arc;
 
 /// Where a pointer points.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -17,13 +18,14 @@ pub enum Ptr {
     Host(u64),
 }
 
-/// A runtime value. `Str` payloads are `Arc<str>` so values stay `Send`
-/// and machine instances can run on any thread.
-#[derive(Clone, PartialEq, Debug)]
+/// A runtime value: 16 bytes and `Copy`, so loads, stores and operand
+/// pops are plain copies. `Str` is an id into the artifact's string pool
+/// (`CompiledProgram::str` gives the text); equal ids are equal text.
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Value {
     Int(i64),
     Ptr(Ptr),
-    Str(Arc<str>),
+    Str(StrId),
     Null,
 }
 
@@ -46,7 +48,8 @@ impl Value {
         Value::Int(n)
     }
 
-    /// C-style equality: `null == 0`, pointers compare by identity.
+    /// C-style equality: `null == 0`, pointers compare by identity and
+    /// strings by content (the pool is deduplicated).
     pub fn c_eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Null, Value::Int(n)) | (Value::Int(n), Value::Null) => *n == 0,
@@ -61,19 +64,13 @@ impl From<i64> for Value {
     }
 }
 
-impl From<&str> for Value {
-    fn from(s: &str) -> Self {
-        Value::Str(Arc::from(s))
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(n) => write!(f, "{n}"),
             Value::Ptr(Ptr::Data(a)) => write!(f, "&data[{a}]"),
             Value::Ptr(Ptr::Host(h)) => write!(f, "&host[{h}]"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Str(s) => write!(f, "str#{s}"),
             Value::Null => write!(f, "null"),
         }
     }
@@ -89,7 +86,7 @@ mod tests {
         assert!(!Value::Null.truthy());
         assert!(Value::Int(-1).truthy());
         assert!(Value::Ptr(Ptr::Data(0)).truthy());
-        assert!(Value::from("x").truthy());
+        assert!(Value::Str(0).truthy());
     }
 
     #[test]
@@ -100,8 +97,15 @@ mod tests {
     }
 
     #[test]
+    fn strings_compare_by_pool_id() {
+        assert!(Value::Str(2).c_eq(&Value::Str(2)));
+        assert!(!Value::Str(2).c_eq(&Value::Str(3)));
+        assert_eq!(Value::Str(2).to_string(), "str#2");
+    }
+
+    #[test]
     fn as_int_coerces_null() {
         assert_eq!(Value::Null.as_int(), Some(0));
-        assert_eq!(Value::from("s").as_int(), None);
+        assert_eq!(Value::Str(0).as_int(), None);
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! Compile-time half: `CompiledProgram: Send + Sync` and `Machine: Send`
 //! (static-assertion style — fails to *compile* if an `Rc`, `Cell`, or
-//! non-`Send` field sneaks back into either type). Runtime half: one
+//! non-`Send` field sneaks back into either type), and `Value` stays a
+//! `Copy` type of at most 16 bytes. Runtime half: one
 //! `Arc<CompiledProgram>` instanced on several threads, and a machine
 //! moved across a thread boundary mid-run, both behaving identically to
 //! single-thread execution.
 
 use ceu_codegen::{compile_source, CompiledProgram};
-use ceu_runtime::{Host, Machine, NullHost};
+use ceu_runtime::{Host, Machine, NullHost, Value};
 use std::sync::Arc;
 
 // Compile-time assertions. A `const` block so breakage is a build error,
@@ -16,9 +17,12 @@ use std::sync::Arc;
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     const fn assert_send<T: Send>() {}
+    const fn assert_copy<T: Copy>() {}
     assert_send_sync::<CompiledProgram>();
     assert_send_sync::<Arc<CompiledProgram>>();
     assert_send::<Machine>();
+    assert_copy::<Value>();
+    assert!(std::mem::size_of::<Value>() <= 16);
 };
 
 const SRC: &str = r#"

@@ -144,7 +144,7 @@ struct Tenant {
 /// (`Retry-After`). Panics on non-backpressure errors.
 fn send_retrying(svc: &SessionService, id: SessionId, event: &str, v: Option<Value>) -> bool {
     loop {
-        match svc.send_event(id, event, v.clone()) {
+        match svc.send_event(id, event, v) {
             Ok(()) => return true,
             Err(SendError::Shed { retry_after_us }) => {
                 std::thread::sleep(Duration::from_micros(retry_after_us.clamp(50, 2_000)));

@@ -307,7 +307,7 @@ impl Host for ServeHost {
         Ok(Value::Int(0))
     }
     fn deref(&mut self, handle: u64) -> ceu::runtime::host::HostResult<Value> {
-        Ok(self.cells.get(&handle).cloned().unwrap_or(Value::Int(0)))
+        Ok(self.cells.get(&handle).copied().unwrap_or(Value::Int(0)))
     }
     fn store(&mut self, handle: u64, v: Value) -> ceu::runtime::host::HostResult<()> {
         self.cells.insert(handle, v);
@@ -851,7 +851,7 @@ fn classify(err: RuntimeError, machine: &Machine) -> EvictCause {
 fn apply_msg(rt: &mut SessionRt, msg: &Msg) -> Result<(), RuntimeError> {
     match msg {
         Msg::Boot => rt.machine.go_init(&mut rt.host).map(drop),
-        Msg::Event(eid, v) => rt.machine.go_event(*eid, v.clone(), &mut rt.host).map(drop),
+        Msg::Event(eid, v) => rt.machine.go_event(*eid, *v, &mut rt.host).map(drop),
         Msg::Time(delta_us) => {
             let target = rt.machine.now().saturating_add(*delta_us);
             rt.machine.go_time(target, &mut rt.host).map(drop)

@@ -42,7 +42,7 @@ fn every_event_is_served(workers: usize) {
                     for &id in chunk {
                         let v = Value::Int(payload(id.0 as usize, event));
                         loop {
-                            match svc.send_event(id, "Go", Some(v.clone())) {
+                            match svc.send_event(id, "Go", Some(v)) {
                                 Ok(()) => break,
                                 // backpressure: retry
                                 Err(SendError::Shed { .. }) => {

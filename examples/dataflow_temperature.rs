@@ -73,8 +73,8 @@ fn main() {
     sim.start().unwrap();
     for set in [10, 15, 0] {
         sim.event("Set", Some(Value::Int(set))).unwrap();
-        let v2 = sim.read_var("v2#1").unwrap().clone();
-        let v3 = sim.read_var("v3#2").unwrap().clone();
+        let v2 = *sim.read_var("v2#1").unwrap();
+        let v3 = *sim.read_var("v3#2").unwrap();
         println!("v1={set:3}  →  v2={v2:3}  →  v3={v3}");
         assert_eq!(v2, Value::Int(set + 1));
         assert_eq!(v3, Value::Int((set + 1) * 2));

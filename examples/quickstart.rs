@@ -9,7 +9,8 @@
 //! ```
 
 use ceu::runtime::{Host, HostResult, Status, Value};
-use ceu::{Compiler, Simulator};
+use ceu::{CompiledProgram, Compiler, Simulator};
+use std::sync::Arc;
 
 /// The §1 program, verbatim.
 const PROGRAM: &str = r#"
@@ -35,15 +36,16 @@ const PROGRAM: &str = r#"
     end
 "#;
 
-/// A host that implements `_printf` for the usual two-argument form.
-struct Stdio;
+/// A host that implements `_printf` for the usual two-argument form. It
+/// holds the program, whose string pool gives a `Value::Str` its text.
+struct Stdio(Arc<CompiledProgram>);
 
 impl Host for Stdio {
     fn call(&mut self, name: &str, args: &[Value]) -> HostResult<Value> {
         match name {
             "printf" => {
                 if let [Value::Str(fmt), rest @ ..] = args {
-                    let mut out = fmt.to_string();
+                    let mut out = self.0.str(*fmt).to_string();
                     for v in rest {
                         out = out.replacen("%d", &v.to_string(), 1);
                     }
@@ -69,7 +71,8 @@ fn main() {
         program.data_len
     );
 
-    let mut sim = Simulator::new(program, Stdio);
+    let program = Arc::new(program);
+    let mut sim = Simulator::from_arc(Arc::clone(&program), Stdio(program));
     sim.start().expect("boot");
 
     println!("--- three seconds pass ---");

@@ -7,11 +7,14 @@
 //! * the machine is deterministic: the same program and input sequence
 //!   produce identical states and host-call logs — the language's central
 //!   promise;
+//! * every expression lane agrees: the tree walker, the raw flat code and
+//!   the optimized flat code end a script with the same data, host calls,
+//!   status and error, on generated programs and on string literals;
 //! * the overlay allocator never exceeds the sum layout and never loses a
 //!   variable.
 
 use ceu::runtime::{RecordingHost, Value};
-use ceu::{Compiler, Simulator};
+use ceu::{CompileOptions, CompiledProgram, Compiler, Simulator, Status};
 use proptest::prelude::*;
 
 mod programs;
@@ -57,6 +60,77 @@ fn run_script(program: ceu::CompiledProgram, script: &[Input]) -> (Vec<Value>, V
     let data = sim.machine().data().to_vec();
     let calls = sim.host().calls.iter().map(|(n, a)| format!("{n}{a:?}")).collect();
     (data, calls)
+}
+
+/// What one lane observed: data, host calls, status, and the error that
+/// stopped the script (if any).
+type Observed = (Vec<Value>, Vec<(String, Vec<Value>)>, Status, Option<String>);
+
+/// Runs `script` to its end or its first error; `tree` switches the
+/// machine to the tree-walking evaluator.
+fn run_lane(program: CompiledProgram, tree: bool, script: &[Input]) -> Observed {
+    let mut sim = Simulator::new(program, RecordingHost::new());
+    sim.machine_mut().use_tree_eval = tree;
+    let mut err = sim.start().err();
+    for inp in script {
+        if err.is_some() || sim.status().is_terminated() {
+            break;
+        }
+        err = match inp {
+            Input::A => sim.event("A", None),
+            Input::B => sim.event("B", None),
+            Input::X(v) => sim.event("X", Some(Value::Int(*v))),
+            Input::Time(us) => sim.advance_by(*us),
+        }
+        .err();
+    }
+    let calls = sim.host().calls.clone();
+    (sim.machine().data().to_vec(), calls, sim.status(), err.map(|e| e.to_string()))
+}
+
+/// The three lanes of `src` on one script: tree walker and flat code on
+/// the raw artifact, flat code on the optimized one. The analyses are off:
+/// lanes share one scheduler, so they must agree on any program.
+fn lanes(src: &str, script: &[Input]) -> [Observed; 3] {
+    let compile = |optimize| {
+        let opts = CompileOptions {
+            check_bounded: false,
+            check_determinism: false,
+            optimize,
+            ..CompileOptions::default()
+        };
+        Compiler::with_options(opts).compile(src).expect("compiles")
+    };
+    let raw = compile(false);
+    [
+        run_lane(raw.clone(), true, script),
+        run_lane(raw, false, script),
+        run_lane(compile(true), false, script),
+    ]
+}
+
+#[test]
+fn string_literals_agree_on_every_lane() {
+    let src = "input void A;\nint a, b;\na = \"hi\" == \"hi\";\nb = \"hi\" != \"ho\";\n\
+               _f(\"hi\", a, b);\nawait A;\n_f(\"ho\", \"hi\" == \"ho\");";
+    let p = Compiler::unoptimized().compile(src).expect("compiles");
+    let [tree, flat, opt] = lanes(src, &[Input::A]);
+    assert_eq!(tree, flat, "tree vs raw flat");
+    assert_eq!(flat, opt, "raw flat vs optimized flat");
+    let (data, calls, status, err) = flat;
+    assert_eq!(
+        (&data[..2], status, err),
+        (&[Value::Int(1), Value::Int(1)][..], Status::Terminated(None), None)
+    );
+    let text = |v: &Value| match v {
+        Value::Str(s) => p.str(*s).to_string(),
+        other => other.to_string(),
+    };
+    let calls: Vec<Vec<String>> =
+        calls.iter().map(|(_, args)| args.iter().map(text).collect()).collect();
+    assert_eq!(calls, [vec!["hi", "1", "1"], vec!["ho", "0"]]);
+    // equal text, equal id: the pool holds each literal once
+    assert_eq!(p.strs.len(), 2);
 }
 
 // ---- properties ----------------------------------------------------------------
@@ -136,6 +210,13 @@ proptest! {
         let (d2, c2) = run_script(p1, &script);
         prop_assert_eq!(d1, d2);
         prop_assert_eq!(c1, c2);
+    }
+
+    #[test]
+    fn lanes_agree_on_generated_programs(src in arb_program(), script in arb_script()) {
+        let [tree, flat, opt] = lanes(&src, &script);
+        prop_assert_eq!(&tree, &flat, "tree vs raw flat on\n{}", src);
+        prop_assert_eq!(&flat, &opt, "raw flat vs optimized flat on\n{}", src);
     }
 
     #[test]
