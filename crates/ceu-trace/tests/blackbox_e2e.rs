@@ -26,8 +26,11 @@ const RING: &str = r#"
     end
 "#;
 
-fn crash_dump() -> String {
-    let dir = std::env::temp_dir().join(format!("ceu-blackbox-e2e-{}", std::process::id()));
+/// Runs the ring to its crash and returns the dump, written in a
+/// directory of the caller's own (`case`): tests run concurrently, and
+/// each removes its directory when done.
+fn crash_dump(case: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("ceu-blackbox-e2e-{}-{case}", std::process::id()));
     let path = dir.join("dump.jsonl");
     let prog = ceu::Compiler::new().compile(RING).unwrap();
     let mut w = World::new(Radio::new(Topology::Full, 1_000, 0.0, 7));
@@ -49,7 +52,7 @@ fn crash_dump() -> String {
 
 #[test]
 fn fault_plan_crash_renders_a_full_triage_page() {
-    let dump_text = crash_dump();
+    let dump_text = crash_dump("triage");
     let dump = ceu_trace::parse_blackbox(&dump_text).expect("dump parses");
     assert_eq!(dump.crashed_mote(), Some(1), "header attributes the crash");
     assert!(!dump.records.is_empty(), "ring records made it into the dump");
@@ -112,7 +115,7 @@ fn runtime_error_crash_renders_the_offending_source_line() {
 
 #[test]
 fn truncated_dump_fails_with_a_one_line_error() {
-    let dump_text = crash_dump();
+    let dump_text = crash_dump("truncated");
     // slice mid-line: a truncated tail must not panic the parser
     let cut = &dump_text[..dump_text.len() - dump_text.len() / 3];
     match ceu_trace::parse_blackbox(cut) {

@@ -776,15 +776,18 @@ impl World {
             return;
         }
         self.plan_stale = false;
-        let mut backends: Vec<Box<dyn Backend>> = Vec::new();
-        let mut status: Vec<MoteStatus> = Vec::new();
-        let mut timer_at: Vec<Option<u64>> = Vec::new();
-        let mut cpu_scheduled: Vec<bool> = Vec::new();
-        let mut skew_ppm: Vec<i64> = Vec::new();
-        let mut trace_seq: Vec<u64> = Vec::new();
-        let mut crashes: Vec<u32> = Vec::new();
-        let mut stats: Vec<MoteStats> = Vec::new();
-        let mut leds: Vec<Leds> = Vec::new();
+        // each column is allocated once, at its final length: growing nine
+        // columns side by side would reallocate each of them several times
+        let n = self.staged.len() + self.shards.iter().map(|s| s.backends.len()).sum::<usize>();
+        let mut backends: Vec<Box<dyn Backend>> = Vec::with_capacity(n);
+        let mut status: Vec<MoteStatus> = Vec::with_capacity(n);
+        let mut timer_at: Vec<Option<u64>> = Vec::with_capacity(n);
+        let mut cpu_scheduled: Vec<bool> = Vec::with_capacity(n);
+        let mut skew_ppm: Vec<i64> = Vec::with_capacity(n);
+        let mut trace_seq: Vec<u64> = Vec::with_capacity(n);
+        let mut crashes: Vec<u32> = Vec::with_capacity(n);
+        let mut stats: Vec<MoteStats> = Vec::with_capacity(n);
+        let mut leds: Vec<Leds> = Vec::with_capacity(n);
         let mut events: Vec<(u64, u64, Fire)> = Vec::new();
         // flight-recorder content survives a reshard: records carry their
         // mote id, so they re-route into the new owning shard's ring below
@@ -817,7 +820,6 @@ impl World {
             stats.push(MoteStats::default());
             leds.push(Leds::default());
         }
-        let n = backends.len();
         let plan = ShardPlan::from_radio(&self.radio, n, self.target_shards);
         let mut backends = backends.into_iter();
         let mut status = status.into_iter();
