@@ -46,8 +46,8 @@ impl std::error::Error for ResolveError {}
 
 type Result<T> = std::result::Result<T, ResolveError>;
 
-/// Identifies an event in the [`EventTable`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+/// Identifies an event in the [`EventTable`]; serializes as its number.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, serde::Serialize)]
 pub struct EventId(pub u16);
 
 impl EventId {

@@ -31,7 +31,9 @@
 //! and scheduler snapshot; `--blackbox` arms a crash dump path (the
 //! recorder itself is always on here).
 
+use ceu::runtime::telemetry::{to_json, Fixed};
 use ceu_bench::shard_mesh::{mesh_program, MESH_BRIDGE_US, MESH_INTRA_US};
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 use wsn_sim::{CeuMote, Radio, World};
@@ -47,6 +49,40 @@ const SOAK_RECORDER_CAPACITY: usize = 1_024;
 
 /// How many slices the horizon is cut into: one heartbeat line each.
 const HEARTBEAT_SLICES: u64 = 8;
+
+/// Schema tag of the soak's result lines.
+const SOAK_SCHEMA: &str = "ceu-soak/v1";
+
+/// The `ceu-soak/v1` `run` line: population, timing and throughput.
+#[derive(Serialize)]
+struct SoakRun {
+    schema: &'static str,
+    kind: &'static str,
+    motes: usize,
+    clusters: usize,
+    cluster_size: usize,
+    threads: usize,
+    shards: u32,
+    horizon_us: u64,
+    build_ns: u64,
+    wall_ns: u64,
+    events: u64,
+    events_per_sec: Fixed<1>,
+    rss_bytes: u64,
+}
+
+/// One `ceu-soak/v1` `shard` line: a shard's load and its busy share.
+#[derive(Serialize)]
+struct SoakShard {
+    schema: &'static str,
+    kind: &'static str,
+    shard: u32,
+    motes: u32,
+    windows: u64,
+    events: u64,
+    busy_ns: u64,
+    busy_share: Fixed<4>,
+}
 
 /// Resident set size in bytes, from `/proc/self/statm` (field 2 is
 /// resident pages). Returns 0 where procfs is unavailable.
@@ -178,31 +214,37 @@ fn main() {
     let events = stats.totals.events;
     let events_per_sec = events as f64 * 1e9 / wall_ns as f64;
 
-    let mut lines = Vec::with_capacity(1 + stats.per_shard.len());
-    lines.push(format!(
-        "{{\"schema\":\"ceu-soak/v1\",\"kind\":\"run\",\"motes\":{motes},\
-         \"clusters\":{clusters},\"cluster_size\":{CLUSTER_SIZE},\
-         \"threads\":{threads},\"shards\":{},\"horizon_us\":{horizon_us},\
-         \"build_ns\":{build_ns},\"wall_ns\":{wall_ns},\"events\":{events},\
-         \"events_per_sec\":{events_per_sec:.1},\"rss_bytes\":{rss}}}",
-        stats.shards
-    ));
     let busy_total: u64 = stats.per_shard.iter().map(|s| s.busy_ns).sum();
+    let run = SoakRun {
+        schema: SOAK_SCHEMA,
+        kind: "run",
+        motes,
+        clusters,
+        cluster_size: CLUSTER_SIZE,
+        threads,
+        shards: stats.shards,
+        horizon_us,
+        build_ns,
+        wall_ns,
+        events,
+        events_per_sec: Fixed(events_per_sec),
+        rss_bytes: rss,
+    };
+    let mut lines = to_json(&run) + "\n";
     for s in &stats.per_shard {
-        lines.push(format!(
-            "{{\"schema\":\"ceu-soak/v1\",\"kind\":\"shard\",\"shard\":{},\
-             \"motes\":{},\"windows\":{},\"events\":{},\"busy_ns\":{},\
-             \"busy_share\":{:.4}}}",
-            s.shard,
-            s.motes,
-            s.windows,
-            s.events,
-            s.busy_ns,
-            s.busy_ns as f64 / busy_total.max(1) as f64
-        ));
+        let shard = SoakShard {
+            schema: SOAK_SCHEMA,
+            kind: "shard",
+            shard: s.shard,
+            motes: s.motes,
+            windows: s.windows,
+            events: s.events,
+            busy_ns: s.busy_ns,
+            busy_share: Fixed(s.busy_ns as f64 / busy_total.max(1) as f64),
+        };
+        lines.push_str(&(to_json(&shard) + "\n"));
     }
-    std::fs::write(&out, lines.join("\n") + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
+    std::fs::write(&out, lines).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
     let stats_path = ceu_bench::out_dir().join("par_stats.jsonl");
     let mut stats_jsonl = Vec::new();
     wsn_sim::write_par_stats_jsonl(&stats, &mut stats_jsonl).expect("writing to a Vec");
@@ -227,4 +269,54 @@ fn main() {
     println!("par stats -> {}", stats_path.display());
     ceu_bench::write_combined_metrics_out(None, Some(&w), Some(&stats));
     assert!(events > 0, "a soak that fired no events measured nothing");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One `run` and one `shard` line, byte for byte, from fixed values.
+    #[test]
+    fn soak_lines_keep_their_bytes() {
+        let run = SoakRun {
+            schema: SOAK_SCHEMA,
+            kind: "run",
+            motes: 16,
+            clusters: 2,
+            cluster_size: CLUSTER_SIZE,
+            threads: 2,
+            shards: 2,
+            horizon_us: 2_000,
+            build_ns: 123_456,
+            wall_ns: 1_000_000,
+            events: 3_210,
+            events_per_sec: Fixed(3_210.0 * 1e9 / 1e6),
+            rss_bytes: 4_096,
+        };
+        assert_eq!(
+            to_json(&run),
+            concat!(
+                r#"{"schema":"ceu-soak/v1","kind":"run","motes":16,"clusters":2,"cluster_size":8,"#,
+                r#""threads":2,"shards":2,"horizon_us":2000,"build_ns":123456,"wall_ns":1000000,"#,
+                r#""events":3210,"events_per_sec":3210000.0,"rss_bytes":4096}"#
+            )
+        );
+        let shard = SoakShard {
+            schema: SOAK_SCHEMA,
+            kind: "shard",
+            shard: 1,
+            motes: 8,
+            windows: 5,
+            events: 1_500,
+            busy_ns: 700,
+            busy_share: Fixed(700.0 / 1_900.0),
+        };
+        assert_eq!(
+            to_json(&shard),
+            concat!(
+                r#"{"schema":"ceu-soak/v1","kind":"shard","shard":1,"motes":8,"windows":5,"#,
+                r#""events":1500,"busy_ns":700,"busy_share":0.3684}"#
+            )
+        );
+    }
 }

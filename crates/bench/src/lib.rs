@@ -50,21 +50,22 @@ pub fn write_metrics_out(metrics: &ceu::runtime::Metrics) {
 
 /// Renders the unified `--metrics-out` snapshot: one JSON object carrying
 /// the machine-level runtime counters, the world-level network/fault
-/// counters ([`wsn_sim::world::World::metrics_json`]) and the
-/// parallel-scheduler run record (`ceu-par-stats/v1`). Absent sections
-/// are `null`, so consumers can probe with one shape.
+/// counters ([`wsn_sim::World::metrics`]) and the parallel-scheduler run
+/// record (the `run` line of `ceu-par-stats/v2`). Absent sections are
+/// `null`, so consumers can probe with one shape.
 pub fn combined_metrics_json(
     machine: Option<&ceu::runtime::Metrics>,
     world: Option<&wsn_sim::World>,
     sched: Option<&wsn_sim::ParStats>,
 ) -> String {
-    let section = |s: Option<String>| s.unwrap_or_else(|| "null".into());
-    format!(
-        "{{\"machine\":{},\"world\":{},\"sched\":{}}}",
-        section(machine.map(|m| m.to_json())),
-        section(world.map(|w| w.metrics_json())),
-        section(sched.map(wsn_sim::run_to_json)),
-    )
+    #[derive(serde::Serialize)]
+    struct Snapshot<'a> {
+        machine: Option<&'a ceu::runtime::Metrics>,
+        world: Option<wsn_sim::WorldMetrics<'a>>,
+        sched: Option<&'a wsn_sim::ParStats>,
+    }
+    let world = world.map(wsn_sim::World::metrics);
+    ceu::runtime::telemetry::to_json(&Snapshot { machine, world, sched })
 }
 
 /// Honours `--metrics-out PATH` with the combined machine + world +
@@ -90,5 +91,13 @@ mod lib_tests {
         assert_eq!(parse(&["--metrics-out", "m.json"]), Some("m.json".into()));
         assert_eq!(parse(&["--foo", "--metrics-out=m.json"]), Some("m.json".into()));
         assert_eq!(parse(&["--foo"]), None);
+    }
+
+    #[test]
+    fn absent_metrics_sections_are_null() {
+        assert_eq!(
+            super::combined_metrics_json(None, None, None),
+            r#"{"machine":null,"world":null,"sched":null}"#
+        );
     }
 }

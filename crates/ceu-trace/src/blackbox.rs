@@ -9,6 +9,7 @@
 //! world-trace wire shape (so [`crate::parse_jsonl`] reads them as-is).
 
 use crate::Record;
+use ceu::runtime::telemetry::BLACKBOX_SCHEMA;
 use serde_json::Value;
 use std::fmt::Write as _;
 
@@ -53,7 +54,7 @@ pub fn parse_blackbox(text: &str) -> Result<BlackboxDump, String> {
     let header: Value =
         serde_json::from_str(first.trim()).map_err(|e| format!("line {}: {e}", first_no + 1))?;
     match header.get("schema").and_then(|v| v.as_str()) {
-        Some("ceu-blackbox/v1") => {}
+        Some(BLACKBOX_SCHEMA) => {}
         Some(other) => return Err(format!("not a ceu-blackbox/v1 dump (schema {other:?})")),
         None => return Err("not a ceu-blackbox/v1 dump (no schema header)".into()),
     }
@@ -164,7 +165,7 @@ pub fn render_blackbox(dump: &BlackboxDump, src: Option<&str>, last_windows: usi
         let peak = tail.iter().map(|w| get_u64(w, "events")).max().unwrap_or(1).max(1);
         for w in tail {
             let events = get_u64(w, "events");
-            let bar_len = ((events * 24).div_ceil(peak)) as usize;
+            let bar_len = (events as u128 * 24).div_ceil(peak as u128) as usize;
             let _ = writeln!(
                 out,
                 "  shard {} [{:>8} .. {:>8})µs {:>6} events  {}",
@@ -218,19 +219,7 @@ pub fn render_blackbox(dump: &BlackboxDump, src: Option<&str>, last_windows: usi
     let chain = causal_context(&dump.records, focus);
     if chain.len() > 1 {
         let _ = writeln!(out, "\ncausal context (parent chain into the crash):");
-        let mut prev: Option<&crate::Hop> = None;
-        for hop in &chain {
-            let lat = match prev {
-                Some(p) if hop.mote != p.mote => {
-                    format!("  (+{}µs, radio hop)", hop.t_us.saturating_sub(p.t_us))
-                }
-                Some(p) => format!("  (+{}µs)", hop.t_us.saturating_sub(p.t_us)),
-                None => String::new(),
-            };
-            let _ =
-                writeln!(out, "  m{}.{} @{}µs  {}{}", hop.mote, hop.seq, hop.t_us, hop.cause, lat);
-            prev = Some(hop);
-        }
+        crate::render_hops(&mut out, &chain);
     }
     out
 }
@@ -277,12 +266,15 @@ fn describe_record(r: &Record, src: Option<&str>) -> String {
 }
 
 /// The crash site against the original source, caret included; empty
-/// when no source is available or the span is out of range.
+/// when no source is available or the span is out of range. A column
+/// past the end of the line puts the caret just after it.
 fn render_source_site(src: Option<&str>, line: u64, col: u64) -> String {
     let Some(src) = src else { return String::new() };
     let Some(text) = src.lines().nth(line as usize - 1) else { return String::new() };
-    let caret = " ".repeat((col.max(1) - 1) as usize + 8 + line.to_string().len());
-    format!("      {line} | {}\n{caret}^", text.trim_end())
+    let text = text.trim_end();
+    let col = (col.max(1) - 1).min(text.chars().count() as u64) as usize;
+    let caret = " ".repeat(col + 8 + line.to_string().len());
+    format!("      {line} | {text}\n{caret}^")
 }
 
 /// The parent chain leading into the crashed mote's last reaction (or,
@@ -381,8 +373,8 @@ mod tests {
         let src = "input void GO;\nawait GO;\n_boom();\n";
         let mut d = parse_blackbox(DUMP).unwrap();
         if let Value::Object(h) = &mut d.header {
-            h.insert("line".into(), Value::Number(3.0));
-            h.insert("col".into(), Value::Number(1.0));
+            h.insert("line".into(), Value::Number(3u64.into()));
+            h.insert("col".into(), Value::Number(1u64.into()));
         }
         let page = render_blackbox(&d, Some(src), 8);
         assert!(page.contains("3 | _boom();"), "{page}");

@@ -3,19 +3,19 @@
 //! Reads the stable JSONL wire formats emitted by the runtime and the
 //! WSN simulator and turns them into human answers:
 //!
-//! * **machine traces** — one `event_to_json` object per line, as written
-//!   by `ceuc run --trace=jsonl` and the runtime's `JsonlSink`:
+//! * **machine traces** — one `TraceEvent` object per line, as written
+//!   by `ceuc run --trace=jsonl` and the runtime's `JsonLinesSink`:
 //!   `{"ev":"ReactionStart","id":{"mote":0,"seq":7},"cause":{…},…}`;
-//! * **world traces** — one [`WorldTraceEvent`] per line, as written by
+//! * **world traces** — one `FlightRecord` per line, as written by
 //!   `wsn_sim::write_trace_jsonl`: `{"t_us":N,"mote":M,"seq":S,"ev":{…}}`.
 //!
 //! The two are distinguished per line: a world record's `ev` member is an
 //! object, a machine record's `ev` member is the kind string. Every
 //! analysis works on either (a machine trace is a world trace with one
 //! mote and no world clock).
-//!
-//! [`WorldTraceEvent`]: ../wsn_sim/world/struct.WorldTraceEvent.html
 
+use ceu::runtime::telemetry::{to_json, Fixed};
+use serde::Serialize;
 use serde_json::Value;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -24,10 +24,7 @@ pub mod blackbox;
 pub mod parstats;
 
 pub use blackbox::{parse_blackbox, render_blackbox, BlackboxDump};
-pub use parstats::{
-    par_report, par_stats_perfetto_events, parse_par_stats, render_par_run, ParRun, ParShard,
-    ParWindow,
-};
+pub use parstats::{par_report, par_stats_perfetto_events, render_par_run};
 
 /// One parsed trace line, normalised to the world-trace shape.
 #[derive(Clone, Debug)]
@@ -219,6 +216,55 @@ pub fn hot(records: &[Record], src: &str, top: usize) -> Result<String, String> 
     Ok(out)
 }
 
+/// One Chrome trace-event object, as `to-perfetto` writes it; `None`
+/// members are left out.
+#[derive(Default, Serialize)]
+pub(crate) struct ChromeEvent<'a> {
+    ph: &'a str,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    bp: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    s: Option<&'a str>,
+    pid: u64,
+    tid: u64,
+    /// Virtual time, whole µs (the mote tracks).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    ts: Option<u64>,
+    /// Host time in µs with three decimals (the scheduler tracks).
+    #[serde(rename = "ts", skip_serializing_if = "Option::is_none")]
+    wall_ts: Option<Fixed<3>>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    dur: Option<Fixed<3>>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    id: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    name: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    cat: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    args: Option<Args<'a>>,
+}
+
+/// The `args` of a [`ChromeEvent`]; `None` members are left out.
+#[derive(Default, Serialize)]
+pub(crate) struct Args<'a> {
+    #[serde(skip_serializing_if = "Option::is_none")]
+    name: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    events: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    span_us: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    cross_sends: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    worker: Option<u32>,
+}
+
+/// Host nanoseconds as the µs a scheduler-track `ts`/`dur` shows.
+pub(crate) fn wall_us(ns: u64) -> Fixed<3> {
+    Fixed(ns as f64 / 1_000.0)
+}
+
 /// `to-perfetto` — a Chrome trace-event JSON array for ui.perfetto.dev:
 /// one process per mote, `B`/`E` slices per reaction, instants for the
 /// in-reaction events, and `s`/`f` flow arrows from each causal parent
@@ -248,44 +294,64 @@ pub fn to_perfetto_merged(records: &[Record], extra: &[String]) -> String {
     }
     motes.sort();
     let mut out: Vec<String> = Vec::new();
-    for m in &motes {
-        out.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{m},\"tid\":{m},\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"mote {m}\"}}}}"
-        ));
+    for &m in &motes {
+        let name = format!("mote {m}");
+        out.push(to_json(&ChromeEvent {
+            ph: "M",
+            pid: m as u64,
+            tid: m as u64,
+            name: Some("process_name"),
+            args: Some(Args { name: Some(&name), ..Args::default() }),
+            ..ChromeEvent::default()
+        }));
     }
     let mut flow_id = 0u64;
     for r in records {
-        let (pid, tid, ts) = (r.mote, r.mote, r.t_us);
+        let (pid, tid, ts) = (r.mote as u64, r.mote as u64, Some(r.t_us));
         match r.kind() {
             "ReactionStart" => {
                 let label = match r.reaction_id() {
                     Some((m, s)) => format!("reaction m{m}.{s} ({})", r.cause_label()),
                     None => format!("reaction ({})", r.cause_label()),
                 };
-                out.push(format!(
-                    "{{\"ph\":\"B\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
-                     \"name\":\"{label}\",\"cat\":\"reaction\"}}"
-                ));
+                let (name, cat) = (Some(label.as_str()), Some("reaction"));
+                out.push(to_json(&ChromeEvent {
+                    ph: "B",
+                    pid,
+                    tid,
+                    ts,
+                    name,
+                    cat,
+                    ..ChromeEvent::default()
+                }));
                 // flow arrow from the causal parent's slice to this one
-                if let Some(parent) = r.parent() {
-                    if let Some(&pt) = starts.get(&parent) {
+                if let Some((pm, ps)) = r.parent() {
+                    if let Some(&pt) = starts.get(&(pm, ps)) {
                         flow_id += 1;
-                        let (pm, ps) = parent;
-                        out.push(format!(
-                            "{{\"ph\":\"s\",\"pid\":{pm},\"tid\":{pm},\"ts\":{pt},\
-                             \"id\":{flow_id},\"name\":\"cause\",\"cat\":\"flow\"}}"
-                        ));
-                        let _ = ps;
-                        out.push(format!(
-                            "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":{pid},\"tid\":{tid},\
-                             \"ts\":{ts},\"id\":{flow_id},\"name\":\"cause\",\"cat\":\"flow\"}}"
-                        ));
+                        let flow = ChromeEvent {
+                            ph: "s",
+                            pid: pm,
+                            tid: pm,
+                            ts: Some(pt),
+                            id: Some(flow_id),
+                            name: Some("cause"),
+                            cat: Some("flow"),
+                            ..ChromeEvent::default()
+                        };
+                        out.push(to_json(&flow));
+                        out.push(to_json(&ChromeEvent {
+                            ph: "f",
+                            bp: Some("e"),
+                            pid,
+                            tid,
+                            ts,
+                            ..flow
+                        }));
                     }
                 }
             }
             "ReactionEnd" => {
-                out.push(format!("{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}}}"));
+                out.push(to_json(&ChromeEvent { ph: "E", pid, tid, ts, ..ChromeEvent::default() }))
             }
             kind => {
                 // in-reaction detail as thread-scoped instants
@@ -302,10 +368,16 @@ pub fn to_perfetto_merged(records: &[Record], extra: &[String]) -> String {
                     _ => Some(kind.to_string()),
                 };
                 if let Some(name) = detail {
-                    out.push(format!(
-                        "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
-                         \"ts\":{ts},\"name\":\"{name}\",\"cat\":\"vm\"}}"
-                    ));
+                    out.push(to_json(&ChromeEvent {
+                        ph: "i",
+                        s: Some("t"),
+                        pid,
+                        tid,
+                        ts,
+                        name: Some(&name),
+                        cat: Some("vm"),
+                        ..ChromeEvent::default()
+                    }));
                 }
             }
         }
@@ -345,36 +417,44 @@ pub fn critical_path(records: &[Record]) -> Vec<Hop> {
             }
         }
     }
-    // depth by walking parent links (chains, so iteration is cheap; a
-    // missing parent — trimmed trace — just roots the chain there)
-    fn depth(
-        id: (u64, u64),
-        nodes: &HashMap<(u64, u64), Node>,
-        memo: &mut HashMap<(u64, u64), u64>,
-    ) -> u64 {
-        if let Some(&d) = memo.get(&id) {
-            return d;
-        }
-        let d = match nodes.get(&id).and_then(|n| n.parent) {
-            Some(p) if nodes.contains_key(&p) => depth(p, nodes, memo) + 1,
-            _ => 1,
-        };
-        memo.insert(id, d);
-        d
-    }
-    let mut memo = HashMap::new();
+    // depth of every reaction: walk parent links up to a reaction whose
+    // depth is known or to a root (a missing parent — trimmed trace —
+    // roots the chain there; so does a link back into the walk, which
+    // only a malformed trace has), then number the walk back down
+    let mut memo: HashMap<(u64, u64), u64> = HashMap::new();
     let mut best: Option<((u64, u64), u64)> = None;
     let mut ids: Vec<_> = nodes.keys().copied().collect();
     ids.sort();
-    for id in ids {
-        let d = depth(id, &nodes, &mut memo);
+    for &id in &ids {
+        if !memo.contains_key(&id) {
+            let mut walk = vec![id];
+            memo.insert(id, 0); // 0 marks the walk in progress
+            let mut base = 0;
+            while let Some(p) = nodes[walk.last().unwrap()].parent {
+                match memo.get(&p) {
+                    Some(&d) => {
+                        base = d; // 0: a link back into this walk
+                        break;
+                    }
+                    None if nodes.contains_key(&p) => {
+                        memo.insert(p, 0);
+                        walk.push(p);
+                    }
+                    None => break,
+                }
+            }
+            for (i, &n) in walk.iter().rev().enumerate() {
+                memo.insert(n, base + i as u64 + 1);
+            }
+        }
+        let d = memo[&id];
         if best.map(|(_, bd)| d > bd).unwrap_or(true) {
             best = Some((id, d));
         }
     }
-    let Some((mut id, _)) = best else { return Vec::new() };
+    let Some((mut id, depth)) = best else { return Vec::new() };
     let mut chain = Vec::new();
-    loop {
+    for _ in 0..depth {
         let n = &nodes[&id];
         chain.push(Hop { mote: id.0, seq: id.1, t_us: n.t_us, cause: n.cause.clone() });
         match n.parent {
@@ -396,19 +476,27 @@ pub fn render_critical_path(chain: &[Hop]) -> String {
         out,
         "critical path: {} reactions, {}µs end to end",
         chain.len(),
-        chain.last().unwrap().t_us - chain[0].t_us
+        chain.last().unwrap().t_us.saturating_sub(chain[0].t_us)
     );
+    render_hops(&mut out, chain);
+    out
+}
+
+/// One line per hop, each annotated with its latency from the previous
+/// hop (a mote change is a radio hop).
+fn render_hops(out: &mut String, chain: &[Hop]) {
     let mut prev: Option<&Hop> = None;
     for hop in chain {
         let lat = match prev {
-            Some(p) if hop.mote != p.mote => format!("  (+{}µs, radio hop)", hop.t_us - p.t_us),
-            Some(p) => format!("  (+{}µs)", hop.t_us - p.t_us),
+            Some(p) if hop.mote != p.mote => {
+                format!("  (+{}µs, radio hop)", hop.t_us.saturating_sub(p.t_us))
+            }
+            Some(p) => format!("  (+{}µs)", hop.t_us.saturating_sub(p.t_us)),
             None => String::new(),
         };
         let _ = writeln!(out, "  m{}.{} @{}µs  {}{}", hop.mote, hop.seq, hop.t_us, hop.cause, lat);
         prev = Some(hop);
     }
-    out
 }
 
 /// The outcome of [`diff`].
@@ -459,7 +547,7 @@ fn normalized_key(r: &Record) -> (u64, usize, u64, Value) {
     let mut ev = r.ev.clone();
     if let Value::Object(map) = &mut ev {
         if map.contains_key("wall_ns") {
-            map.insert("wall_ns".into(), Value::Number(0.0));
+            map.insert("wall_ns".into(), Value::Number(0u64.into()));
         }
     }
     (r.t_us, r.mote, r.seq, ev)
@@ -547,6 +635,17 @@ mod tests {
     }
 
     #[test]
+    fn perfetto_names_are_escaped() {
+        // the event kind becomes the instant's name verbatim
+        let trace = r#"{"ev":"x\"y\\z\u0001","now_us":1}"#;
+        let json = to_perfetto(&parse_jsonl(trace).unwrap());
+        let doc = serde_json::from_str(&json).expect("valid JSON");
+        let names: Vec<&str> =
+            doc.as_array().unwrap().iter().filter_map(|e| e["name"].as_str()).collect();
+        assert!(names.contains(&"x\"y\\z\u{1}"), "{names:?}");
+    }
+
+    #[test]
     fn critical_path_follows_parents_across_motes() {
         let chain = critical_path(&parse_jsonl(WORLD).unwrap());
         let path: Vec<(u64, u64)> = chain.iter().map(|h| (h.mote, h.seq)).collect();
@@ -554,6 +653,19 @@ mod tests {
         let rendered = render_critical_path(&chain);
         assert!(rendered.contains("3 reactions, 2000µs"), "{rendered}");
         assert!(rendered.contains("radio hop"), "{rendered}");
+    }
+
+    #[test]
+    fn critical_path_survives_parent_cycles() {
+        // only a malformed trace has one; it must not recurse forever
+        let looped = WORLD.trim().replace(
+            r#""cause":{"type":"boot"}"#,
+            r#""cause":{"type":"event","id":0,"parent":{"mote":0,"seq":2}}"#,
+        );
+        let chain = critical_path(&parse_jsonl(&looped).unwrap());
+        assert_eq!(chain.len(), 3, "{chain:?}");
+        let own = r#"{"ev":"ReactionStart","id":{"mote":0,"seq":1},"cause":{"type":"event","id":0,"parent":{"mote":0,"seq":1}},"now_us":0,"wall_ns":0}"#;
+        assert_eq!(critical_path(&parse_jsonl(own).unwrap()).len(), 1);
     }
 
     #[test]

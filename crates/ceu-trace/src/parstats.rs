@@ -1,5 +1,6 @@
-//! `ceu-par-stats/v1|v2` analysis: the reader side of the parallel-scheduler
-//! introspection emitted by `wsn_sim::write_par_stats_jsonl`.
+//! `ceu-par-stats/v1|v2` analysis: renders the parallel-scheduler
+//! introspection that `wsn_sim::write_par_stats_jsonl` writes and
+//! `wsn_sim::parse_par_stats` reads back.
 //!
 //! The input is one `kind:"run"` header line, (v2) one `kind:"shard"`
 //! summary line per shard, plus one `kind:"window"` line per recorded
@@ -15,209 +16,13 @@
 //! v1 streams (no shard records, no `shard_busy`) parse unchanged; the
 //! shard table and shard tracks simply stay empty.
 
-use serde_json::Value;
+use crate::{wall_us, Args, ChromeEvent};
+use ceu::runtime::telemetry::to_json;
 use std::fmt::Write as _;
+use wsn_sim::{parse_par_stats, ParStats};
 
-/// The parsed `kind:"run"` header of a `ceu-par-stats/v1|v2` stream.
-#[derive(Clone, Debug, Default)]
-pub struct ParRun {
-    pub threads: u64,
-    pub lookahead_us: u64,
-    pub motes: u64,
-    /// Shard count (v2; 0 for v1 streams).
-    pub shards: u64,
-    pub fallback: bool,
-    pub wall_ns: u64,
-    pub window_wall_ns: u64,
-    pub windows: u64,
-    pub dropped_windows: u64,
-    pub events: u64,
-    pub cross_sends: u64,
-    pub heap_pushes: u64,
-    pub heap_pops: u64,
-    pub busy_ns: u64,
-    pub imbalance_ns: u64,
-    pub lookahead_ns: u64,
-    pub barrier_ns: u64,
-    pub merge_ns: u64,
-    pub critical_busy_ns: u64,
-    pub drain_wall_ns: u64,
-    pub par_wall_ns: u64,
-    pub merge_wall_ns: u64,
-}
-
-/// One parsed `kind:"shard"` summary line (v2).
-#[derive(Clone, Debug, Default)]
-pub struct ParShard {
-    pub shard: u64,
-    pub motes: u64,
-    pub windows: u64,
-    pub events: u64,
-    pub busy_ns: u64,
-    pub cross_sends: u64,
-    pub channel_wait_ns: u64,
-}
-
-/// One parsed `kind:"window"` line.
-#[derive(Clone, Debug, Default)]
-pub struct ParWindow {
-    pub index: u64,
-    pub t_wall_ns: u64,
-    pub start_us: u64,
-    pub end_us: u64,
-    pub clipped: bool,
-    pub workers: u64,
-    pub motes: u64,
-    pub events: u64,
-    pub busy_ns: Vec<u64>,
-    pub events_per_worker: Vec<u64>,
-    pub drain_ns: u64,
-    pub par_ns: u64,
-    pub merge_ns: u64,
-    pub cross_sends: u64,
-    /// `(emit_us, from, to)` sample for flow arrows.
-    pub sends: Vec<(u64, u64, u64)>,
-    /// `(shard, worker, busy_ns, events)` per shard stepped this window (v2).
-    pub shard_busy: Vec<(u64, u64, u64, u64)>,
-}
-
-fn u64_of(v: &Value, key: &str) -> u64 {
-    v.get(key).and_then(|x| x.as_u64()).unwrap_or(0)
-}
-
-fn u64_vec(v: &Value, key: &str) -> Vec<u64> {
-    v.get(key)
-        .and_then(|x| x.as_array())
-        .map(|a| a.iter().filter_map(|x| x.as_u64()).collect())
-        .unwrap_or_default()
-}
-
-/// One parsed run: its header, shard summaries and detailed windows.
-pub type ParsedRun = (ParRun, Vec<ParShard>, Vec<ParWindow>);
-
-/// Parses a `ceu-par-stats/v1` or `/v2` JSONL stream. The stream may carry
-/// several runs (e.g. one per thread count); each run's shard summaries and
-/// windows follow its header.
-pub fn parse_par_stats(text: &str) -> Result<Vec<ParsedRun>, String> {
-    let mut runs: Vec<ParsedRun> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v: Value = serde_json::from_str(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        let schema = v.get("schema").and_then(|s| s.as_str());
-        if !matches!(schema, Some("ceu-par-stats/v1") | Some("ceu-par-stats/v2")) {
-            return Err(format!(
-                "line {line_no}: not a ceu-par-stats/v1|v2 record (schema={schema:?})"
-            ));
-        }
-        match v.get("kind").and_then(|k| k.as_str()) {
-            Some("run") => {
-                runs.push((
-                    ParRun {
-                        threads: u64_of(&v, "threads"),
-                        lookahead_us: u64_of(&v, "lookahead_us"),
-                        motes: u64_of(&v, "motes"),
-                        shards: u64_of(&v, "shards"),
-                        fallback: v.get("fallback").and_then(|f| f.as_bool()).unwrap_or(false),
-                        wall_ns: u64_of(&v, "wall_ns"),
-                        window_wall_ns: u64_of(&v, "window_wall_ns"),
-                        windows: u64_of(&v, "windows"),
-                        dropped_windows: u64_of(&v, "dropped_windows"),
-                        events: u64_of(&v, "events"),
-                        cross_sends: u64_of(&v, "cross_sends"),
-                        heap_pushes: u64_of(&v, "heap_pushes"),
-                        heap_pops: u64_of(&v, "heap_pops"),
-                        busy_ns: u64_of(&v, "busy_ns"),
-                        imbalance_ns: u64_of(&v, "imbalance_ns"),
-                        lookahead_ns: u64_of(&v, "lookahead_ns"),
-                        barrier_ns: u64_of(&v, "barrier_ns"),
-                        merge_ns: u64_of(&v, "merge_ns"),
-                        critical_busy_ns: u64_of(&v, "critical_busy_ns"),
-                        drain_wall_ns: u64_of(&v, "drain_wall_ns"),
-                        par_wall_ns: u64_of(&v, "par_wall_ns"),
-                        merge_wall_ns: u64_of(&v, "merge_wall_ns"),
-                    },
-                    Vec::new(),
-                    Vec::new(),
-                ));
-            }
-            Some("shard") => {
-                let s = ParShard {
-                    shard: u64_of(&v, "shard"),
-                    motes: u64_of(&v, "motes"),
-                    windows: u64_of(&v, "windows"),
-                    events: u64_of(&v, "events"),
-                    busy_ns: u64_of(&v, "busy_ns"),
-                    cross_sends: u64_of(&v, "cross_sends"),
-                    channel_wait_ns: u64_of(&v, "channel_wait_ns"),
-                };
-                match runs.last_mut() {
-                    Some((_, shards, _)) => shards.push(s),
-                    None => return Err(format!("line {line_no}: shard before any run header")),
-                }
-            }
-            Some("window") => {
-                let sends = v
-                    .get("sends")
-                    .and_then(|s| s.as_array())
-                    .map(|a| {
-                        a.iter()
-                            .map(|s| (u64_of(s, "at_us"), u64_of(s, "from"), u64_of(s, "to")))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let shard_busy = v
-                    .get("shard_busy")
-                    .and_then(|s| s.as_array())
-                    .map(|a| {
-                        a.iter()
-                            .map(|s| {
-                                (
-                                    u64_of(s, "shard"),
-                                    u64_of(s, "worker"),
-                                    u64_of(s, "busy_ns"),
-                                    u64_of(s, "events"),
-                                )
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let w = ParWindow {
-                    index: u64_of(&v, "i"),
-                    t_wall_ns: u64_of(&v, "t_wall_ns"),
-                    start_us: u64_of(&v, "start_us"),
-                    end_us: u64_of(&v, "end_us"),
-                    clipped: v.get("clipped").and_then(|c| c.as_bool()).unwrap_or(false),
-                    workers: u64_of(&v, "workers"),
-                    motes: u64_of(&v, "motes"),
-                    events: u64_of(&v, "events"),
-                    busy_ns: u64_vec(&v, "busy_ns"),
-                    events_per_worker: u64_vec(&v, "events_per_worker"),
-                    drain_ns: u64_of(&v, "drain_ns"),
-                    par_ns: u64_of(&v, "par_ns"),
-                    merge_ns: u64_of(&v, "merge_ns"),
-                    cross_sends: u64_of(&v, "cross_sends"),
-                    sends,
-                    shard_busy,
-                };
-                match runs.last_mut() {
-                    Some((_, _, windows)) => windows.push(w),
-                    None => return Err(format!("line {line_no}: window before any run header")),
-                }
-            }
-            other => return Err(format!("line {line_no}: unknown kind {other:?}")),
-        }
-    }
-    if runs.is_empty() {
-        return Err("no ceu-par-stats run records in input".into());
-    }
-    Ok(runs)
-}
-
-fn fmt_ns(ns: u64) -> String {
+fn fmt_ns(ns: impl Into<u128>) -> String {
+    let ns = ns.into();
     if ns >= 1_000_000_000 {
         format!("{:.2}s", ns as f64 / 1e9)
     } else if ns >= 1_000_000 {
@@ -244,7 +49,8 @@ fn bar(frac: f64, width: usize) -> String {
 /// fault barriers). When the detailed-window cap truncated collection,
 /// the coverage line says so explicitly — run totals stay exact either
 /// way, but the per-worker histogram only spans the retained windows.
-pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) -> String {
+pub fn render_par_run(run: &ParStats) -> String {
+    let (t, a) = (&run.totals, &run.totals.attribution);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -260,19 +66,18 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
         "run wall-clock {}; {} windows ({} dropped past cap), {} events, \
          {} cross-window sends, heap {}push/{}pop",
         fmt_ns(run.wall_ns),
-        run.windows,
+        t.windows,
         run.dropped_windows,
-        run.events,
-        run.cross_sends,
-        run.heap_pushes,
-        run.heap_pops,
+        t.events,
+        t.cross_sends,
+        t.heap_pushes,
+        t.heap_pops,
     );
 
-    let capacity = run.threads * run.wall_ns;
-    let attributed =
-        run.busy_ns + run.imbalance_ns + run.lookahead_ns + run.barrier_ns + run.merge_ns;
-    let coverage = if capacity == 0 { 0.0 } else { 100.0 * attributed as f64 / capacity as f64 };
+    let capacity = run.capacity_ns();
+    let attributed = a.total_ns();
     let pct = |ns: u64| if capacity == 0 { 0.0 } else { 100.0 * ns as f64 / capacity as f64 };
+    let coverage = pct(attributed);
 
     let _ = writeln!(
         out,
@@ -282,11 +87,11 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
         fmt_ns(run.wall_ns)
     );
     let rows = [
-        ("busy (stepping motes)", run.busy_ns),
-        ("imbalance-bound", run.imbalance_ns),
-        ("lookahead-bound", run.lookahead_ns),
-        ("barrier-bound", run.barrier_ns),
-        ("merge-bound", run.merge_ns),
+        ("busy (stepping motes)", a.busy_ns),
+        ("imbalance-bound", a.imbalance_ns),
+        ("lookahead-bound", a.lookahead_ns),
+        ("barrier-bound", a.barrier_ns),
+        ("merge-bound", a.merge_ns),
     ];
     for (label, ns) in rows {
         let p = pct(ns);
@@ -297,7 +102,7 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
         out,
         "  {:<22} {:>10}  {:>5.1}%  (inter-window bookkeeping)",
         "uncovered",
-        fmt_ns(capacity.saturating_sub(attributed)),
+        fmt_ns(capacity.saturating_sub(attributed as u128)),
         100.0 - coverage,
     );
     let _ = write!(out, "coverage: {coverage:.1}% of measured wall-clock attributed");
@@ -308,20 +113,14 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
              detail (run totals stay exact; the tables below span only the {} \
              retained windows)",
             run.dropped_windows,
-            run.windows,
-            run.windows.saturating_sub(run.dropped_windows),
+            t.windows,
+            t.windows.saturating_sub(run.dropped_windows),
         );
     } else {
         out.push('\n');
     }
 
-    let stalls = [
-        ("imbalance-bound", run.imbalance_ns),
-        ("lookahead-bound", run.lookahead_ns),
-        ("barrier-bound", run.barrier_ns),
-        ("merge-bound", run.merge_ns),
-    ];
-    let dominant = stalls.iter().max_by_key(|(_, ns)| *ns).copied().unwrap_or(("none", 0));
+    let dominant = a.dominant_stall();
     if run.fallback || dominant.1 == 0 {
         let _ = writeln!(out, "dominant stall: none (no parallel windows recorded)");
     } else {
@@ -330,8 +129,9 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
     }
 
     // per-shard load table + imbalance call-out (v2 streams)
-    if !shards.is_empty() {
-        let total_busy: u64 = shards.iter().map(|s| s.busy_ns).sum();
+    let shards = &run.per_shard;
+    if let Some(heaviest) = shards.iter().max_by_key(|s| s.busy_ns) {
+        let total_busy = shards.iter().fold(0u64, |sum, s| sum.saturating_add(s.busy_ns));
         let _ = writeln!(out, "\nper-shard load ({} shards):", shards.len());
         for s in shards {
             let share = if total_busy == 0 { 0.0 } else { s.busy_ns as f64 / total_busy as f64 };
@@ -350,7 +150,6 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
                 fmt_ns(s.channel_wait_ns),
             );
         }
-        let heaviest = shards.iter().max_by_key(|s| s.busy_ns).expect("non-empty");
         let mean = total_busy as f64 / shards.len() as f64;
         let ratio = if mean == 0.0 { 1.0 } else { heaviest.busy_ns as f64 / mean };
         let _ = writeln!(
@@ -366,19 +165,20 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
     }
 
     // per-worker load histogram, aggregated over the detailed windows
+    let windows = &run.windows;
     let max_workers = windows.iter().map(|w| w.busy_ns.len()).max().unwrap_or(0);
     if max_workers > 0 {
         let mut busy = vec![0u64; max_workers];
         let mut events = vec![0u64; max_workers];
         for w in windows {
             for (i, b) in w.busy_ns.iter().enumerate() {
-                busy[i] += b;
+                busy[i] = busy[i].saturating_add(*b);
             }
-            for (i, e) in w.events_per_worker.iter().enumerate() {
-                events[i] += e;
+            for (i, e) in w.events_per_worker.iter().enumerate().take(max_workers) {
+                events[i] = events[i].saturating_add(*e);
             }
         }
-        let total_busy: u64 = busy.iter().sum();
+        let total_busy = busy.iter().fold(0u64, |sum, b| sum.saturating_add(*b));
         let _ = writeln!(out, "\nper-worker load ({} detailed windows):", windows.len());
         for (i, (b, e)) in busy.iter().zip(&events).enumerate() {
             let share = if total_busy == 0 { 0.0 } else { *b as f64 / total_busy as f64 };
@@ -392,15 +192,11 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
         }
     }
 
-    let _ = writeln!(out, "\nutilization: {:.1}%", pct(run.busy_ns));
-    // work / critical-path bound, with the serial drain+merge in both terms
-    let serial = run.drain_wall_ns + run.merge_wall_ns;
-    let work = run.busy_ns + serial;
-    let critical = run.critical_busy_ns + serial;
-    let speedup = if critical == 0 { 1.0 } else { work as f64 / critical as f64 };
+    let _ = writeln!(out, "\nutilization: {:.1}%", 100.0 * run.utilization());
     let _ = writeln!(
         out,
-        "achievable speedup (work/critical-path, this window structure): {speedup:.2}x",
+        "achievable speedup (work/critical-path, this window structure): {:.2}x",
+        run.achievable_speedup(),
     );
     out
 }
@@ -408,14 +204,7 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
 /// `par-report` over a whole `ceu-par-stats/v1|v2` stream (every run).
 pub fn par_report(text: &str) -> Result<String, String> {
     let runs = parse_par_stats(text)?;
-    let mut out = String::new();
-    for (i, (run, shards, windows)) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        out.push_str(&render_par_run(run, shards, windows));
-    }
-    Ok(out)
+    Ok(runs.iter().map(render_par_run).collect::<Vec<_>>().join("\n"))
 }
 
 /// Synthetic pid for the scheduler process in the merged Perfetto view
@@ -438,120 +227,131 @@ const SHARD_TID_BASE: u64 = 100;
 pub fn par_stats_perfetto_events(text: &str) -> Result<Vec<String>, String> {
     let runs = parse_par_stats(text)?;
     let mut out: Vec<String> = Vec::new();
-    out.push(format!(
-        "{{\"ph\":\"M\",\"pid\":{SCHED_PID},\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{{\"name\":\"parallel scheduler\"}}}}"
-    ));
-    out.push(format!(
-        "{{\"ph\":\"M\",\"pid\":{SCHED_PID},\"tid\":0,\"name\":\"thread_name\",\
-         \"args\":{{\"name\":\"sim thread (drain+merge)\"}}}}"
-    ));
-    let ts = |ns: u64| format!("{:.3}", ns as f64 / 1_000.0);
+    let meta = |tid: u64, kind: &str, name: &str| {
+        to_json(&ChromeEvent {
+            ph: "M",
+            pid: SCHED_PID,
+            tid,
+            name: Some(kind),
+            args: Some(Args { name: Some(name), ..Args::default() }),
+            ..ChromeEvent::default()
+        })
+    };
+    out.push(meta(0, "process_name", "parallel scheduler"));
+    out.push(meta(0, "thread_name", "sim thread (drain+merge)"));
     let mut named_workers = 0usize;
-    let mut named_shards: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
+    let mut named_shards = std::collections::BTreeSet::new();
     let mut flow_id = 500_000u64; // clear of the reaction-flow ids
-    for (run, _, windows) in &runs {
-        for w in windows {
+    for run in &runs {
+        for w in &run.windows {
             for tid in named_workers..w.busy_ns.len() {
-                out.push(format!(
-                    "{{\"ph\":\"M\",\"pid\":{SCHED_PID},\"tid\":{},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":\"worker {tid}\"}}}}",
-                    tid + 1,
-                ));
+                out.push(meta(tid as u64 + 1, "thread_name", &format!("worker {tid}")));
             }
             named_workers = named_workers.max(w.busy_ns.len());
             for &(shard, ..) in &w.shard_busy {
                 if named_shards.insert(shard) {
-                    out.push(format!(
-                        "{{\"ph\":\"M\",\"pid\":{SCHED_PID},\"tid\":{},\"name\":\"thread_name\",\
-                         \"args\":{{\"name\":\"shard {shard}\"}}}}",
-                        SHARD_TID_BASE + shard,
-                    ));
+                    let tid = SHARD_TID_BASE + shard as u64;
+                    out.push(meta(tid, "thread_name", &format!("shard {shard}")));
                 }
             }
-            let drain_end = w.t_wall_ns + w.drain_ns;
-            let par_end = drain_end + w.par_ns;
-            out.push(format!(
-                "{{\"ph\":\"X\",\"pid\":{SCHED_PID},\"tid\":0,\"ts\":{},\"dur\":{},\
-                 \"name\":\"drain w{}\",\"cat\":\"sched\",\
-                 \"args\":{{\"events\":{},\"span_us\":\"{}..{}\"}}}}",
-                ts(w.t_wall_ns),
-                ts(w.drain_ns),
-                w.index,
-                w.events,
-                w.start_us,
-                w.end_us,
+            let drain_end = w.t_wall_ns.saturating_add(w.drain_ns);
+            let par_end = drain_end.saturating_add(w.par_ns);
+            let slice = |tid: u64, ts: u64, dur: u64, name: &str, cat: &str, args: Option<Args>| {
+                to_json(&ChromeEvent {
+                    ph: "X",
+                    pid: SCHED_PID,
+                    tid,
+                    wall_ts: Some(wall_us(ts)),
+                    dur: Some(wall_us(dur)),
+                    name: Some(name),
+                    cat: Some(cat),
+                    args,
+                    ..ChromeEvent::default()
+                })
+            };
+            let span = format!("{}..{}", w.start_us, w.end_us);
+            let args = Args { events: Some(w.events), span_us: Some(&span), ..Args::default() };
+            out.push(slice(
+                0,
+                w.t_wall_ns,
+                w.drain_ns,
+                &format!("drain w{}", w.index),
+                "sched",
+                Some(args),
             ));
-            out.push(format!(
-                "{{\"ph\":\"X\",\"pid\":{SCHED_PID},\"tid\":0,\"ts\":{},\"dur\":{},\
-                 \"name\":\"merge w{}\",\"cat\":\"sched\",\
-                 \"args\":{{\"cross_sends\":{}}}}}",
-                ts(par_end),
-                ts(w.merge_ns),
-                w.index,
-                w.cross_sends,
+            let args = Args { cross_sends: Some(w.cross_sends), ..Args::default() };
+            out.push(slice(
+                0,
+                par_end,
+                w.merge_ns,
+                &format!("merge w{}", w.index),
+                "sched",
+                Some(args),
             ));
-            for (i, busy) in w.busy_ns.iter().enumerate() {
-                let tid = i + 1;
+            let window = format!("window w{} [{}..{})µs", w.index, w.start_us, w.end_us);
+            for (i, &busy) in w.busy_ns.iter().enumerate() {
+                let tid = i as u64 + 1;
                 let events = w.events_per_worker.get(i).copied().unwrap_or(0);
-                out.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":{SCHED_PID},\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                     \"name\":\"window w{} [{}..{})µs\",\"cat\":\"sched\",\
-                     \"args\":{{\"events\":{events}}}}}",
-                    ts(drain_end),
-                    ts(*busy),
-                    w.index,
-                    w.start_us,
-                    w.end_us,
-                ));
-                let stall = w.par_ns.saturating_sub(*busy);
+                let args = Args { events: Some(events), ..Args::default() };
+                out.push(slice(tid, drain_end, busy, &window, "sched", Some(args)));
+                let stall = w.par_ns.saturating_sub(busy);
                 if stall > 0 {
-                    out.push(format!(
-                        "{{\"ph\":\"X\",\"pid\":{SCHED_PID},\"tid\":{tid},\"ts\":{},\
-                         \"dur\":{},\"name\":\"stall\",\"cat\":\"sched-stall\"}}",
-                        ts(drain_end + busy),
-                        ts(stall),
+                    out.push(slice(
+                        tid,
+                        drain_end.saturating_add(busy),
+                        stall,
+                        "stall",
+                        "sched-stall",
+                        None,
                     ));
                 }
             }
             // shard tracks: a worker steps its shards back-to-back, so
             // offset each shard slice by what the same worker ran first
-            let mut worker_off: std::collections::HashMap<u64, u64> =
+            let mut worker_off: std::collections::HashMap<u32, u64> =
                 std::collections::HashMap::new();
             for &(shard, worker, busy, events) in &w.shard_busy {
                 let off = worker_off.entry(worker).or_insert(0);
-                out.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":{SCHED_PID},\"tid\":{},\"ts\":{},\"dur\":{},\
-                     \"name\":\"shard {shard} w{}\",\"cat\":\"sched-shard\",\
-                     \"args\":{{\"events\":{events},\"worker\":{worker}}}}}",
-                    SHARD_TID_BASE + shard,
-                    ts(drain_end + *off),
-                    ts(busy),
-                    w.index,
+                let args = Args { events: Some(events), worker: Some(worker), ..Args::default() };
+                let name = format!("shard {shard} w{}", w.index);
+                let tid = SHARD_TID_BASE + shard as u64;
+                out.push(slice(
+                    tid,
+                    drain_end.saturating_add(*off),
+                    busy,
+                    &name,
+                    "sched-shard",
+                    Some(args),
                 ));
-                *off += busy;
+                *off = off.saturating_add(busy);
             }
             // flow arrows: this window's merge routes each sampled send;
             // it lands in the first later window whose virtual span can
             // contain the arrival (emit + lookahead at the earliest)
-            for &(at_us, from, to) in &w.sends {
-                let arrival_floor = at_us + run.lookahead_us;
-                let Some(target) =
-                    windows.iter().find(|t| t.t_wall_ns > w.t_wall_ns && t.end_us > arrival_floor)
+            for &(at_us, from, to) in &w.send_sample {
+                let arrival_floor = at_us.saturating_add(run.lookahead_us);
+                let Some(target) = run
+                    .windows
+                    .iter()
+                    .find(|t| t.t_wall_ns > w.t_wall_ns && t.end_us > arrival_floor)
                 else {
                     continue;
                 };
                 flow_id += 1;
-                out.push(format!(
-                    "{{\"ph\":\"s\",\"pid\":{SCHED_PID},\"tid\":0,\"ts\":{},\"id\":{flow_id},\
-                     \"name\":\"send m{from}->m{to}\",\"cat\":\"sched-flow\"}}",
-                    ts(par_end),
-                ));
-                out.push(format!(
-                    "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":{SCHED_PID},\"tid\":0,\"ts\":{},\
-                     \"id\":{flow_id},\"name\":\"send m{from}->m{to}\",\"cat\":\"sched-flow\"}}",
-                    ts(target.t_wall_ns),
-                ));
+                let name = format!("send m{from}->m{to}");
+                let flow = |ph, bp, ts| ChromeEvent {
+                    ph,
+                    bp,
+                    pid: SCHED_PID,
+                    tid: 0,
+                    wall_ts: Some(wall_us(ts)),
+                    id: Some(flow_id),
+                    name: Some(&name),
+                    cat: Some("sched-flow"),
+                    ..ChromeEvent::default()
+                };
+                out.push(to_json(&flow("s", None, par_end)));
+                out.push(to_json(&flow("f", Some("e"), target.t_wall_ns)));
             }
         }
     }
@@ -561,6 +361,7 @@ pub fn par_stats_perfetto_events(text: &str) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     const STATS: &str = r#"
 {"schema":"ceu-par-stats/v2","kind":"run","threads":2,"lookahead_us":700,"motes":4,"shards":2,"fallback":false,"wall_ns":10000,"window_wall_ns":9000,"windows":2,"dropped_windows":0,"events":30,"motes_stepped":8,"cross_sends":6,"heap_pushes":40,"heap_pops":38,"busy_ns":6000,"imbalance_ns":1000,"lookahead_ns":2000,"barrier_ns":4000,"merge_ns":5000,"critical_busy_ns":4000,"drain_wall_ns":1000,"par_wall_ns":6500,"merge_wall_ns":1500}
@@ -579,7 +380,8 @@ mod tests {
     fn parses_runs_shards_and_windows() {
         let runs = parse_par_stats(STATS).unwrap();
         assert_eq!(runs.len(), 1);
-        let (run, shards, windows) = &runs[0];
+        let run = &runs[0];
+        let (shards, windows) = (&run.per_shard, &run.windows);
         assert_eq!(run.threads, 2);
         assert_eq!(run.shards, 2);
         assert!(!run.fallback);
@@ -588,14 +390,15 @@ mod tests {
         assert_eq!(shards[1].channel_wait_ns, 100);
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[0].busy_ns, vec![2000, 1500]);
-        assert_eq!(windows[0].sends, vec![(1200, 0, 1)]);
+        assert_eq!(windows[0].send_sample, vec![(1200, 0, 1)]);
         assert_eq!(windows[0].shard_busy, vec![(0, 0, 2000, 9), (1, 1, 1500, 7)]);
     }
 
     #[test]
     fn v1_streams_still_parse_without_shard_records() {
         let runs = parse_par_stats(STATS_V1).unwrap();
-        let (run, shards, windows) = &runs[0];
+        let run = &runs[0];
+        let (shards, windows) = (&run.per_shard, &run.windows);
         assert_eq!(run.threads, 2);
         assert_eq!(run.shards, 0);
         assert!(shards.is_empty());

@@ -72,7 +72,7 @@
 //! ended powered off (crashed and never rebooted), `3` the run exceeded
 //! its `--deadline-ms` wall-clock budget.
 
-use ceu::runtime::telemetry::{json_string, TraceFormat};
+use ceu::runtime::telemetry::{blackbox_dump, to_json, BlackboxHeader, BlackboxStat, TraceFormat};
 use ceu::runtime::{FlightRecorder, NullHost, TraceEvent, TraceMask, TraceSink, Value};
 use ceu::{Compiler, Simulator};
 use std::process::ExitCode;
@@ -370,31 +370,27 @@ fn write_blackbox_dump(
     cause: &str,
     boots: u32,
 ) -> Result<(), String> {
-    use std::fmt::Write as _;
     let rec = &bb.rec;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"schema\":\"ceu-blackbox/v1\",\"reason\":\"machine-crashed\",\"t_us\":{at},\
-         \"mote\":0,\"crash_us\":{at},\"cause\":{},\"motes\":1,\"shards\":0,\
-         \"ring_capacity\":{},\"ring_records\":{},\"ring_dropped\":{}}}",
-        json_string(cause),
-        rec.capacity(),
-        rec.len(),
-        rec.dropped()
-    );
-    let _ = writeln!(
-        out,
-        "{{\"blackbox\":\"machine\",\"boots\":{boots},\"ring_len\":{},\"ring_dropped\":{},\
-         \"ring_recorded\":{}}}",
-        rec.len(),
-        rec.dropped(),
-        rec.recorded()
-    );
-    for r in rec.iter() {
-        out.push_str(&r.to_json());
-        out.push('\n');
-    }
+    let header = BlackboxHeader {
+        reason: "machine-crashed",
+        t_us: at,
+        mote: Some(0),
+        crash_us: Some(at),
+        cause: Some(cause),
+        motes: 1,
+        shards: 0,
+        ring_capacity: rec.capacity(),
+        ring_records: rec.len(),
+        ring_dropped: rec.dropped(),
+        ..BlackboxHeader::default()
+    };
+    let ring = BlackboxStat::Machine {
+        boots,
+        ring_len: rec.len(),
+        ring_dropped: rec.dropped(),
+        ring_recorded: rec.recorded(),
+    };
+    let out = blackbox_dump(&header, &[ring], rec.iter());
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)
@@ -665,7 +661,7 @@ fn exec_script(
     }
     if let Some(path) = &opts.metrics_out {
         match sim.metrics() {
-            Some(m) => std::fs::write(path, m.to_json() + "\n")
+            Some(m) => std::fs::write(path, to_json(m) + "\n")
                 .map_err(|e| format!("cannot write {path}: {e}"))?,
             None => eprintln!("ceuc: metrics unavailable; {path} not written"),
         }

@@ -14,8 +14,8 @@
 //!   reaction chain (cause, virtual time, host wall time, counters,
 //!   nested events) from the event stream;
 //! * [`TextSink`] — human-readable log lines;
-//! * [`JsonLinesSink`] — one JSON object per event (`jsonl`), using the
-//!   dependency-free writer [`event_to_json`];
+//! * [`JsonLinesSink`] — one JSON object per event (`jsonl`), written
+//!   through the event's `serde::Serialize` impl ([`event_to_json`]);
 //! * [`ChromeTraceSink`] — Chrome `trace_event` / Perfetto JSON: `B`/`E`
 //!   span pairs per reaction on the host-time axis, instant events for
 //!   emits/discards/termination.
@@ -26,7 +26,8 @@
 //! [`TraceSink::finish`] once after the run (sinks with a footer, e.g.
 //! [`ChromeTraceSink`], need it).
 
-use crate::trace::{Cause, ReactionId, TraceEvent};
+use crate::trace::{Cause, CrashKind, ReactionId, TraceEvent};
+use serde::{Serialize, Serializer};
 use std::io::Write;
 
 // ---- metrics registry ------------------------------------------------------
@@ -99,8 +100,9 @@ fn bucket_of(v: u64) -> usize {
 
 /// Counter + histogram registry maintained by the machine (and by the
 /// simulators on top of it). All counters are cumulative since
-/// [`Machine::enable_metrics`](crate::Machine::enable_metrics).
-#[derive(Clone, Debug, Default, PartialEq)]
+/// [`Machine::enable_metrics`](crate::Machine::enable_metrics). Serializes
+/// as one JSON object in field order.
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct Metrics {
     /// Reaction chains completed.
     pub reactions: u64,
@@ -183,37 +185,9 @@ impl Metrics {
         out
     }
 
-    /// One JSON object (dependency-free; stable key order).
+    /// One JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.num("reactions", self.reactions);
-        o.raw(
-            "reactions_by_cause",
-            &format!(
-                "[{},{},{},{}]",
-                self.reactions_by_cause[0],
-                self.reactions_by_cause[1],
-                self.reactions_by_cause[2],
-                self.reactions_by_cause[3]
-            ),
-        );
-        o.num("tracks_run", self.tracks_run);
-        o.num("trail_spawns", self.trail_spawns);
-        o.num("trail_kills", self.trail_kills);
-        o.num("emits_int", self.emits_int);
-        o.num("emits_ext", self.emits_ext);
-        o.num("emits_out", self.emits_out);
-        o.num("timer_firings", self.timer_firings);
-        o.num("discarded_events", self.discarded_events);
-        o.num("async_slices", self.async_slices);
-        o.num("gates_armed", self.gates_armed);
-        o.num("gates_fired", self.gates_fired);
-        o.num("emit_depth_hwm", self.emit_depth_hwm as u64);
-        o.num("queue_peak", self.queue_peak as u64);
-        o.num("watchdog_trips", self.watchdog_trips);
-        o.raw("reaction_wall_ns", &hist_json(&self.reaction_wall_ns));
-        o.raw("tracks_per_reaction", &hist_json(&self.tracks_per_reaction));
-        o.finish()
+        to_json(self)
     }
 }
 
@@ -222,17 +196,21 @@ fn writeln_kv(out: &mut String, k: &str, v: u64) -> std::fmt::Result {
     writeln!(out, "  {k:<22} {v}")
 }
 
-fn hist_json(h: &Histogram) -> String {
-    let mut o = JsonObj::new();
-    o.num("count", h.count);
-    o.num("sum", h.sum);
-    o.num("min", if h.count == 0 { 0 } else { h.min });
-    o.num("max", h.max);
-    o.raw("mean", &format!("{:.3}", h.mean()));
-    o.num("p50", h.quantile(0.50));
-    o.num("p90", h.quantile(0.90));
-    o.num("p99", h.quantile(0.99));
-    o.finish()
+/// `{"count","sum","min","max","mean","p50","p90","p99"}`: an empty
+/// histogram reports `min` 0, and `mean` has three decimals.
+impl Serialize for Histogram {
+    fn serialize(&self, s: &mut Serializer) {
+        s.begin_object();
+        s.field("count", &self.count);
+        s.field("sum", &self.sum);
+        s.field("min", &if self.count == 0 { 0 } else { self.min });
+        s.field("max", &self.max);
+        s.field("mean", &Fixed::<3>(self.mean()));
+        s.field("p50", &self.quantile(0.50));
+        s.field("p90", &self.quantile(0.90));
+        s.field("p99", &self.quantile(0.99));
+        s.end_object();
+    }
 }
 
 // ---- per-block profiling ---------------------------------------------------
@@ -276,23 +254,29 @@ impl BlockProfile {
         rows
     }
 
-    /// One JSON object (dependency-free; executed blocks only).
+    /// One JSON object (executed blocks only).
     pub fn to_json(&self) -> String {
-        let mut items = String::from("[");
-        for (i, (b, c, ns)) in self.hot().into_iter().enumerate() {
-            if i > 0 {
-                items.push(',');
-            }
-            let mut o = JsonObj::new();
-            o.num("block", b as u64);
-            o.num("count", c);
-            o.num("wall_ns", ns);
-            items.push_str(&o.finish());
+        to_json(self)
+    }
+}
+
+/// `{"blocks":[{"block","count","wall_ns"},…]}`, hottest first.
+impl Serialize for BlockProfile {
+    fn serialize(&self, s: &mut Serializer) {
+        #[derive(Serialize)]
+        struct Row {
+            block: u32,
+            count: u64,
+            wall_ns: u64,
         }
-        items.push(']');
-        let mut o = JsonObj::new();
-        o.raw("blocks", &items);
-        o.finish()
+        let rows: Vec<Row> = self
+            .hot()
+            .into_iter()
+            .map(|(block, count, wall_ns)| Row { block, count, wall_ns })
+            .collect();
+        s.begin_object();
+        s.field("blocks", &rows);
+        s.end_object();
     }
 }
 
@@ -323,168 +307,65 @@ pub fn render_hot_statements(
     out
 }
 
-// ---- dependency-free JSON writing ------------------------------------------
+// ---- JSON wire format ------------------------------------------------------
 
-/// Tiny JSON object builder (keys written in call order, no escaping on
-/// keys — all call sites use static identifier-like keys).
-struct JsonObj {
-    out: String,
-    first: bool,
+/// Renders any wire record as one compact JSON string.
+pub fn to_json<T: Serialize + ?Sized>(value: &T) -> String {
+    let mut s = Serializer::new();
+    value.serialize(&mut s);
+    s.into_string()
 }
 
-impl JsonObj {
-    fn new() -> Self {
-        JsonObj { out: String::from("{"), first: true }
-    }
+/// A float written with exactly `D` decimals (`{:.D}`), as the wire
+/// formats print means, rates and Chrome-trace timestamps.
+#[derive(Clone, Copy, Debug)]
+pub struct Fixed<const D: usize>(pub f64);
 
-    fn sep(&mut self, key: &str) {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        self.out.push('"');
-        self.out.push_str(key);
-        self.out.push_str("\":");
-    }
-
-    fn num(&mut self, key: &str, v: u64) {
-        self.sep(key);
-        self.out.push_str(&v.to_string());
-    }
-
-    fn str(&mut self, key: &str, v: &str) {
-        self.sep(key);
-        push_json_string(&mut self.out, v);
-    }
-
-    /// Inserts pre-rendered JSON verbatim.
-    fn raw(&mut self, key: &str, json: &str) {
-        self.sep(key);
-        self.out.push_str(json);
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
+impl<const D: usize> Serialize for Fixed<D> {
+    fn serialize(&self, s: &mut Serializer) {
+        s.raw(&format!("{:.*}", D, self.0));
     }
 }
 
-/// Escapes `s` as a JSON string literal, quotes included (for callers
-/// assembling JSON by hand, e.g. black-box dump writers).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_json_string(&mut out, s);
-    out
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// A crash kind is its stable label, e.g. `"watchdog"`.
+impl Serialize for CrashKind {
+    fn serialize(&self, s: &mut Serializer) {
+        s.string(self.label());
     }
-    out.push('"');
 }
 
-/// Renders a [`ReactionId`] as JSON, e.g. `{"mote":0,"seq":5}`.
-pub fn reaction_id_to_json(id: &ReactionId) -> String {
-    let mut o = JsonObj::new();
-    o.num("mote", id.mote as u64);
-    o.num("seq", id.seq);
-    o.finish()
-}
-
-/// Renders a [`Cause`] as JSON, e.g. `{"type":"event","id":3}` (plus a
-/// `parent` reaction id when the cause records one).
-pub fn cause_to_json(c: &Cause) -> String {
-    let mut o = JsonObj::new();
-    match c {
-        Cause::Boot => o.str("type", "boot"),
-        Cause::Event { event, parent } => {
-            o.str("type", "event");
-            o.num("id", event.0 as u64);
-            if let Some(p) = parent {
-                o.raw("parent", &reaction_id_to_json(p));
+/// `{"type":"event","id":3}` (plus a `parent` reaction id when the cause
+/// records one), `{"type":"timer","deadline_us":…}`, `{"type":"boot"}`
+/// or `{"type":"async","id":…}`.
+impl Serialize for Cause {
+    fn serialize(&self, s: &mut Serializer) {
+        s.begin_object();
+        match self {
+            Cause::Boot => s.field("type", "boot"),
+            Cause::Event { event, parent } => {
+                s.field("type", "event");
+                s.field("id", event);
+                if let Some(p) = parent {
+                    s.field("parent", p);
+                }
+            }
+            Cause::Timer(deadline_us) => {
+                s.field("type", "timer");
+                s.field("deadline_us", deadline_us);
+            }
+            Cause::AsyncDone(id) => {
+                s.field("type", "async");
+                s.field("id", id);
             }
         }
-        Cause::Timer(d) => {
-            o.str("type", "timer");
-            o.num("deadline_us", *d);
-        }
-        Cause::AsyncDone(a) => {
-            o.str("type", "async");
-            o.num("id", *a as u64);
-        }
+        s.end_object();
     }
-    o.finish()
 }
 
 /// Renders one [`TraceEvent`] as a single JSON object (the `jsonl`
 /// format).
 pub fn event_to_json(e: &TraceEvent) -> String {
-    let mut o = JsonObj::new();
-    o.str("ev", e.kind());
-    match e {
-        TraceEvent::ReactionStart { id, cause, now_us, wall_ns } => {
-            o.raw("id", &reaction_id_to_json(id));
-            o.raw("cause", &cause_to_json(cause));
-            o.num("now_us", *now_us);
-            o.num("wall_ns", *wall_ns);
-        }
-        TraceEvent::Discarded { event } => o.num("event", event.0 as u64),
-        TraceEvent::TrackRun { block, rank } => {
-            o.num("block", *block as u64);
-            o.num("rank", *rank as u64);
-        }
-        TraceEvent::GateArmed { gate } => o.num("gate", *gate as u64),
-        TraceEvent::GateFired { gate } => o.num("gate", *gate as u64),
-        TraceEvent::EmitInt { event, depth } => {
-            o.num("event", event.0 as u64);
-            o.num("depth", *depth as u64);
-        }
-        TraceEvent::AsyncSlice { async_id } => o.num("async_id", *async_id as u64),
-        TraceEvent::BudgetExceeded { tracks, wall_ns } => {
-            o.num("tracks", *tracks as u64);
-            o.num("wall_ns", *wall_ns);
-        }
-        TraceEvent::ReactionEnd {
-            now_us,
-            wall_ns,
-            tracks,
-            emits,
-            gates_fired,
-            gates_armed,
-            queue_peak,
-            emit_depth_max,
-        } => {
-            o.num("now_us", *now_us);
-            o.num("wall_ns", *wall_ns);
-            o.num("tracks", *tracks as u64);
-            o.num("emits", *emits as u64);
-            o.num("gates_fired", *gates_fired as u64);
-            o.num("gates_armed", *gates_armed as u64);
-            o.num("queue_peak", *queue_peak as u64);
-            o.num("emit_depth_max", *emit_depth_max as u64);
-        }
-        TraceEvent::Terminated { value } => match value {
-            Some(v) => o.raw("value", &v.to_string()),
-            None => o.raw("value", "null"),
-        },
-        TraceEvent::MoteCrashed { kind, line, col } => {
-            o.str("kind", kind.label());
-            o.num("line", *line as u64);
-            o.num("col", *col as u64);
-        }
-        TraceEvent::MoteRebooted { boots } => o.num("boots", *boots as u64),
-    }
-    o.finish()
+    to_json(e)
 }
 
 // ---- spans -----------------------------------------------------------------
@@ -668,7 +549,7 @@ impl<W: Write> JsonLinesSink<W> {
 
 impl<W: Write + 'static> TraceSink for JsonLinesSink<W> {
     fn on_event(&mut self, e: &TraceEvent) {
-        let _ = writeln!(self.out, "{}", event_to_json(e));
+        let _ = writeln!(self.out, "{}", to_json(e));
     }
 
     fn finish(&mut self) {
@@ -709,97 +590,72 @@ impl<W: Write> ChromeTraceSink<W> {
         &mut self.out
     }
 
-    fn entry(&mut self, name: &str, ph: char, wall_ns: u64, args: Option<String>) {
+    /// Writes one event object; `args` writes the members of its `args`.
+    fn entry(&mut self, name: &str, ph: &str, wall_ns: u64, args: impl FnOnce(&mut Serializer)) {
         let lead = if self.wrote_any { ",\n" } else { "[\n" };
         self.wrote_any = true;
-        let mut o = JsonObj::new();
-        o.str("name", name);
-        o.str("ph", &ph.to_string());
-        o.raw("ts", &format!("{:.3}", wall_ns as f64 / 1000.0));
-        o.num("pid", self.pid as u64);
-        o.num("tid", 1);
-        if ph == 'i' {
+        let mut s = Serializer::new();
+        s.begin_object();
+        s.field("name", name);
+        s.field("ph", ph);
+        s.field("ts", &Fixed::<3>(wall_ns as f64 / 1000.0));
+        s.field("pid", &self.pid);
+        s.field("tid", &1);
+        if ph == "i" {
             // scope: thread — keeps instants attached to the track
-            o.str("s", "t");
+            s.field("s", "t");
         }
-        if let Some(a) = args {
-            o.raw("args", &a);
-        }
-        let _ = write!(self.out, "{lead}{}", o.finish());
+        s.key("args");
+        s.begin_object();
+        args(&mut s);
+        s.end_object();
+        s.end_object();
+        let _ = write!(self.out, "{lead}{}", s.into_string());
     }
 }
 
 impl<W: Write + 'static> TraceSink for ChromeTraceSink<W> {
     fn on_event(&mut self, e: &TraceEvent) {
+        let ts = self.last_wall_ns;
         match e {
             TraceEvent::ReactionStart { id, cause, now_us, wall_ns } => {
                 self.open_cause = Some(*cause);
                 self.last_wall_ns = *wall_ns;
-                let mut args = JsonObj::new();
-                args.raw("id", &reaction_id_to_json(id));
-                args.num("now_us", *now_us);
-                args.raw("cause", &cause_to_json(cause));
-                self.entry(
-                    &format!("reaction:{}", cause.label()),
-                    'B',
-                    *wall_ns,
-                    Some(args.finish()),
-                );
+                self.entry(&format!("reaction:{}", cause.label()), "B", *wall_ns, |s| {
+                    s.field("id", id);
+                    s.field("now_us", now_us);
+                    s.field("cause", cause);
+                });
             }
             TraceEvent::ReactionEnd { wall_ns, tracks, emits, queue_peak, .. } => {
                 self.last_wall_ns = *wall_ns;
                 let cause = self.open_cause.take().unwrap_or(Cause::Boot);
-                let mut args = JsonObj::new();
-                args.num("tracks", *tracks as u64);
-                args.num("emits", *emits as u64);
-                args.num("queue_peak", *queue_peak as u64);
-                self.entry(
-                    &format!("reaction:{}", cause.label()),
-                    'E',
-                    *wall_ns,
-                    Some(args.finish()),
-                );
+                self.entry(&format!("reaction:{}", cause.label()), "E", *wall_ns, |s| {
+                    s.field("tracks", tracks);
+                    s.field("emits", emits);
+                    s.field("queue_peak", queue_peak);
+                });
             }
-            TraceEvent::EmitInt { event, depth } => {
-                let mut args = JsonObj::new();
-                args.num("event", event.0 as u64);
-                args.num("depth", *depth as u64);
-                let ts = self.last_wall_ns;
-                self.entry("emit", 'i', ts, Some(args.finish()));
-            }
+            TraceEvent::EmitInt { event, depth } => self.entry("emit", "i", ts, |s| {
+                s.field("event", event);
+                s.field("depth", depth);
+            }),
             TraceEvent::Discarded { event } => {
-                let mut args = JsonObj::new();
-                args.num("event", event.0 as u64);
-                let ts = self.last_wall_ns;
-                self.entry("discarded", 'i', ts, Some(args.finish()));
+                self.entry("discarded", "i", ts, |s| s.field("event", event))
             }
             TraceEvent::BudgetExceeded { tracks, wall_ns } => {
-                let mut args = JsonObj::new();
-                args.num("tracks", *tracks as u64);
-                self.entry("watchdog", 'i', *wall_ns, Some(args.finish()));
+                self.entry("watchdog", "i", *wall_ns, |s| s.field("tracks", tracks))
             }
             TraceEvent::Terminated { value } => {
-                let mut args = JsonObj::new();
-                match value {
-                    Some(v) => args.raw("value", &v.to_string()),
-                    None => args.raw("value", "null"),
-                }
-                let ts = self.last_wall_ns;
-                self.entry("terminated", 'i', ts, Some(args.finish()));
+                self.entry("terminated", "i", ts, |s| s.field("value", value))
             }
-            TraceEvent::MoteCrashed { kind, line, col } => {
-                let mut args = JsonObj::new();
-                args.str("kind", kind.label());
-                args.num("line", *line as u64);
-                args.num("col", *col as u64);
-                let ts = self.last_wall_ns;
-                self.entry("mote-crash", 'i', ts, Some(args.finish()));
-            }
+            TraceEvent::MoteCrashed { kind, line, col } => self.entry("mote-crash", "i", ts, |s| {
+                s.field("kind", kind);
+                s.field("line", line);
+                s.field("col", col);
+            }),
             TraceEvent::MoteRebooted { boots } => {
-                let mut args = JsonObj::new();
-                args.num("boots", *boots as u64);
-                let ts = self.last_wall_ns;
-                self.entry("mote-reboot", 'i', ts, Some(args.finish()));
+                self.entry("mote-reboot", "i", ts, |s| s.field("boots", boots))
             }
             // per-track/gate detail is too fine for the timeline view
             _ => {}
@@ -859,9 +715,10 @@ impl TraceFormat {
 // ---- flight recorder -------------------------------------------------------
 
 /// One flight-recorder entry: a trace event stamped with the virtual
-/// clock and the mote it happened on. Wire shape (`to_json`) matches the
-/// world trace's JSONL lines, so every `ceu-trace` reader understands it.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// clock and the mote it happened on. Also the world trace's element and
+/// JSONL line, `{"t_us":…,"mote":…,"seq":…,"ev":{…}}`, so every
+/// `ceu-trace` reader understands it.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct FlightRecord {
     /// Virtual clock (µs) when the event was recorded.
     pub t_us: u64,
@@ -869,25 +726,19 @@ pub struct FlightRecord {
     /// Per-mote trace sequence number (canonical tie-break within a µs).
     pub seq: u64,
     /// The event, wall-clock-normalized (see [`TraceEvent::normalized`]).
+    #[serde(rename = "ev")]
     pub event: TraceEvent,
 }
 
 impl FlightRecord {
-    /// Same JSON shape as a world-trace line:
-    /// `{"t_us":…,"mote":…,"seq":…,"ev":{…}}`.
+    /// One JSONL line of the world-trace wire format.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_us\":{},\"mote\":{},\"seq\":{},\"ev\":{}}}",
-            self.t_us,
-            self.mote,
-            self.seq,
-            event_to_json(&self.event)
-        )
+        to_json(self)
     }
 }
 
 /// One scheduler window, as seen by the shard that ran it.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct WindowMark {
     /// Window bounds (virtual µs, half-open `[start, end)`).
     pub start_us: u64,
@@ -1063,6 +914,94 @@ impl FlightRecorder {
         self.ring.clear();
         self.marks.clear();
     }
+}
+
+// ---- crash black box ------------------------------------------------------
+
+/// Schema tag of a crash black-box dump.
+pub const BLACKBOX_SCHEMA: &str = "ceu-blackbox/v1";
+
+/// The first line of a `ceu-blackbox/v1` dump, after the schema tag
+/// [`blackbox_dump`] writes. A world dump names the crashed mote and, when
+/// it is down, its crash kind and source site; a single-machine dump has
+/// `shards: 0`. `None` members are left out.
+#[derive(Default, Serialize)]
+pub struct BlackboxHeader<'a> {
+    pub reason: &'a str,
+    pub t_us: u64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub mote: Option<usize>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub crash_us: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub kind: Option<CrashKind>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub cause: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub line: Option<u32>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub col: Option<u32>,
+    pub motes: usize,
+    pub shards: usize,
+    pub ring_capacity: usize,
+    pub ring_records: usize,
+    pub ring_dropped: u64,
+}
+
+/// A `ceu-blackbox/v1` stat line, `{"blackbox":"<kind>",…}`.
+#[derive(Serialize)]
+#[serde(tag = "blackbox", rename_all = "lowercase")]
+pub enum BlackboxStat {
+    /// One shard's ring (world dumps).
+    Shard {
+        shard: u32,
+        motes: usize,
+        lookahead_us: u64,
+        ring_len: usize,
+        ring_dropped: u64,
+        ring_recorded: u64,
+    },
+    /// One scheduler window mark of a shard (world dumps).
+    Window {
+        shard: u32,
+        #[serde(flatten)]
+        mark: WindowMark,
+    },
+    /// One mote the rings mention (world dumps).
+    Mote {
+        mote: usize,
+        up: bool,
+        sent: u64,
+        received: u64,
+        dropped_in_flight: u64,
+        crashes: u64,
+        reboots: u64,
+    },
+    /// The one ring of a single-machine dump.
+    Machine { boots: u32, ring_len: usize, ring_dropped: u64, ring_recorded: u64 },
+}
+
+/// Renders a whole `ceu-blackbox/v1` dump: the header (tagged with
+/// [`BLACKBOX_SCHEMA`]), the stat lines, then every flight record in
+/// world-trace wire shape, one JSON object per line.
+pub fn blackbox_dump<'r>(
+    header: &BlackboxHeader,
+    stats: &[BlackboxStat],
+    records: impl IntoIterator<Item = &'r FlightRecord>,
+) -> String {
+    #[derive(Serialize)]
+    struct Tagged<'h, 'a> {
+        schema: &'static str,
+        #[serde(flatten)]
+        header: &'h BlackboxHeader<'a>,
+    }
+    let mut out = to_json(&Tagged { schema: BLACKBOX_SCHEMA, header }) + "\n";
+    let lines = stats.iter().map(to_json).chain(records.into_iter().map(to_json));
+    for line in lines {
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1293,6 +1232,6 @@ mod tests {
 
     #[test]
     fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+        assert_eq!(to_json("a\"b\\c\nd\u{1}"), r#""a\"b\\c\nd\u0001""#);
     }
 }

@@ -13,13 +13,14 @@
 
 use ceu_ast::EventId;
 use ceu_codegen::{AsyncId, BlockId, GateId};
+use serde::Serialize;
 
 /// Globally unique identity of one reaction chain: which machine ran it
 /// (`mote`, a world-assigned id — 0 for standalone machines) and its
 /// per-machine sequence number (1-based; 0 never names a reaction).
 /// This is the Dapper-style causal id that radio packets carry across
 /// motes so the receive-side [`Cause`] can name its parent.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct ReactionId {
     pub mote: u32,
     pub seq: u64,
@@ -123,7 +124,11 @@ impl std::fmt::Display for CrashKind {
 /// One trace record. Buffered by the machine once
 /// [`Machine::enable_events`](crate::Machine::enable_events) is on; drained
 /// with [`Machine::drain_events_into`](crate::Machine::drain_events_into).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// On the wire (the `jsonl` format) an event is one object: its kind under
+/// `"ev"`, then the variant's fields in declaration order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[serde(tag = "ev")]
 pub enum TraceEvent {
     /// A reaction chain begins. `now_us` is the virtual clock, `wall_ns`
     /// the host clock relative to machine creation. `id` is the causal

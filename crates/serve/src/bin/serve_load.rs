@@ -27,6 +27,7 @@
 //! `target/experiments/serve_load.json` (override with `--out`). Exits
 //! non-zero if any assertion fails, so CI can run it directly.
 
+use ceu::runtime::telemetry::{to_json, Fixed};
 use ceu::Value;
 use ceu_serve::{
     AdmitError, EvictCause, RebootPolicy, RestartError, SendError, ServeConfig, ServeStats,
@@ -34,6 +35,7 @@ use ceu_serve::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -622,59 +624,107 @@ fn run_chaos(scale: &Scale, seed: u64, workers: usize, opts: &ChaosOpts) -> MixO
 // reporting
 // ---------------------------------------------------------------------------
 
-fn row_json(o: &MixOutcome, quick: bool, seed: u64, workers: usize) -> String {
+/// Schema tag of the load report and of each of its rows.
+const LOAD_SCHEMA: &str = "ceu-serve-load/v1";
+
+/// The whole `ceu-serve-load/v1` document: one row per mix plus the
+/// fuel-eviction determinism verdict.
+#[derive(Serialize)]
+struct LoadReport<'a> {
+    schema: &'static str,
+    rows: [LoadRow<'a>; 2],
+    determinism: Determinism,
+}
+
+#[derive(Serialize)]
+struct Determinism {
+    checked: bool,
+    identical: bool,
+    fuel_evictions_compared: usize,
+}
+
+/// One mix's row: supervision counters, throughput and verdicts.
+#[derive(Serialize)]
+struct LoadRow<'a> {
+    schema: &'static str,
+    mix: &'a str,
+    quick: bool,
+    seed: u64,
+    workers: usize,
+    tenants: usize,
+    sessions_admitted: u64,
+    sessions_shed: u64,
+    admission_shed_retries: u64,
+    peak_resident: usize,
+    events_enqueued: u64,
+    events_processed: u64,
+    events_shed: u64,
+    events_dropped: u64,
+    burst_sends: u64,
+    epochs: u64,
+    async_slices: u64,
+    evicted_fuel: u64,
+    evicted_watchdog: u64,
+    quarantined_runtime: u64,
+    quarantined_panic: u64,
+    completed: u64,
+    restarts: u64,
+    restarts_deferred: u64,
+    restarts_refused: u64,
+    worker_deaths: u64,
+    cache_misses: u64,
+    cache_hits: u64,
+    events_per_sec: Fixed<1>,
+    reaction_p50_ns: u64,
+    reaction_p99_ns: u64,
+    reaction_max_ns: u64,
+    elapsed_s: Fixed<3>,
+    drain_clean: bool,
+    healthy_ok: bool,
+    violations: usize,
+}
+
+fn row(o: &MixOutcome, quick: bool, seed: u64, workers: usize) -> LoadRow<'_> {
     let st = &o.stats;
     let secs = o.elapsed.as_secs_f64().max(1e-9);
-    format!(
-        concat!(
-            "{{\"schema\":\"ceu-serve-load/v1\",\"mix\":\"{}\",\"quick\":{},\"seed\":{},",
-            "\"workers\":{},\"tenants\":{},\"sessions_admitted\":{},\"sessions_shed\":{},",
-            "\"admission_shed_retries\":{},\"peak_resident\":{},\"events_enqueued\":{},",
-            "\"events_processed\":{},\"events_shed\":{},\"events_dropped\":{},",
-            "\"burst_sends\":{},\"epochs\":{},\"async_slices\":{},\"evicted_fuel\":{},",
-            "\"evicted_watchdog\":{},\"quarantined_runtime\":{},\"quarantined_panic\":{},",
-            "\"completed\":{},\"restarts\":{},\"restarts_deferred\":{},\"restarts_refused\":{},",
-            "\"worker_deaths\":{},\"cache_misses\":{},\"cache_hits\":{},",
-            "\"events_per_sec\":{:.1},\"reaction_p50_ns\":{},\"reaction_p99_ns\":{},",
-            "\"reaction_max_ns\":{},\"elapsed_s\":{:.3},\"drain_clean\":{},\"healthy_ok\":{},",
-            "\"violations\":{}}}"
-        ),
-        o.name,
+    LoadRow {
+        schema: LOAD_SCHEMA,
+        mix: o.name,
         quick,
         seed,
         workers,
-        o.tenants,
-        st.sessions_admitted,
-        st.sessions_shed,
-        o.admission_sheds,
-        st.peak_resident,
-        st.events_enqueued,
-        st.events_processed,
-        st.events_shed,
-        st.events_dropped,
-        o.burst_sends,
-        st.epochs,
-        st.async_slices,
-        st.evicted_fuel,
-        st.evicted_watchdog,
-        st.quarantined_runtime,
-        st.quarantined_panic,
-        st.completed,
-        st.restarts,
-        st.restarts_deferred,
-        st.restarts_refused,
-        st.worker_deaths,
-        st.cache.misses,
-        st.cache.hits,
-        st.events_processed as f64 / secs,
-        st.reaction_ns.quantile(0.50),
-        st.reaction_ns.quantile(0.99),
-        st.reaction_ns.max,
-        secs,
-        o.drain_clean,
-        o.healthy_ok,
-        o.violations.len(),
-    )
+        tenants: o.tenants,
+        sessions_admitted: st.sessions_admitted,
+        sessions_shed: st.sessions_shed,
+        admission_shed_retries: o.admission_sheds,
+        peak_resident: st.peak_resident,
+        events_enqueued: st.events_enqueued,
+        events_processed: st.events_processed,
+        events_shed: st.events_shed,
+        events_dropped: st.events_dropped,
+        burst_sends: o.burst_sends,
+        epochs: st.epochs,
+        async_slices: st.async_slices,
+        evicted_fuel: st.evicted_fuel,
+        evicted_watchdog: st.evicted_watchdog,
+        quarantined_runtime: st.quarantined_runtime,
+        quarantined_panic: st.quarantined_panic,
+        completed: st.completed,
+        restarts: st.restarts,
+        restarts_deferred: st.restarts_deferred,
+        restarts_refused: st.restarts_refused,
+        worker_deaths: st.worker_deaths,
+        cache_misses: st.cache.misses,
+        cache_hits: st.cache.hits,
+        events_per_sec: Fixed(st.events_processed as f64 / secs),
+        reaction_p50_ns: st.reaction_ns.quantile(0.50),
+        reaction_p99_ns: st.reaction_ns.quantile(0.99),
+        reaction_max_ns: st.reaction_ns.max,
+        elapsed_s: Fixed(secs),
+        drain_clean: o.drain_clean,
+        healthy_ok: o.healthy_ok,
+        violations: o.violations.len(),
+    }
 }
 
 fn main() {
@@ -775,14 +825,16 @@ fn main() {
         );
     }
 
-    let rows = [row_json(&clean, quick, seed, workers), row_json(&chaos, quick, seed, workers)];
-    let doc = format!(
-        "{{\"schema\":\"ceu-serve-load/v1\",\"rows\":[{}],\"determinism\":{{\"checked\":{},\"identical\":{},\"fuel_evictions_compared\":{}}}}}\n",
-        rows.join(","),
-        check_determinism,
-        det_identical,
-        det_fingerprints
-    );
+    let report = LoadReport {
+        schema: LOAD_SCHEMA,
+        rows: [row(&clean, quick, seed, workers), row(&chaos, quick, seed, workers)],
+        determinism: Determinism {
+            checked: check_determinism,
+            identical: det_identical,
+            fuel_evictions_compared: det_fingerprints,
+        },
+    };
+    let doc = to_json(&report) + "\n";
     let out = out.unwrap_or_else(|| {
         let dir = std::path::Path::new("target").join("experiments");
         std::fs::create_dir_all(&dir).expect("create target/experiments");
@@ -803,4 +855,56 @@ fn main() {
         std::process::exit(2);
     }
     println!("serve-load: all assertions held");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One `ceu-serve-load/v1` row, byte for byte, from fixed values.
+    #[test]
+    fn row_keeps_its_bytes() {
+        let mut stats =
+            ServeStats { sessions_admitted: 12, sessions_shed: 3, ..Default::default() };
+        stats.peak_resident = 9;
+        stats.events_enqueued = 400;
+        stats.events_processed = 375;
+        stats.events_shed = 20;
+        stats.events_dropped = 5;
+        stats.epochs = 31;
+        stats.evicted_fuel = 2;
+        stats.completed = 4;
+        stats.restarts = 1;
+        stats.cache.misses = 3;
+        stats.cache.hits = 9;
+        for ns in [800, 1_500, 90_000] {
+            stats.reaction_ns.record(ns);
+        }
+        let o = MixOutcome {
+            name: "chaos",
+            elapsed: Duration::from_millis(1_250),
+            tenants: 3,
+            admission_sheds: 6,
+            burst_sends: 40,
+            stats,
+            drain_clean: true,
+            healthy_ok: false,
+            fuel_fingerprints: Vec::new(),
+            violations: vec!["one".into(), "two".into()],
+        };
+        assert_eq!(
+            to_json(&row(&o, true, 7, 2)),
+            concat!(
+                r#"{"schema":"ceu-serve-load/v1","mix":"chaos","quick":true,"seed":7,"workers":2,"#,
+                r#""tenants":3,"sessions_admitted":12,"sessions_shed":3,"admission_shed_retries":6,"#,
+                r#""peak_resident":9,"events_enqueued":400,"events_processed":375,"events_shed":20,"#,
+                r#""events_dropped":5,"burst_sends":40,"epochs":31,"async_slices":0,"evicted_fuel":2,"#,
+                r#""evicted_watchdog":0,"quarantined_runtime":0,"quarantined_panic":0,"completed":4,"#,
+                r#""restarts":1,"restarts_deferred":0,"restarts_refused":0,"worker_deaths":0,"#,
+                r#""cache_misses":3,"cache_hits":9,"events_per_sec":300.0,"reaction_p50_ns":2047,"#,
+                r#""reaction_p99_ns":90000,"reaction_max_ns":90000,"elapsed_s":1.250,"#,
+                r#""drain_clean":true,"healthy_ok":false,"violations":2}"#
+            )
+        );
+    }
 }

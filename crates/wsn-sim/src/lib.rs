@@ -29,14 +29,14 @@ pub use mantis::{
 };
 pub use nesc::NescApp;
 pub use parstats::{
-    run_to_json, shard_to_json, window_to_json, write_par_stats_jsonl, Attribution, ParShardStats,
-    ParStats, ParTotals, ParWindowStats,
+    parse_par_stats, write_par_stats_jsonl, Attribution, ParShardStats, ParStats, ParTotals,
+    ParWindowStats,
 };
 pub use pool::spin_budget;
 pub use radio::{LinkLatency, Packet, Radio, RadioStats, Topology};
 pub use sched::EventHeap;
 pub use shard::{ShardPlan, DEFAULT_TARGET_SHARDS};
 pub use world::{
-    write_trace_jsonl, Backend, CrashCause, Leds, MoteCtx, MoteId, MoteStats, MoteStatus, World,
-    WorldTraceEvent,
+    write_trace_jsonl, Backend, CrashCause, Leds, MoteCtx, MoteId, MoteMetrics, MoteStats,
+    MoteStatus, World, WorldMetrics,
 };

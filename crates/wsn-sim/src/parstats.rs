@@ -39,8 +39,21 @@
 //! The five categories sum to `T × (drain + par + merge)`, the window's
 //! wall-clock, by construction — the invariant
 //! [`ParWindowStats::attribution`] documents and the tier-1 tests pin.
+//!
+//! ## Wire format
+//!
+//! The records serialize through `serde`: [`ParStats`] is the `run` line,
+//! [`ParShardStats`] a `shard` line and [`ParWindowStats`] a `window`
+//! line. [`parse_par_stats`] reads v1 and v2 streams back into
+//! [`ParStats`] values, so `ceu-trace` renders the same type the
+//! simulator collects.
 
+use serde::{Serialize, Serializer};
+use serde_json::Value;
 use std::io::Write;
+
+/// Schema tag of every line this module writes.
+pub const PAR_STATS_SCHEMA: &str = "ceu-par-stats/v2";
 
 /// Upper bound on fully-detailed windows kept per [`ParStats`] (the
 /// aggregate totals keep counting past it). Bounds enabled-mode memory:
@@ -114,9 +127,12 @@ pub struct Attribution {
 }
 
 impl Attribution {
-    /// Total thread-time covered (equals `threads × window wall`).
+    /// Total thread-time covered (equals `threads × window wall`);
+    /// saturates rather than overflowing on corrupt input.
     pub fn total_ns(&self) -> u64 {
-        self.busy_ns + self.imbalance_ns + self.lookahead_ns + self.barrier_ns + self.merge_ns
+        [self.imbalance_ns, self.lookahead_ns, self.barrier_ns, self.merge_ns]
+            .into_iter()
+            .fold(self.busy_ns, u64::saturating_add)
     }
 
     /// The largest stall category (busy excluded) as `(name, ns)`;
@@ -150,7 +166,7 @@ impl ParWindowStats {
     /// Host wall-clock of the window: serial drain + parallel phase +
     /// serial merge.
     pub fn wall_ns(&self) -> u64 {
-        self.drain_ns + self.par_ns + self.merge_ns
+        self.drain_ns.saturating_add(self.par_ns).saturating_add(self.merge_ns)
     }
 
     /// Splits `threads × wall_ns` exactly into the five stall categories
@@ -296,13 +312,20 @@ impl ParStats {
     /// Host wall-clock attributed to windows (ns). The remainder of
     /// `wall_ns` is inter-window bookkeeping (world-event barriers).
     pub fn window_wall_ns(&self) -> u64 {
-        self.totals.drain_ns + self.totals.par_ns + self.totals.merge_ns
+        let t = &self.totals;
+        t.drain_ns.saturating_add(t.par_ns).saturating_add(t.merge_ns)
+    }
+
+    /// Thread-time capacity of the run: `threads × wall_ns` (u128, so a
+    /// corrupt record cannot overflow it).
+    pub fn capacity_ns(&self) -> u128 {
+        self.threads as u128 * self.wall_ns as u128
     }
 
     /// Worker utilization: busy thread-time over total thread-time
     /// capacity, in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
-        let cap = self.threads as u64 * self.wall_ns;
+        let cap = self.capacity_ns();
         if cap == 0 {
             return 0.0;
         }
@@ -315,9 +338,10 @@ impl ParStats {
     /// window structure — a reworked scheduler can beat it by changing
     /// the windows themselves.
     pub fn achievable_speedup(&self) -> f64 {
-        let serial = self.totals.drain_ns + self.totals.merge_ns;
-        let work = self.totals.attribution.busy_ns + serial;
-        let critical = self.totals.critical_busy_ns + serial;
+        let t = &self.totals;
+        let serial = t.drain_ns as u128 + t.merge_ns as u128;
+        let work = t.attribution.busy_ns as u128 + serial;
+        let critical = t.critical_busy_ns as u128 + serial;
         if critical == 0 {
             return 1.0;
         }
@@ -327,143 +351,269 @@ impl ParStats {
 
 // ---- ceu-par-stats/v2 JSONL -------------------------------------------------
 
-fn u64_list(vals: impl Iterator<Item = u64>) -> String {
-    let mut s = String::from("[");
-    for (i, v) in vals.enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&v.to_string());
+/// Opens one record: `{"schema":"ceu-par-stats/v2","kind":…`.
+fn begin_record(s: &mut Serializer, kind: &str) {
+    s.begin_object();
+    s.field("schema", PAR_STATS_SCHEMA);
+    s.field("kind", kind);
+}
+
+/// The `kind:"run"` line: the run header + aggregate attribution.
+impl Serialize for ParStats {
+    fn serialize(&self, s: &mut Serializer) {
+        let (t, a) = (&self.totals, &self.totals.attribution);
+        begin_record(s, "run");
+        s.field("threads", &self.threads);
+        s.field("lookahead_us", &self.lookahead_us);
+        s.field("motes", &self.motes);
+        s.field("shards", &self.shards);
+        s.field("fallback", &self.fallback);
+        s.field("wall_ns", &self.wall_ns);
+        s.field("window_wall_ns", &self.window_wall_ns());
+        s.field("windows", &t.windows);
+        s.field("dropped_windows", &self.dropped_windows);
+        s.field("events", &t.events);
+        s.field("motes_stepped", &t.motes_stepped);
+        s.field("cross_sends", &t.cross_sends);
+        s.field("heap_pushes", &t.heap_pushes);
+        s.field("heap_pops", &t.heap_pops);
+        s.field("busy_ns", &a.busy_ns);
+        s.field("imbalance_ns", &a.imbalance_ns);
+        s.field("lookahead_ns", &a.lookahead_ns);
+        s.field("barrier_ns", &a.barrier_ns);
+        s.field("merge_ns", &a.merge_ns);
+        s.field("critical_busy_ns", &t.critical_busy_ns);
+        s.field("drain_wall_ns", &t.drain_ns);
+        s.field("par_wall_ns", &t.par_ns);
+        s.field("merge_wall_ns", &t.merge_ns);
+        s.end_object();
     }
-    s.push(']');
-    s
 }
 
-/// One `kind:"run"` JSONL line: the run header + aggregate attribution.
-pub fn run_to_json(s: &ParStats) -> String {
-    let a = &s.totals.attribution;
-    format!(
-        concat!(
-            "{{\"schema\":\"ceu-par-stats/v2\",\"kind\":\"run\",",
-            "\"threads\":{},\"lookahead_us\":{},\"motes\":{},\"shards\":{},\"fallback\":{},",
-            "\"wall_ns\":{},\"window_wall_ns\":{},\"windows\":{},\"dropped_windows\":{},",
-            "\"events\":{},\"motes_stepped\":{},\"cross_sends\":{},",
-            "\"heap_pushes\":{},\"heap_pops\":{},",
-            "\"busy_ns\":{},\"imbalance_ns\":{},\"lookahead_ns\":{},",
-            "\"barrier_ns\":{},\"merge_ns\":{},\"critical_busy_ns\":{},",
-            "\"drain_wall_ns\":{},\"par_wall_ns\":{},\"merge_wall_ns\":{}}}"
-        ),
-        s.threads,
-        s.lookahead_us,
-        s.motes,
-        s.shards,
-        s.fallback,
-        s.wall_ns,
-        s.window_wall_ns(),
-        s.totals.windows,
-        s.dropped_windows,
-        s.totals.events,
-        s.totals.motes_stepped,
-        s.totals.cross_sends,
-        s.totals.heap_pushes,
-        s.totals.heap_pops,
-        a.busy_ns,
-        a.imbalance_ns,
-        a.lookahead_ns,
-        a.barrier_ns,
-        a.merge_ns,
-        s.totals.critical_busy_ns,
-        s.totals.drain_ns,
-        s.totals.par_ns,
-        s.totals.merge_ns,
-    )
+/// A `kind:"shard"` line: one shard's lifetime aggregates.
+impl Serialize for ParShardStats {
+    fn serialize(&self, s: &mut Serializer) {
+        begin_record(s, "shard");
+        s.field("shard", &self.shard);
+        s.field("motes", &self.motes);
+        s.field("windows", &self.windows);
+        s.field("events", &self.events);
+        s.field("busy_ns", &self.busy_ns);
+        s.field("cross_sends", &self.cross_sends);
+        s.field("channel_wait_ns", &self.channel_wait_ns);
+        s.end_object();
+    }
 }
 
-/// One `kind:"shard"` JSONL line: a shard's lifetime aggregates.
-pub fn shard_to_json(s: &ParShardStats) -> String {
-    format!(
-        concat!(
-            "{{\"schema\":\"ceu-par-stats/v2\",\"kind\":\"shard\",\"shard\":{},",
-            "\"motes\":{},\"windows\":{},\"events\":{},\"busy_ns\":{},",
-            "\"cross_sends\":{},\"channel_wait_ns\":{}}}"
-        ),
-        s.shard, s.motes, s.windows, s.events, s.busy_ns, s.cross_sends, s.channel_wait_ns,
-    )
+/// One sampled cross-window send of a `window` line.
+#[derive(Serialize)]
+struct SendRow {
+    at_us: u64,
+    from: u32,
+    to: u32,
 }
 
-/// One `kind:"window"` JSONL line.
-pub fn window_to_json(w: &ParWindowStats) -> String {
-    let sends = {
-        let mut s = String::from("[");
-        for (i, (at, from, to)) in w.send_sample.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{{\"at_us\":{at},\"from\":{from},\"to\":{to}}}"));
-        }
-        s.push(']');
-        s
-    };
-    let shard_busy = {
-        let mut s = String::from("[");
-        for (i, (shard, worker, busy, events)) in w.shard_busy.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"shard\":{shard},\"worker\":{worker},\"busy_ns\":{busy},\"events\":{events}}}"
-            ));
-        }
-        s.push(']');
-        s
-    };
-    format!(
-        concat!(
-            "{{\"schema\":\"ceu-par-stats/v2\",\"kind\":\"window\",\"i\":{},",
-            "\"t_wall_ns\":{},\"start_us\":{},\"end_us\":{},\"lookahead_us\":{},",
-            "\"clipped\":{},\"threads\":{},\"workers\":{},\"motes\":{},\"events\":{},",
-            "\"busy_ns\":{},\"events_per_worker\":{},\"motes_per_worker\":{},",
-            "\"drain_ns\":{},\"par_ns\":{},\"merge_ns\":{},\"wall_ns\":{},",
-            "\"heap_pushes\":{},\"heap_pops\":{},\"cross_sends\":{},\"sends\":{},",
-            "\"shard_busy\":{}}}"
-        ),
-        w.index,
-        w.t_wall_ns,
-        w.start_us,
-        w.end_us,
-        w.lookahead_us,
-        w.clipped,
-        w.threads,
-        w.workers,
-        w.motes,
-        w.events,
-        u64_list(w.busy_ns.iter().copied()),
-        u64_list(w.events_per_worker.iter().copied()),
-        u64_list(w.motes_per_worker.iter().map(|&m| m as u64)),
-        w.drain_ns,
-        w.par_ns,
-        w.merge_ns,
-        w.wall_ns(),
-        w.heap_pushes,
-        w.heap_pops,
-        w.cross_sends,
-        sends,
-        shard_busy,
-    )
+/// One shard's placement in a `window` line.
+#[derive(Serialize)]
+struct ShardBusyRow {
+    shard: u32,
+    worker: u32,
+    busy_ns: u64,
+    events: u64,
+}
+
+/// A `kind:"window"` line.
+impl Serialize for ParWindowStats {
+    fn serialize(&self, s: &mut Serializer) {
+        let sends: Vec<SendRow> =
+            self.send_sample.iter().map(|&(at_us, from, to)| SendRow { at_us, from, to }).collect();
+        let shard_busy: Vec<ShardBusyRow> = self
+            .shard_busy
+            .iter()
+            .map(|&(shard, worker, busy_ns, events)| ShardBusyRow {
+                shard,
+                worker,
+                busy_ns,
+                events,
+            })
+            .collect();
+        begin_record(s, "window");
+        s.field("i", &self.index);
+        s.field("t_wall_ns", &self.t_wall_ns);
+        s.field("start_us", &self.start_us);
+        s.field("end_us", &self.end_us);
+        s.field("lookahead_us", &self.lookahead_us);
+        s.field("clipped", &self.clipped);
+        s.field("threads", &self.threads);
+        s.field("workers", &self.workers);
+        s.field("motes", &self.motes);
+        s.field("events", &self.events);
+        s.field("busy_ns", &self.busy_ns);
+        s.field("events_per_worker", &self.events_per_worker);
+        s.field("motes_per_worker", &self.motes_per_worker);
+        s.field("drain_ns", &self.drain_ns);
+        s.field("par_ns", &self.par_ns);
+        s.field("merge_ns", &self.merge_ns);
+        s.field("wall_ns", &self.wall_ns());
+        s.field("heap_pushes", &self.heap_pushes);
+        s.field("heap_pops", &self.heap_pops);
+        s.field("cross_sends", &self.cross_sends);
+        s.field("sends", &sends);
+        s.field("shard_busy", &shard_busy);
+        s.end_object();
+    }
 }
 
 /// Writes a whole run as `ceu-par-stats/v2` JSONL: the `run` line first,
 /// then one `shard` line per shard, then one `window` line per detailed
 /// window.
 pub fn write_par_stats_jsonl<W: Write>(stats: &ParStats, mut out: W) -> std::io::Result<()> {
-    writeln!(out, "{}", run_to_json(stats))?;
+    use ceu::runtime::telemetry::to_json;
+    writeln!(out, "{}", to_json(stats))?;
     for s in &stats.per_shard {
-        writeln!(out, "{}", shard_to_json(s))?;
+        writeln!(out, "{}", to_json(s))?;
     }
     for w in &stats.windows {
-        writeln!(out, "{}", window_to_json(w))?;
+        writeln!(out, "{}", to_json(w))?;
     }
     Ok(())
+}
+
+/// Parses a `ceu-par-stats/v1` or `/v2` JSONL stream: one [`ParStats`]
+/// per `run` line, holding the `shard` and `window` lines that follow
+/// it. A key a v1 stream lacks reads as 0 or empty; a value that does
+/// not fit its field (wrong type, negative, `threads > u32::MAX`) is an
+/// error naming the line. Fields the writer derives (`window_wall_ns`, a
+/// window's `wall_ns`) are not read back.
+pub fn parse_par_stats(text: &str) -> Result<Vec<ParStats>, String> {
+    let mut runs = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if !line.is_empty() {
+            parse_line(line, &mut runs).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        }
+    }
+    if runs.is_empty() {
+        return Err("no ceu-par-stats run records in input".into());
+    }
+    Ok(runs)
+}
+
+fn parse_line(line: &str, runs: &mut Vec<ParStats>) -> Result<(), String> {
+    let v = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    let schema = v.get("schema").and_then(|s| s.as_str());
+    if !matches!(schema, Some(PAR_STATS_SCHEMA | "ceu-par-stats/v1")) {
+        return Err(format!("not a ceu-par-stats/v1|v2 record (schema={schema:?})"));
+    }
+    match v.get("kind").and_then(|k| k.as_str()) {
+        Some("run") => runs.push(ParStats {
+            threads: num(&v, "threads")?,
+            lookahead_us: num(&v, "lookahead_us")?,
+            motes: num(&v, "motes")?,
+            shards: num(&v, "shards")?,
+            fallback: flag(&v, "fallback")?,
+            wall_ns: num(&v, "wall_ns")?,
+            dropped_windows: num(&v, "dropped_windows")?,
+            totals: ParTotals {
+                windows: num(&v, "windows")?,
+                events: num(&v, "events")?,
+                motes_stepped: num(&v, "motes_stepped")?,
+                cross_sends: num(&v, "cross_sends")?,
+                heap_pushes: num(&v, "heap_pushes")?,
+                heap_pops: num(&v, "heap_pops")?,
+                drain_ns: num(&v, "drain_wall_ns")?,
+                par_ns: num(&v, "par_wall_ns")?,
+                merge_ns: num(&v, "merge_wall_ns")?,
+                critical_busy_ns: num(&v, "critical_busy_ns")?,
+                attribution: Attribution {
+                    busy_ns: num(&v, "busy_ns")?,
+                    imbalance_ns: num(&v, "imbalance_ns")?,
+                    lookahead_ns: num(&v, "lookahead_ns")?,
+                    barrier_ns: num(&v, "barrier_ns")?,
+                    merge_ns: num(&v, "merge_ns")?,
+                },
+            },
+            ..ParStats::new(DEFAULT_WINDOW_CAP)
+        }),
+        Some("shard") => {
+            runs.last_mut().ok_or("shard before any run header")?.per_shard.push(ParShardStats {
+                shard: num(&v, "shard")?,
+                motes: num(&v, "motes")?,
+                windows: num(&v, "windows")?,
+                events: num(&v, "events")?,
+                busy_ns: num(&v, "busy_ns")?,
+                cross_sends: num(&v, "cross_sends")?,
+                channel_wait_ns: num(&v, "channel_wait_ns")?,
+            })
+        }
+        Some("window") => {
+            runs.last_mut().ok_or("window before any run header")?.windows.push(ParWindowStats {
+                index: num(&v, "i")?,
+                t_wall_ns: num(&v, "t_wall_ns")?,
+                start_us: num(&v, "start_us")?,
+                end_us: num(&v, "end_us")?,
+                lookahead_us: num(&v, "lookahead_us")?,
+                clipped: flag(&v, "clipped")?,
+                threads: num(&v, "threads")?,
+                workers: num(&v, "workers")?,
+                motes: num(&v, "motes")?,
+                events: num(&v, "events")?,
+                busy_ns: list(&v, "busy_ns", |x| num_of(x, "busy_ns"))?,
+                events_per_worker: list(&v, "events_per_worker", |x| {
+                    num_of(x, "events_per_worker")
+                })?,
+                motes_per_worker: list(&v, "motes_per_worker", |x| num_of(x, "motes_per_worker"))?,
+                drain_ns: num(&v, "drain_ns")?,
+                par_ns: num(&v, "par_ns")?,
+                merge_ns: num(&v, "merge_ns")?,
+                heap_pushes: num(&v, "heap_pushes")?,
+                heap_pops: num(&v, "heap_pops")?,
+                cross_sends: num(&v, "cross_sends")?,
+                send_sample: list(&v, "sends", |x| {
+                    Ok((num(x, "at_us")?, num(x, "from")?, num(x, "to")?))
+                })?,
+                shard_busy: list(&v, "shard_busy", |x| {
+                    Ok((num(x, "shard")?, num(x, "worker")?, num(x, "busy_ns")?, num(x, "events")?))
+                })?,
+            })
+        }
+        other => return Err(format!("unknown kind {other:?}")),
+    }
+    Ok(())
+}
+
+/// Member `key` of `v` as a `T`; absent reads as 0.
+fn num<T: TryFrom<u64> + Default>(v: &Value, key: &str) -> Result<T, String> {
+    v.get(key).map_or(Ok(T::default()), |x| num_of(x, key))
+}
+
+fn num_of<T: TryFrom<u64>>(x: &Value, key: &str) -> Result<T, String> {
+    x.as_u64()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("`{key}` does not fit a {}: {x:?}", std::any::type_name::<T>()))
+}
+
+/// Member `key` of `v` as a bool; absent reads as `false`.
+fn flag(v: &Value, key: &str) -> Result<bool, String> {
+    v.get(key).map_or(Ok(false), |x| x.as_bool().ok_or_else(|| format!("`{key}` is not a bool")))
+}
+
+/// Member `key` of `v` as an array, each element read by `item`; absent
+/// reads as empty.
+fn list<T>(
+    v: &Value,
+    key: &str,
+    item: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    match v.get(key) {
+        None => Ok(Vec::new()),
+        Some(x) => x
+            .as_array()
+            .ok_or_else(|| format!("`{key}` is not an array"))?
+            .iter()
+            .map(item)
+            .collect(),
+    }
 }
 
 #[cfg(test)]

@@ -96,7 +96,7 @@ pub enum LinkLatency {
 
 /// Counters kept by the medium itself, one step below the per-mote view:
 /// how many transmissions were attempted and why the failed ones failed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct RadioStats {
     /// Transmissions offered to the medium.
     pub attempts: u64,

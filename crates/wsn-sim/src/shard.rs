@@ -25,9 +25,9 @@ use crate::radio::{Packet, Radio, Topology};
 use crate::sched::EventHeap;
 use crate::world::{
     order_key, panic_message, skewed, unskew, Backend, Fire, Leds, MoteCtx, MoteId, MoteStats,
-    MoteStatus, WorldTraceEvent,
+    MoteStatus,
 };
-use ceu::runtime::{FlightRecorder, TraceEvent};
+use ceu::runtime::{FlightRecord, FlightRecorder, TraceEvent};
 
 /// Default shard-count target for [`ShardPlan::from_radio`] (the world's
 /// `set_target_shards` overrides it). Eight keeps a handful of shards per
@@ -295,7 +295,7 @@ pub(crate) struct Shard {
     /// bit-identical between the sequential and parallel steppers.
     pub recorder: Option<FlightRecorder>,
     /// Whether the world keeps a unified trace: when `false`, windows skip
-    /// building [`WorldTraceEvent`]s the merge would only drop (a recorder
+    /// building [`FlightRecord`]s the merge would only drop (a recorder
     /// can still be live — it consumes the stream shard-locally).
     pub trace_on: bool,
     /// Persistent per-callback VM-event scratch, lent to each [`MoteCtx`]
@@ -323,7 +323,7 @@ pub(crate) struct ShardWindowOut {
     pub dropped_in_flight: u64,
     /// Firings popped inside the window (incl. locally scheduled ones).
     pub events: u64,
-    pub trace: Vec<WorldTraceEvent>,
+    pub trace: Vec<FlightRecord>,
     /// Highest scheduling seq this shard's worker assigned (`seq_base` if
     /// none) — the world bumps its counter past the maximum at the merge.
     pub seq_used: u64,
@@ -521,8 +521,8 @@ impl Shard {
                         rec.record(now, mote, self.trace_seq[l], event);
                     }
                     if self.trace_on {
-                        out.trace.push(WorldTraceEvent {
-                            world_time_us: now,
+                        out.trace.push(FlightRecord {
+                            t_us: now,
                             mote,
                             seq: self.trace_seq[l],
                             event: event.normalized(),
@@ -549,8 +549,8 @@ impl Shard {
                     rec.record(now, mote, self.trace_seq[l], &crashed);
                 }
                 if self.trace_on {
-                    out.trace.push(WorldTraceEvent {
-                        world_time_us: now,
+                    out.trace.push(FlightRecord {
+                        t_us: now,
                         mote,
                         seq: self.trace_seq[l],
                         event: crashed.normalized(),

@@ -17,12 +17,13 @@
 use crate::faults::{FaultAction, FaultEntry, FaultPlan, RebootPolicy};
 use crate::parstats::{ParStats, ParWindowStats, DEFAULT_WINDOW_CAP, SEND_SAMPLE_CAP};
 use crate::pool::{JobOut, ShardJob, WorkerPool};
-use crate::radio::{Packet, Radio};
+use crate::radio::{Packet, Radio, RadioStats};
 use crate::sched::EventHeap;
 use crate::shard::{Shard, ShardPlan, DEFAULT_TARGET_SHARDS};
 use ceu::ast::Span;
-use ceu::runtime::telemetry::json_string;
+use ceu::runtime::telemetry::{blackbox_dump, to_json, BlackboxHeader, BlackboxStat};
 use ceu::runtime::{CrashKind, FlightRecord, FlightRecorder, RuntimeError, TraceEvent};
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 
 /// Node id within a network.
@@ -80,49 +81,24 @@ impl MoteStatus {
     }
 }
 
-/// One VM trace event situated in the world: which mote emitted it, at
-/// what virtual time, and where it falls in that mote's own event order.
+/// Writes a merged world trace as JSONL, one [`FlightRecord`] per line:
+/// `{"t_us":N,"mote":M,"seq":S,"ev":{…}}`.
 ///
 /// The unified world trace is the observability spine of the simulator:
-/// every mote's machine-level trace (reactions, tracks, gates, emits) is
-/// merged into a single stream whose order is **deterministic** — sorted
-/// by `(world_time_us, mote, seq)`, where `seq` is the per-mote emission
-/// index. Because each mote sees the identical callback sequence under
-/// [`World::run_until`] and [`World::run_until_parallel`] (any thread
-/// count), the merged stream is bit-identical across all of them.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorldTraceEvent {
-    /// Virtual time (µs) of the callback that produced the event.
-    pub world_time_us: u64,
-    pub mote: MoteId,
-    /// Per-mote emission index (1-based, monotone for each mote).
-    pub seq: u64,
-    /// The machine-level event, wall-clock fields normalised to zero so
-    /// the stream is reproducible run-to-run.
-    pub event: TraceEvent,
-}
-
-impl WorldTraceEvent {
-    /// One JSONL line of the stable wire format read by `ceu-trace`:
-    /// `{"t_us":N,"mote":M,"seq":S,"ev":{…event_to_json…}}`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_us\":{},\"mote\":{},\"seq\":{},\"ev\":{}}}",
-            self.world_time_us,
-            self.mote,
-            self.seq,
-            ceu::runtime::telemetry::event_to_json(&self.event)
-        )
-    }
-}
-
-/// Writes a merged world trace as JSONL (one event per line).
+/// every mote's machine-level trace (reactions, tracks, gates, emits),
+/// stamped with the virtual time of the callback that produced it, the
+/// mote, and its per-mote emission index `seq` (1-based), wall-clock
+/// fields normalised to zero. [`World::take_trace`] orders the stream by
+/// `(t_us, mote, seq)`. Because each mote sees the identical callback
+/// sequence under [`World::run_until`] and [`World::run_until_parallel`]
+/// (any thread count), the merged stream is bit-identical across all of
+/// them.
 pub fn write_trace_jsonl<W: std::io::Write>(
-    events: &[WorldTraceEvent],
+    events: &[FlightRecord],
     mut w: W,
 ) -> std::io::Result<()> {
     for e in events {
-        writeln!(w, "{}", e.to_json())?;
+        writeln!(w, "{}", to_json(e))?;
     }
     Ok(())
 }
@@ -245,7 +221,7 @@ pub struct MoteCtx<'w> {
     /// Whether this mote wants CPU slices (long computations pending).
     pub wants_cpu: bool,
     /// Machine-level trace events produced during this callback; drained
-    /// into the unified world trace (see [`WorldTraceEvent`]) after the
+    /// into the unified world trace (see [`write_trace_jsonl`]) after the
     /// callback returns. Backends that don't trace leave it empty. Borrows
     /// the owning shard's persistent scratch buffer, so per-callback
     /// draining is allocation-free in steady state.
@@ -369,7 +345,7 @@ pub trait Backend: Send {
 }
 
 /// Simulation statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct Stats {
     pub delivered: u64,
     pub lost: u64,
@@ -381,7 +357,7 @@ pub struct Stats {
 }
 
 /// Per-mote statistics (the network-wide aggregates live in [`Stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct MoteStats {
     /// Packets handed to the radio medium.
     pub sent: u64,
@@ -401,6 +377,28 @@ pub struct MoteStats {
     pub crashes: u64,
     /// Times this mote rebooted after a crash.
     pub reboots: u64,
+}
+
+/// The world-level counters ([`World::metrics`]); serializes as
+/// `{"now_us",…,"crashes","reboots","radio":{…},"motes":[…]}`.
+#[derive(Serialize)]
+pub struct WorldMetrics<'a> {
+    pub now_us: u64,
+    #[serde(flatten)]
+    pub stats: &'a Stats,
+    pub crashes: u64,
+    pub reboots: u64,
+    pub radio: &'a RadioStats,
+    pub motes: Vec<MoteMetrics>,
+}
+
+/// One mote's row of [`WorldMetrics`].
+#[derive(Serialize)]
+pub struct MoteMetrics {
+    pub mote: MoteId,
+    pub up: bool,
+    #[serde(flatten)]
+    pub stats: MoteStats,
 }
 
 // Fallbacks for accessors on motes that are staged but not yet sharded
@@ -450,7 +448,7 @@ pub struct World {
     pub stats: Stats,
     /// Unified world trace (when enabled): events from every mote,
     /// collected as callbacks run and canonically ordered on read.
-    trace: Option<Vec<WorldTraceEvent>>,
+    trace: Option<Vec<FlightRecord>>,
     /// Cross-window send merge buffer, reused across parallel windows.
     merge_sends: Vec<(u64, MoteId, usize, MoteId, Packet)>,
     /// Fault-plan entries, indexed by [`Fire::Fault`]. Append-only so the
@@ -523,9 +521,9 @@ impl World {
     }
 
     /// Takes the merged world trace collected so far, in the canonical
-    /// deterministic order `(world_time_us, mote, seq)`. Tracing stays
+    /// deterministic order `(t_us, mote, seq)`. Tracing stays
     /// enabled; subsequent events start a fresh buffer.
-    pub fn take_trace(&mut self) -> Vec<WorldTraceEvent> {
+    pub fn take_trace(&mut self) -> Vec<FlightRecord> {
         let mut events = match self.trace.take() {
             Some(t) => {
                 self.trace = Some(Vec::new());
@@ -533,7 +531,7 @@ impl World {
             }
             None => Vec::new(),
         };
-        events.sort_by_key(|e| (e.world_time_us, e.mote, e.seq));
+        events.sort_by_key(|e| (e.t_us, e.mote, e.seq));
         events
     }
 
@@ -633,69 +631,33 @@ impl World {
         Some((live, cap, dropped))
     }
 
-    /// The world-level counters as one JSON object (dependency-free,
-    /// stable key order): network aggregates, radio-medium drop reasons,
-    /// crash/reboot totals, and the per-mote packet/timer/fault stats.
-    /// Drivers merge this with the machine metrics and scheduler stats
-    /// into one `--metrics-out` file.
-    pub fn metrics_json(&self) -> String {
-        let r = &self.radio.stats;
-        let mut crashes = 0u64;
-        let mut reboots = 0u64;
-        let mut motes = String::from("[");
-        for i in 0..self.mote_count() {
-            let (up, m) = match self.mote_loc(i) {
-                Some((s, l)) => (self.shards[s].status[l].is_up(), self.shards[s].stats[l]),
-                None => (true, MoteStats::default()),
-            };
-            crashes += m.crashes;
-            reboots += m.reboots;
-            if i > 0 {
-                motes.push(',');
-            }
-            motes.push_str(&format!(
-                concat!(
-                    "{{\"mote\":{},\"up\":{},\"sent\":{},\"received\":{},\"lost\":{},",
-                    "\"dropped_in_flight\":{},\"timer_firings\":{},\"cpu_slices\":{},",
-                    "\"crashes\":{},\"reboots\":{}}}"
-                ),
-                i,
-                up,
-                m.sent,
-                m.received,
-                m.lost,
-                m.dropped_in_flight,
-                m.timer_firings,
-                m.cpu_slices,
-                m.crashes,
-                m.reboots,
-            ));
-        }
-        motes.push(']');
-        format!(
-            concat!(
-                "{{\"now_us\":{},\"delivered\":{},\"lost\":{},\"cpu_slices\":{},",
-                "\"dropped_in_flight\":{},\"crashes\":{},\"reboots\":{},",
-                "\"radio\":{{\"attempts\":{},\"delivered\":{},\"dropped_link\":{},",
-                "\"dropped_loss\":{},\"dropped_partition\":{},\"dropped_burst\":{},",
-                "\"dropped_in_flight\":{}}},\"motes\":{}}}"
-            ),
-            self.now,
-            self.stats.delivered,
-            self.stats.lost,
-            self.stats.cpu_slices,
-            self.stats.dropped_in_flight,
-            crashes,
-            reboots,
-            r.attempts,
-            r.delivered,
-            r.dropped_link,
-            r.dropped_loss,
-            r.dropped_partition,
-            r.dropped_burst,
-            r.dropped_in_flight,
+    /// The world-level counters: network aggregates, radio-medium drop
+    /// reasons, crash/reboot totals, and the per-mote packet/timer/fault
+    /// stats. Drivers merge this with the machine metrics and scheduler
+    /// stats into one `--metrics-out` file.
+    pub fn metrics(&self) -> WorldMetrics<'_> {
+        let motes: Vec<MoteMetrics> = (0..self.mote_count())
+            .map(|mote| {
+                let (up, stats) = match self.mote_loc(mote) {
+                    Some((s, l)) => (self.shards[s].status[l].is_up(), self.shards[s].stats[l]),
+                    None => (true, MoteStats::default()),
+                };
+                MoteMetrics { mote, up, stats }
+            })
+            .collect();
+        WorldMetrics {
+            now_us: self.now,
+            stats: &self.stats,
+            crashes: motes.iter().map(|m| m.stats.crashes).sum(),
+            reboots: motes.iter().map(|m| m.stats.reboots).sum(),
+            radio: &self.radio.stats,
             motes,
-        )
+        }
+    }
+
+    /// [`World::metrics`] as one JSON object (stable key order).
+    pub fn metrics_json(&self) -> String {
+        to_json(&self.metrics())
     }
 
     pub fn add_mote(&mut self, backend: Box<dyn Backend>) -> MoteId {
@@ -964,12 +926,7 @@ impl World {
             rec.record(now, mote, seq, &event);
         }
         if let Some(trace) = self.trace.as_mut() {
-            trace.push(WorldTraceEvent {
-                world_time_us: now,
-                mote,
-                seq,
-                event: event.normalized(),
-            });
+            trace.push(FlightRecord { t_us: now, mote, seq, event: event.normalized() });
         }
     }
 
@@ -1028,51 +985,40 @@ impl World {
     pub fn blackbox_json(&self, reason: &str, mote: Option<MoteId>) -> String {
         let records = self.flight_records();
         let (live, cap, dropped) = self.flight_recorder_stats().unwrap_or((0, 0, 0));
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"schema\":\"ceu-blackbox/v1\",\"reason\":{},\"t_us\":{}",
-            json_string(reason),
-            self.now
-        ));
-        if let Some(m) = mote {
-            out.push_str(&format!(",\"mote\":{m}"));
-            if let Some((s, l)) = self.mote_loc(m) {
-                if let MoteStatus::Crashed { at, cause } = &self.shards[s].status[l] {
-                    out.push_str(&format!(
-                        ",\"crash_us\":{at},\"kind\":{},\"cause\":{},\"line\":{},\"col\":{}",
-                        json_string(cause.kind.label()),
-                        json_string(&cause.message),
-                        cause.span.line,
-                        cause.span.col
-                    ));
-                }
+        let crash = mote.and_then(|m| self.mote_loc(m)).and_then(|(s, l)| {
+            match &self.shards[s].status[l] {
+                MoteStatus::Crashed { at, cause } => Some((*at, cause)),
+                MoteStatus::Up => None,
             }
-        }
-        out.push_str(&format!(
-            ",\"motes\":{},\"shards\":{},\"ring_capacity\":{},\"ring_records\":{live},\
-             \"ring_dropped\":{dropped}}}\n",
-            self.mote_count(),
-            self.shards.len(),
-            cap
-        ));
+        });
+        let header = BlackboxHeader {
+            reason,
+            t_us: self.now,
+            mote,
+            crash_us: crash.map(|(at, _)| at),
+            kind: crash.map(|(_, c)| c.kind),
+            cause: crash.map(|(_, c)| c.message.as_str()),
+            line: crash.map(|(_, c)| c.span.line),
+            col: crash.map(|(_, c)| c.span.col),
+            motes: self.mote_count(),
+            shards: self.shards.len(),
+            ring_capacity: cap,
+            ring_records: live,
+            ring_dropped: dropped,
+        };
+        let mut stats = Vec::new();
         for shard in &self.shards {
             let Some(rec) = shard.recorder.as_ref() else { continue };
-            out.push_str(&format!(
-                "{{\"blackbox\":\"shard\",\"shard\":{},\"motes\":{},\"lookahead_us\":{},\
-                 \"ring_len\":{},\"ring_dropped\":{},\"ring_recorded\":{}}}\n",
-                shard.id,
-                shard.n(),
-                shard.lookahead_us,
-                rec.len(),
-                rec.dropped(),
-                rec.recorded()
-            ));
-            for w in rec.windows() {
-                out.push_str(&format!(
-                    "{{\"blackbox\":\"window\",\"shard\":{},\"start_us\":{},\"end_us\":{},\
-                     \"events\":{}}}\n",
-                    shard.id, w.start_us, w.end_us, w.events
-                ));
+            stats.push(BlackboxStat::Shard {
+                shard: shard.id,
+                motes: shard.n(),
+                lookahead_us: shard.lookahead_us,
+                ring_len: rec.len(),
+                ring_dropped: rec.dropped(),
+                ring_recorded: rec.recorded(),
+            });
+            for &mark in rec.windows() {
+                stats.push(BlackboxStat::Window { shard: shard.id, mark });
             }
         }
         // per-mote stats only for motes the rings mention (plus the
@@ -1083,22 +1029,17 @@ impl World {
         for m in mentioned {
             let Some((s, l)) = self.mote_loc(m) else { continue };
             let st = &self.shards[s].stats[l];
-            out.push_str(&format!(
-                "{{\"blackbox\":\"mote\",\"mote\":{m},\"up\":{},\"sent\":{},\"received\":{},\
-                 \"dropped_in_flight\":{},\"crashes\":{},\"reboots\":{}}}\n",
-                self.shards[s].status[l].is_up(),
-                st.sent,
-                st.received,
-                st.dropped_in_flight,
-                st.crashes,
-                st.reboots
-            ));
+            stats.push(BlackboxStat::Mote {
+                mote: m,
+                up: self.shards[s].status[l].is_up(),
+                sent: st.sent,
+                received: st.received,
+                dropped_in_flight: st.dropped_in_flight,
+                crashes: st.crashes,
+                reboots: st.reboots,
+            });
         }
-        for r in &records {
-            out.push_str(&r.to_json());
-            out.push('\n');
-        }
-        out
+        blackbox_dump(&header, &stats, &records)
     }
 
     /// Writes the `ceu-blackbox/v1` dump to `path` (parent directories
@@ -1340,8 +1281,8 @@ impl World {
                         rec.record(now, id, shard.trace_seq[l], event);
                     }
                     if let Some(trace) = trace.as_deref_mut() {
-                        trace.push(WorldTraceEvent {
-                            world_time_us: now,
+                        trace.push(FlightRecord {
+                            t_us: now,
                             mote: id,
                             seq: shard.trace_seq[l],
                             event: event.normalized(),
@@ -1930,7 +1871,7 @@ mod tests {
         let mut w = tracing_world(Radio::ideal(1_000));
         w.run_until(5_500);
         let trace = w.take_trace();
-        let keys: Vec<_> = trace.iter().map(|e| (e.world_time_us, e.mote, e.seq)).collect();
+        let keys: Vec<_> = trace.iter().map(|e| (e.t_us, e.mote, e.seq)).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);

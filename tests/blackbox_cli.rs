@@ -149,3 +149,44 @@ fn blackbox_dump_covers_the_life_that_crashed() {
     let last = dump.records.last().expect("the ring kept the final reactions");
     assert_eq!(last.t_us, 30_000, "the last record is from the second life's final reaction");
 }
+
+/// The machine flavour of `ceu-blackbox/v1`, byte for byte: header with
+/// `shards: 0`, one `machine` stat line, then the ring in world-trace
+/// wire shape.
+#[test]
+fn machine_dump_keeps_its_bytes() {
+    let prog = write_tmp("pinned.ceu", REACTIVE);
+    let script = write_tmp("pinned.script", "event Kick 1\ntime 10ms\n");
+    let plan = write_tmp("pinned.plan", "at 5ms crash 0\n");
+    let dump_path = std::env::temp_dir().join("ceuc-blackbox-tests").join("pinned.jsonl");
+    let _ = std::fs::remove_file(&dump_path);
+    let out = ceuc()
+        .arg("run")
+        .arg(&prog)
+        .arg(&script)
+        .arg("--faults")
+        .arg(&plan)
+        .arg("--blackbox")
+        .arg(&dump_path)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "crash exit status: {out:?}");
+    let text = std::fs::read_to_string(&dump_path).expect("dump landed at --blackbox PATH");
+    assert_eq!(
+        text,
+        concat!(
+            r#"{"schema":"ceu-blackbox/v1","reason":"machine-crashed","t_us":5000,"mote":0,"crash_us":5000,"cause":"fault-injected crash","motes":1,"shards":0,"ring_capacity":4096,"ring_records":4,"ring_dropped":0}"#,
+            "\n",
+            r#"{"blackbox":"machine","boots":1,"ring_len":4,"ring_dropped":0,"ring_recorded":4}"#,
+            "\n",
+            r#"{"t_us":0,"mote":0,"seq":1,"ev":{"ev":"ReactionStart","id":{"mote":0,"seq":1},"cause":{"type":"boot"},"now_us":0,"wall_ns":0}}"#,
+            "\n",
+            r#"{"t_us":0,"mote":0,"seq":2,"ev":{"ev":"ReactionEnd","now_us":0,"wall_ns":0,"tracks":2,"emits":0,"gates_fired":0,"gates_armed":1,"queue_peak":1,"emit_depth_max":0}}"#,
+            "\n",
+            r#"{"t_us":0,"mote":0,"seq":3,"ev":{"ev":"ReactionStart","id":{"mote":0,"seq":2},"cause":{"type":"event","id":0},"now_us":0,"wall_ns":0}}"#,
+            "\n",
+            r#"{"t_us":0,"mote":0,"seq":4,"ev":{"ev":"ReactionEnd","now_us":0,"wall_ns":0,"tracks":2,"emits":0,"gates_fired":1,"gates_armed":1,"queue_peak":1,"emit_depth_max":0}}"#,
+            "\n"
+        )
+    );
+}
