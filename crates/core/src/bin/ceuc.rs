@@ -545,7 +545,7 @@ fn exec_script(
             "time" => {
                 let t = it.next().ok_or_else(|| err(lineno, "time needs a duration"))?;
                 let us = parse_time(t).ok_or_else(|| err(lineno, "bad duration"))?;
-                let target = clock + us;
+                let target = clock.saturating_add(us);
                 // apply scheduled faults and reboots at their exact times
                 // on the way to `target`
                 loop {
@@ -599,7 +599,10 @@ fn exec_script(
                                 if crashed.is_none() {
                                     note_crash(&mut crashed, at, "fault-injected reboot".into());
                                 }
-                                revive_at = Some(at + delay_us.max(1));
+                                // saturating: a reboot due at u64::MAX is never
+                                // reached, so the machine stays down
+                                let due = at.saturating_add(delay_us.max(1));
+                                revive_at = (due < u64::MAX).then_some(due);
                             }
                         }
                         fault_idx += 1;

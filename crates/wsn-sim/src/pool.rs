@@ -17,7 +17,7 @@
 //! [`World::run_until_parallel`]: crate::world::World::run_until_parallel
 
 use crate::shard::{Shard, ShardWindowOut};
-use crate::world::panic_message;
+use ceu::runtime::panic_message;
 use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender, TryRecvError};
 use std::time::Instant;
 
@@ -195,7 +195,7 @@ fn worker_loop(rx: Receiver<Batch>, results_tx: SyncSender<BatchOut>, spin_iters
                 jobs: Vec::new(),
                 busy_ns: 0,
                 channel_wait_ns: 0,
-                died: Some(panic_message(payload)),
+                died: Some(panic_message(&*payload)),
             });
         if results_tx.send(out).is_err() {
             break; // the world is gone; shut down

@@ -16,6 +16,13 @@
 //!   whose incoming links are all slow may step further per window than
 //!   the global minimum would allow (see the proof sketch in DESIGN.md).
 //!
+//! * **One mote step.** [`Shard::fire`] fires one popped event and
+//!   [`Shard::run_callback`] runs one backend callback with its mote-local
+//!   effects. The sequential stepper (`World::run_until`) and a worker's
+//!   window ([`Shard::run_window`]) both step motes through them; what
+//!   touches shared state (sends, a crash's radio and reboot effects) is
+//!   left in [`Effects`] for the world.
+//!
 //! Cross-shard packet handoff stays at the window barrier: all sends are
 //! routed through the world's single radio RNG in canonical
 //! `(time, sender, emission)` order, which is what keeps the simulation
@@ -24,10 +31,12 @@
 use crate::radio::{Packet, Radio, Topology};
 use crate::sched::EventHeap;
 use crate::world::{
-    order_key, panic_message, skewed, unskew, Backend, Fire, Leds, MoteCtx, MoteId, MoteStats,
+    order_key, skewed, unskew, Backend, CrashCause, Fire, Leds, MoteCtx, MoteId, MoteStats,
     MoteStatus,
 };
-use ceu::runtime::{FlightRecord, FlightRecorder, TraceEvent};
+use ceu::runtime::{panic_message, FlightRecord, FlightRecorder, TraceEvent};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Default shard-count target for [`ShardPlan::from_radio`] (the world's
 /// `set_target_shards` overrides it). Eight keeps a handful of shards per
@@ -294,36 +303,52 @@ pub(crate) struct Shard {
     /// the canonical trace stream — which is what keeps recorded content
     /// bit-identical between the sequential and parallel steppers.
     pub recorder: Option<FlightRecorder>,
-    /// Whether the world keeps a unified trace: when `false`, windows skip
-    /// building [`FlightRecord`]s the merge would only drop (a recorder
-    /// can still be live — it consumes the stream shard-locally).
-    pub trace_on: bool,
+    /// This shard's slice of the unified world trace (None = tracing
+    /// off), shard-owned like `recorder`; `World::take_trace` merges the
+    /// slices into canonical order.
+    pub trace: Option<Vec<FlightRecord>>,
+    /// Effects on shared state the steps left for the world to apply.
+    pub fx: Effects,
     /// Persistent per-callback VM-event scratch, lent to each [`MoteCtx`]
     /// and drained in place — steady-state tracing allocates nothing here.
     pub vm_scratch: Vec<TraceEvent>,
     /// Persistent per-callback send buffer, lent to each [`MoteCtx`] like
     /// `vm_scratch` and drained after the callback.
     pub outbox: Vec<(MoteId, Packet)>,
-    /// Scratch: per-mote send-emission counter, reset each window.
-    send_idx: Vec<u32>,
 }
 
-/// Everything one shard produced during a parallel window; merged back on
-/// the simulation thread in canonical `(time, mote, emission)` order.
-pub(crate) struct ShardWindowOut {
-    pub shard: u32,
-    /// `(emit_us, from, per-mote emission index, to, packet)` — the
-    /// cross-shard (and intra-shard) packet handoff, routed through the
-    /// world's single radio RNG at the merge barrier.
+/// The backend callback a mote step runs.
+pub(crate) enum Callback {
+    Boot,
+    Reboot,
+    Deliver(Packet),
+    Timer,
+    Cpu,
+}
+
+/// A caught backend panic.
+pub(crate) type Panic = Box<dyn Any + Send>;
+
+/// What a shard's steps leave for the world, which owns the radio and the
+/// reboot schedule: the sequential stepper applies it after every step,
+/// the parallel one at the merge barrier, in canonical
+/// `(time, mote, emission)` order either way.
+#[derive(Default)]
+pub(crate) struct Effects {
+    /// `(emit_us, from, emission, to, packet)`; `emission` is the send's
+    /// position in this buffer, which orders one mote's same-instant sends.
     pub sends: Vec<(u64, MoteId, usize, MoteId, Packet)>,
-    /// In-window machine crashes: `(crash_us, mote, sends emitted first)`.
+    /// Machine crashes: `(crash_us, mote, sends emitted first)`.
     pub crashes: Vec<(u64, MoteId, usize)>,
     pub delivered: u64,
     pub cpu_slices: u64,
     pub dropped_in_flight: u64,
+}
+
+/// What one parallel window did besides its [`Effects`].
+pub(crate) struct ShardWindowOut {
     /// Firings popped inside the window (incl. locally scheduled ones).
     pub events: u64,
-    pub trace: Vec<FlightRecord>,
     /// Highest scheduling seq this shard's worker assigned (`seq_base` if
     /// none) — the world bumps its counter past the maximum at the merge.
     pub seq_used: u64,
@@ -353,10 +378,10 @@ impl Shard {
             down: Vec::with_capacity(n),
             has_down: false,
             recorder: None,
-            trace_on: false,
+            trace: None,
+            fx: Effects::default(),
             vm_scratch: Vec::new(),
             outbox: Vec::new(),
-            send_idx: Vec::new(),
         }
     }
 
@@ -411,186 +436,188 @@ impl Shard {
         }
     }
 
-    /// Steps this shard through `[its current head, run_end)`: pops its own
-    /// heap in `(time, lane, seq)` order, runs backend callbacks, and
-    /// pushes the timers/CPU slices they request straight back into the
-    /// heap (in-window ones fire later in the same call; post-window ones
-    /// wait for a future window). Packet sends and crash side effects that
-    /// touch shared state are returned for the deterministic merge.
-    ///
-    /// Mirrors the sequential stepper's per-event logic exactly — that, the
-    /// lane-major equal-time order, and the merge-barrier radio are what
-    /// make the sharded run bit-identical to `World::run_until`.
-    pub fn run_window(&mut self, run_end: u64, seq_base: u64, cpu_slice_us: u64) -> ShardWindowOut {
-        let mut out = ShardWindowOut {
-            shard: self.id,
-            sends: Vec::new(),
-            crashes: Vec::new(),
-            delivered: 0,
-            cpu_slices: 0,
-            dropped_in_flight: 0,
-            events: 0,
-            trace: Vec::new(),
-            seq_used: seq_base,
-            panicked: None,
+    /// Stamps one trace event of the mote at local index `l`: bumps its
+    /// per-mote `seq` (even with no consumer, so enabling one later stays
+    /// bit-stable) and feeds the recorder and the trace.
+    pub fn stamp(&mut self, l: usize, now: u64, event: &TraceEvent) {
+        self.trace_seq[l] += 1;
+        let (mote, seq) = (self.base + l, self.trace_seq[l]);
+        if let Some(rec) = &mut self.recorder {
+            rec.record(now, mote, seq, event);
+        }
+        if let Some(trace) = &mut self.trace {
+            trace.push(FlightRecord { t_us: now, mote, seq, event: event.normalized() });
+        }
+    }
+
+    /// The shard-local half of a crash at `now`: the `MoteCrashed` event,
+    /// the status and counters, and the pending timer/CPU bookkeeping. The
+    /// world applies the rest (radio off, reboot) — see
+    /// `World::apply_crash_world_effects`.
+    pub fn crash(&mut self, l: usize, now: u64, cause: CrashCause) {
+        let (kind, line, col) = (cause.kind, cause.span.line, cause.span.col);
+        self.stamp(l, now, &TraceEvent::MoteCrashed { kind, line, col });
+        self.status[l] = MoteStatus::Crashed { at: now, cause };
+        self.crashes[l] += 1;
+        self.stats[l].crashes += 1;
+        self.timer_at[l] = None;
+        self.cpu_scheduled[l] = false;
+    }
+
+    /// Runs one backend callback of the mote at local index `l` at world
+    /// time `now` and applies its mote-local effects: trace stamps, and
+    /// either the crash it reported through [`MoteCtx::fail`] (discarding
+    /// its sends and timer/CPU requests) or its timer/CPU requests, pushed
+    /// onto this shard's heap under `seq`, and its sends, collected into
+    /// [`Effects`]. A backend panic is caught and handed back with the
+    /// callback's effects discarded.
+    pub fn run_callback(
+        &mut self,
+        l: usize,
+        now: u64,
+        cb: Callback,
+        seq: &mut u64,
+        cpu_slice_us: u64,
+    ) -> Result<(), Panic> {
+        let mote = self.base + l;
+        let skew = self.skew_ppm[l];
+        let mut ctx = MoteCtx::new(
+            mote,
+            skewed(now, skew),
+            &mut self.leds[l],
+            &mut self.outbox,
+            &mut self.vm_scratch,
+        );
+        let backend = self.backends[l].as_mut();
+        let result = catch_unwind(AssertUnwindSafe(|| match cb {
+            Callback::Boot => backend.boot(&mut ctx),
+            Callback::Reboot => backend.reboot(&mut ctx),
+            Callback::Deliver(p) => backend.deliver(&mut ctx, p),
+            Callback::Timer => backend.timer(&mut ctx),
+            Callback::Cpu => backend.cpu(&mut ctx),
+        }));
+        let (timer_request, wants_cpu, failure) =
+            (ctx.timer_request, ctx.wants_cpu, ctx.take_failure());
+        if let Err(payload) = result {
+            self.outbox.clear();
+            self.vm_scratch.clear();
+            return Err(payload);
+        }
+        let mut events = std::mem::take(&mut self.vm_scratch);
+        for event in &events {
+            self.stamp(l, now, event);
+        }
+        events.clear();
+        self.vm_scratch = events;
+        if let Some(cause) = failure {
+            self.outbox.clear();
+            self.crash(l, now, cause);
+            self.fx.crashes.push((now, mote, self.fx.sends.len()));
+            return Ok(());
+        }
+        for (to, packet) in self.outbox.drain(..) {
+            self.stats[l].sent += 1;
+            self.fx.sends.push((now, mote, self.fx.sends.len(), to, packet));
+        }
+        if let Some(req) = timer_request {
+            // the backend asked in its own (skewed) clock; convert back
+            let req = unskew(req, skew).max(now);
+            if self.timer_at[l].is_none_or(|t| req < t) {
+                self.timer_at[l] = Some(req);
+                *seq += 1;
+                self.heap.push(req, order_key(mote as u64 + 1, 1, *seq), Fire::Timer { mote });
+            }
+        }
+        if wants_cpu && !self.cpu_scheduled[l] {
+            self.cpu_scheduled[l] = true;
+            *seq += 1;
+            let at = now + cpu_slice_us;
+            self.heap.push(at, order_key(mote as u64 + 1, 1, *seq), Fire::Cpu { mote });
+        }
+        Ok(())
+    }
+
+    /// Fires one popped mote event at `at`: a delivery to a mote that is
+    /// down drops in flight, a timer the mote re-requested or lost to a
+    /// crash is stale, and everything else runs its callback through
+    /// [`run_callback`](Shard::run_callback). `radio` is the live medium
+    /// (the sequential stepper); `None` reads the per-window `down`
+    /// snapshot (a worker, which cannot see the radio). A backend panic
+    /// comes back with the mote it hit.
+    pub fn fire(
+        &mut self,
+        at: u64,
+        fire: Fire,
+        radio: Option<&Radio>,
+        seq: &mut u64,
+        cpu_slice_us: u64,
+    ) -> Result<(), (MoteId, Panic)> {
+        let (mote, cb) = match fire {
+            Fire::Deliver { to, packet } => (to, Callback::Deliver(packet)),
+            Fire::Timer { mote } => (mote, Callback::Timer),
+            Fire::Cpu { mote } => (mote, Callback::Cpu),
+            Fire::Fault { .. } | Fire::Reboot { .. } => {
+                unreachable!("world fires never enter a shard heap")
+            }
         };
-        self.send_idx.clear();
-        self.send_idx.resize(self.n(), 0);
+        let l = self.local(mote);
+        let up = self.status[l].is_up();
+        match cb {
+            Callback::Deliver(_) => {
+                let down = match radio {
+                    Some(radio) => radio.is_down(mote),
+                    None => self.down[l],
+                };
+                if !up || down {
+                    // down at arrival (crashed or powered off while the
+                    // packet was in flight): discard, don't wake it
+                    self.fx.dropped_in_flight += 1;
+                    self.stats[l].dropped_in_flight += 1;
+                    return Ok(());
+                }
+                self.fx.delivered += 1;
+                self.stats[l].received += 1;
+            }
+            // a crash clears `timer_at`; a re-request moves it
+            Callback::Timer if up && self.timer_at[l] == Some(at) => {
+                self.timer_at[l] = None;
+                self.stats[l].timer_firings += 1;
+            }
+            Callback::Cpu if up => {
+                self.fx.cpu_slices += 1;
+                self.stats[l].cpu_slices += 1;
+                self.cpu_scheduled[l] = false;
+            }
+            _ => return Ok(()), // stale, or died with a crash
+        }
+        self.run_callback(l, at, cb, seq, cpu_slice_us).map_err(|p| (mote, p))
+    }
+
+    /// Steps this shard through `[its current head, run_end)`: pops its own
+    /// heap in `(time, lane, seq)` order and fires each event with
+    /// [`fire`](Shard::fire), the routine the sequential stepper runs too;
+    /// in-window timers/CPU slices fire later in the same call, post-window
+    /// ones wait for a future window. The effects on shared state stay in
+    /// [`Effects`] for the deterministic merge — that, the lane-major
+    /// equal-time order, and the merge-barrier radio are what make the
+    /// sharded run bit-identical to `World::run_until`.
+    pub fn run_window(&mut self, run_end: u64, seq_base: u64, cpu_slice_us: u64) -> ShardWindowOut {
+        let mut out = ShardWindowOut { events: 0, seq_used: seq_base, panicked: None };
         let window_start = self.heap.peek_key().map(|(at, _)| at);
-        let mut seq = seq_base;
         while let Some((at, _)) = self.heap.peek_key() {
             if at >= run_end {
                 break;
             }
             let (at, _, fire) = self.heap.pop().expect("peeked");
             out.events += 1;
-            let now = at;
-            let mote = match &fire {
-                Fire::Deliver { to, .. } => *to,
-                Fire::Timer { mote } | Fire::Cpu { mote } => *mote,
-                Fire::Fault { .. } | Fire::Reboot { .. } => {
-                    unreachable!("world fires never enter a shard heap")
-                }
-            };
-            let l = self.local(mote);
-            if matches!(&fire, Fire::Deliver { .. }) && (!self.status[l].is_up() || self.down[l]) {
-                // down at arrival (crashed earlier — this window or a past
-                // one — or powered off): the packet drops in flight
-                out.dropped_in_flight += 1;
-                self.stats[l].dropped_in_flight += 1;
-                continue;
-            }
-            if !self.status[l].is_up() {
-                continue; // timers/CPU slices died with the crash
-            }
-            enum Cb {
-                Deliver(Packet),
-                Timer,
-                Cpu,
-            }
-            let cb = match fire {
-                Fire::Deliver { packet, .. } => {
-                    out.delivered += 1;
-                    self.stats[l].received += 1;
-                    Cb::Deliver(packet)
-                }
-                Fire::Timer { .. } => {
-                    if self.timer_at[l] == Some(at) {
-                        self.timer_at[l] = None;
-                        self.stats[l].timer_firings += 1;
-                        Cb::Timer
-                    } else {
-                        continue; // stale (re-requested or crashed)
-                    }
-                }
-                Fire::Cpu { .. } => {
-                    out.cpu_slices += 1;
-                    self.stats[l].cpu_slices += 1;
-                    self.cpu_scheduled[l] = false;
-                    Cb::Cpu
-                }
-                Fire::Fault { .. } | Fire::Reboot { .. } => unreachable!(),
-            };
-            let mut ctx = MoteCtx::new(
-                mote,
-                skewed(now, self.skew_ppm[l]),
-                &mut self.leds[l],
-                &mut self.outbox,
-                &mut self.vm_scratch,
-            );
-            let backend = self.backends[l].as_mut();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cb {
-                Cb::Deliver(p) => backend.deliver(&mut ctx, p),
-                Cb::Timer => backend.timer(&mut ctx),
-                Cb::Cpu => backend.cpu(&mut ctx),
-            }));
-            if let Err(payload) = result {
+            if let Err((mote, payload)) = self.fire(at, fire, None, &mut out.seq_used, cpu_slice_us)
+            {
                 // surface with mote context on the simulation thread; the
                 // worker itself stays alive for the next window
-                out.panicked = Some((mote, panic_message(payload)));
+                out.panicked = Some((mote, panic_message(&*payload)));
                 break;
             }
-            let timer_request = ctx.timer_request;
-            let wants_cpu = ctx.wants_cpu;
-            let failure = ctx.take_failure();
-            drop(ctx);
-            if self.trace_on || self.recorder.is_some() {
-                for event in &self.vm_scratch {
-                    self.trace_seq[l] += 1;
-                    if let Some(rec) = &mut self.recorder {
-                        rec.record(now, mote, self.trace_seq[l], event);
-                    }
-                    if self.trace_on {
-                        out.trace.push(FlightRecord {
-                            t_us: now,
-                            mote,
-                            seq: self.trace_seq[l],
-                            event: event.normalized(),
-                        });
-                    }
-                }
-            } else {
-                // mirror the sequential stepper: the counter advances even
-                // with no consumer, so enabling one later stays bit-stable
-                self.trace_seq[l] += self.vm_scratch.len() as u64;
-            }
-            self.vm_scratch.clear();
-            if let Some(cause) = failure {
-                // mirror of World::crash_mote, minus the shared state
-                // (radio down + reboot scheduling), which the merge applies
-                // at this exact point of the (time, mote, emission) sweep
-                self.trace_seq[l] += 1;
-                let crashed = TraceEvent::MoteCrashed {
-                    kind: cause.kind,
-                    line: cause.span.line,
-                    col: cause.span.col,
-                };
-                if let Some(rec) = &mut self.recorder {
-                    rec.record(now, mote, self.trace_seq[l], &crashed);
-                }
-                if self.trace_on {
-                    out.trace.push(FlightRecord {
-                        t_us: now,
-                        mote,
-                        seq: self.trace_seq[l],
-                        event: crashed.normalized(),
-                    });
-                }
-                self.status[l] = MoteStatus::Crashed { at: now, cause };
-                self.crashes[l] += 1;
-                self.stats[l].crashes += 1;
-                self.timer_at[l] = None;
-                self.cpu_scheduled[l] = false;
-                out.crashes.push((now, mote, self.send_idx[l] as usize));
-                self.outbox.clear();
-                continue; // discard this callback's sends / timer / CPU asks
-            }
-            for (to, packet) in self.outbox.drain(..) {
-                self.stats[l].sent += 1;
-                let i = self.send_idx[l] as usize;
-                self.send_idx[l] += 1;
-                out.sends.push((now, mote, i, to, packet));
-            }
-            if let Some(req) = timer_request {
-                let req = unskew(req, self.skew_ppm[l]).max(now);
-                let better = match self.timer_at[l] {
-                    Some(t) => req < t,
-                    None => true,
-                };
-                if better {
-                    self.timer_at[l] = Some(req);
-                    seq += 1;
-                    self.heap.push(req, order_key(mote as u64 + 1, 1, seq), Fire::Timer { mote });
-                }
-            }
-            if wants_cpu && !self.cpu_scheduled[l] {
-                self.cpu_scheduled[l] = true;
-                seq += 1;
-                let cat = now + cpu_slice_us;
-                self.heap.push(cat, order_key(mote as u64 + 1, 1, seq), Fire::Cpu { mote });
-            }
         }
-        out.seq_used = seq;
         if out.events > 0 {
             if let (Some(rec), Some(start)) = (&mut self.recorder, window_start) {
                 rec.record_window(start, run_end, out.events);

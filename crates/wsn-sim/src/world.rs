@@ -8,18 +8,23 @@
 //!
 //! The event core is **sharded** (see [`crate::shard`]): motes are
 //! partitioned along the radio topology into shards, each owning its own
-//! [`EventHeap`] and its motes' hot state as struct-of-arrays. The
-//! sequential stepper min-scans the shard heads; the parallel stepper
+//! [`EventHeap`] and its motes' hot state as struct-of-arrays. Both
+//! steppers run every mote event through the same shard routines
+//! (`Shard::fire`, `Shard::run_callback`), which leave the effects on
+//! shared state — sends, crash world-effects — for the world. The
+//! sequential stepper, the reference, takes one event at a time from the
+//! global head and applies its effects at once; the parallel stepper
 //! checks whole shards out to a persistent worker pool
 //! ([`crate::pool`]), each running to its own per-shard lookahead bound,
-//! and merges results deterministically at the window barrier.
+//! and applies their effects through the same replay
+//! (`flush_merge_actions`) once nothing earlier can still appear.
 
 use crate::faults::{FaultAction, FaultEntry, FaultPlan, RebootPolicy};
 use crate::parstats::{ParStats, ParWindowStats, DEFAULT_WINDOW_CAP, SEND_SAMPLE_CAP};
 use crate::pool::{JobOut, ShardJob, WorkerPool};
 use crate::radio::{Packet, Radio, RadioStats};
 use crate::sched::EventHeap;
-use crate::shard::{Shard, ShardPlan, DEFAULT_TARGET_SHARDS};
+use crate::shard::{Callback, Shard, ShardPlan, DEFAULT_TARGET_SHARDS};
 use ceu::ast::Span;
 use ceu::runtime::telemetry::{blackbox_dump, to_json, BlackboxHeader, BlackboxStat};
 use ceu::runtime::{CrashKind, FlightRecord, FlightRecorder, RuntimeError, TraceEvent};
@@ -232,8 +237,7 @@ pub struct MoteCtx<'w> {
 }
 
 impl<'w> MoteCtx<'w> {
-    /// A fresh context for one callback (shared by the sequential stepper
-    /// and the shard workers, so effect handling stays identical).
+    /// A fresh context for one callback (see `Shard::run_callback`).
     pub(crate) fn new(
         id: MoteId,
         now: u64,
@@ -446,11 +450,16 @@ pub struct World {
     /// Virtual CPU cost of one granted slice (µs).
     pub cpu_slice_us: u64,
     pub stats: Stats,
-    /// Unified world trace (when enabled): events from every mote,
-    /// collected as callbacks run and canonically ordered on read.
+    /// Unified world trace (when enabled). The shards collect their own
+    /// slices as callbacks run (see [`Shard::trace`]); this holds the
+    /// slices of shards retired by a reshard until [`World::take_trace`]
+    /// merges everything into canonical order.
     trace: Option<Vec<FlightRecord>>,
-    /// Cross-window send merge buffer, reused across parallel windows.
-    merge_sends: Vec<(u64, MoteId, usize, MoteId, Packet)>,
+    /// Shard effects not yet applied: sends and crash world-effects,
+    /// replayed in canonical order by `flush_merge_actions` (at once after
+    /// a sequential step; once nothing earlier can appear after a window).
+    pending_sends: Vec<(u64, MoteId, usize, MoteId, Packet)>,
+    pending_crashes: Vec<(u64, MoteId, usize)>,
     /// Fault-plan entries, indexed by [`Fire::Fault`]. Append-only so the
     /// indices stay stable across multiple [`World::set_fault_plan`] calls.
     fault_entries: Vec<FaultEntry>,
@@ -491,7 +500,8 @@ impl World {
             cpu_slice_us: 100,
             stats: Stats::default(),
             trace: None,
-            merge_sends: Vec::new(),
+            pending_sends: Vec::new(),
+            pending_crashes: Vec::new(),
             fault_entries: Vec::new(),
             reboot_policy: RebootPolicy::default(),
             par_stats: None,
@@ -508,11 +518,9 @@ impl World {
     /// their machine traces through [`MoteCtx::vm_events`] (for Céu motes,
     /// `CeuMote::enable_trace`).
     pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        }
+        self.trace.get_or_insert_with(Vec::new);
         for shard in &mut self.shards {
-            shard.trace_on = true;
+            shard.trace.get_or_insert_with(Vec::new);
         }
     }
 
@@ -524,13 +532,11 @@ impl World {
     /// deterministic order `(t_us, mote, seq)`. Tracing stays
     /// enabled; subsequent events start a fresh buffer.
     pub fn take_trace(&mut self) -> Vec<FlightRecord> {
-        let mut events = match self.trace.take() {
-            Some(t) => {
-                self.trace = Some(Vec::new());
-                t
-            }
-            None => Vec::new(),
-        };
+        let Some(retired) = self.trace.as_mut() else { return Vec::new() };
+        let mut events = std::mem::take(retired);
+        for shard in &mut self.shards {
+            events.append(shard.trace.as_mut().expect("tracing shards"));
+        }
         events.sort_by_key(|e| (e.t_us, e.mote, e.seq));
         events
     }
@@ -760,6 +766,9 @@ impl World {
             if let Some(rec) = shard.recorder.take() {
                 old_records.extend(rec.iter().copied());
             }
+            if let (Some(retired), Some(trace)) = (self.trace.as_mut(), shard.trace.as_mut()) {
+                retired.append(trace);
+            }
             events.extend(shard.heap.drain_unordered());
             backends.extend(shard.backends);
             status.extend(shard.status);
@@ -798,7 +807,7 @@ impl World {
             .enumerate()
             .map(|(i, &(a, b))| {
                 let mut sh = Shard::new(i as u32, a, b, plan.lookahead_us[i]);
-                sh.trace_on = self.trace.is_some();
+                sh.trace = self.trace.as_ref().map(|_| Vec::new());
                 for _ in a..b {
                     sh.push_mote(
                         backends.next().expect("column covers the roster"),
@@ -863,7 +872,9 @@ impl World {
     /// passed apply at the current time. Several plans may be installed;
     /// their entries interleave by time.
     ///
-    /// Fails if the plan names a mote the world doesn't have.
+    /// Fails if the plan names a mote the world doesn't have, or skews a
+    /// clock by −1,000,000 ppm or less: such a clock stands still, so a
+    /// timer it asks for would fire at once and re-arm forever.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), String> {
         if let Some(max) = plan.max_mote() {
             if max >= self.mote_count() {
@@ -871,6 +882,18 @@ impl World {
                     "fault plan names mote {max}, but the world has only {} motes",
                     self.mote_count()
                 ));
+            }
+        }
+        for (i, entry) in plan.entries().iter().enumerate() {
+            if let FaultAction::ClockSkew { mote, ppm } = entry.action {
+                if ppm <= -1_000_000 {
+                    return Err(format!(
+                        "fault plan entry {} (`at {}us skew {mote} ppm {ppm}`): a skew of \
+                         -1000000 ppm or less stops the mote's clock",
+                        i + 1,
+                        entry.at_us
+                    ));
+                }
             }
         }
         for entry in plan.entries() {
@@ -914,63 +937,42 @@ impl World {
         delay.max(1).max(self.radio.min_latency()).max(self.max_lookahead_us)
     }
 
-    /// Stamps one world-originated trace event (crash / reboot) for a
-    /// mote. Bumps the per-mote `seq` even when tracing is off, keeping
-    /// the counter in step with the parallel path.
-    fn emit_world_event(&mut self, mote: MoteId, event: TraceEvent) {
-        let now = self.now;
-        let (s, l) = self.loc(mote);
-        self.shards[s].trace_seq[l] += 1;
-        let seq = self.shards[s].trace_seq[l];
-        if let Some(rec) = self.shards[s].recorder.as_mut() {
-            rec.record(now, mote, seq, &event);
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(FlightRecord { t_us: now, mote, seq, event: event.normalized() });
+    /// Schedules `mote`'s reboot the clamped `delay` after `from`. The sum
+    /// saturates, and a reboot due at `u64::MAX` is never reached, so it is
+    /// not scheduled at all.
+    fn schedule_reboot(&mut self, mote: MoteId, from: u64, delay: u64) {
+        let at = from.saturating_add(self.effective_reboot_delay(delay)).max(self.now);
+        if at < u64::MAX {
+            self.schedule(at, Fire::Reboot { mote });
         }
     }
 
-    /// Transitions a mote to `Crashed` at the current time: drops its
-    /// pending timer/CPU bookkeeping, powers its radio off, emits a
-    /// `MoteCrashed` trace event, and (per the reboot policy, or
-    /// `reboot_override` for plan-driven crashes) schedules the reboot.
+    /// Crashes a mote at the current time (a fault-plan crash): the
+    /// shard-local half ([`Shard::crash`]), then the world effects, with
+    /// `reboot_override` in place of the reboot policy.
     fn crash_mote(&mut self, mote: MoteId, cause: CrashCause, reboot_override: Option<u64>) {
         let (s, l) = self.loc(mote);
         if !self.shards[s].status[l].is_up() {
             return;
         }
-        let event = TraceEvent::MoteCrashed {
-            kind: cause.kind,
-            line: cause.span.line,
-            col: cause.span.col,
-        };
-        let shard = &mut self.shards[s];
-        shard.status[l] = MoteStatus::Crashed { at: self.now, cause };
-        shard.crashes[l] += 1;
-        shard.stats[l].crashes += 1;
-        shard.timer_at[l] = None;
-        shard.cpu_scheduled[l] = false;
-        let nth = shard.crashes[l];
-        self.emit_world_event(mote, event);
-        self.radio.set_down(mote, true);
-        let delay = reboot_override.or_else(|| self.reboot_policy.delay_for(nth));
-        if let Some(d) = delay {
-            let at = self.now + self.effective_reboot_delay(d);
-            self.schedule(at, Fire::Reboot { mote });
-        }
-        self.maybe_dump_blackbox("mote-crashed", Some(mote));
+        self.shards[s].crash(l, self.now, cause);
+        self.apply_crash_world_effects(mote, self.now, reboot_override);
     }
 
-    /// The world-side effects of a crash discovered during a parallel
-    /// window merge: the shard's columns were already mutated by the
-    /// worker, so only the shared state (radio, reboot schedule) remains.
-    fn apply_crash_world_effects(&mut self, mote: MoteId, crash_at: u64) {
+    /// The world effects of a crash at `crash_at`, whose shard-local half
+    /// is already applied: radio off, the reboot (after `reboot_override`,
+    /// else per the reboot policy) and the black-box dump.
+    fn apply_crash_world_effects(
+        &mut self,
+        mote: MoteId,
+        crash_at: u64,
+        reboot_override: Option<u64>,
+    ) {
         self.radio.set_down(mote, true);
         let (s, l) = self.loc(mote);
         let nth = self.shards[s].crashes[l];
-        if let Some(d) = self.reboot_policy.delay_for(nth) {
-            let at = crash_at + self.effective_reboot_delay(d);
-            self.schedule(at.max(self.now), Fire::Reboot { mote });
+        if let Some(d) = reboot_override.or_else(|| self.reboot_policy.delay_for(nth)) {
+            self.schedule_reboot(mote, crash_at, d);
         }
         self.maybe_dump_blackbox("mote-crashed", Some(mote));
     }
@@ -1082,18 +1084,6 @@ impl World {
         }
     }
 
-    /// Counts packets that the medium had accepted but that landed on a
-    /// downed mote (dropped in flight).
-    fn note_in_flight_drops(&mut self, mote: MoteId, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.stats.dropped_in_flight += n;
-        let (s, l) = self.loc(mote);
-        self.shards[s].stats[l].dropped_in_flight += n;
-        self.radio.stats.dropped_in_flight += n;
-    }
-
     /// Applies one fault-plan entry at its scheduled time.
     fn apply_fault(&mut self, index: usize) {
         let entry = self.fault_entries[index].clone();
@@ -1107,8 +1097,7 @@ impl World {
                     // crash-then-reboot in one action
                     self.crash_mote(mote, CrashCause::injected(), Some(delay_us));
                 } else {
-                    let at = self.now + self.effective_reboot_delay(delay_us);
-                    self.schedule(at, Fire::Reboot { mote });
+                    self.schedule_reboot(mote, self.now, delay_us);
                 }
             }
             FaultAction::Partition { ref group_a, ref group_b, until_us } => {
@@ -1125,11 +1114,15 @@ impl World {
             FaultAction::DropInFlight { mote } => {
                 // in-flight deliveries to one mote live in exactly one
                 // heap: its own shard's
-                let (s, _) = self.loc(mote);
-                let dropped = self.shards[s]
+                let (s, l) = self.loc(mote);
+                let shard = &mut self.shards[s];
+                let dropped = shard
                     .heap
-                    .retain(|_, _, f| !matches!(f, Fire::Deliver { to, .. } if *to == mote));
-                self.note_in_flight_drops(mote, dropped as u64);
+                    .retain(|_, _, f| !matches!(f, Fire::Deliver { to, .. } if *to == mote))
+                    as u64;
+                shard.stats[l].dropped_in_flight += dropped;
+                shard.fx.dropped_in_flight += dropped;
+                self.absorb(s);
             }
         }
     }
@@ -1138,23 +1131,59 @@ impl World {
     /// then the backend's `reboot` callback (fresh boot with state loss).
     fn apply_reboot(&mut self, mote: MoteId) {
         let (s, l) = self.loc(mote);
-        if self.shards[s].status[l].is_up() {
+        let shard = &mut self.shards[s];
+        if shard.status[l].is_up() {
             return; // a stale reboot (mote was already revived)
         }
-        self.shards[s].status[l] = MoteStatus::Up;
-        self.shards[s].stats[l].reboots += 1;
+        shard.status[l] = MoteStatus::Up;
+        shard.stats[l].reboots += 1;
+        let boots = shard.crashes[l] + 1;
+        shard.stamp(l, self.now, &TraceEvent::MoteRebooted { boots });
         self.radio.set_down(mote, false);
-        let boots = self.shards[s].crashes[l] + 1;
-        self.emit_world_event(mote, TraceEvent::MoteRebooted { boots });
-        self.with_ctx(mote, |backend, ctx| backend.reboot(ctx));
+        self.step_mote(mote, Callback::Reboot);
     }
 
     /// Boots every mote (virtual time 0).
     pub fn boot(&mut self) {
         self.ensure_shards();
         for id in 0..self.mote_count() {
-            self.with_ctx(id, |backend, ctx| backend.boot(ctx));
+            self.step_mote(id, Callback::Boot);
         }
+    }
+
+    /// Runs one callback of `mote` at the current time, outside any event
+    /// (boot, reboot), and applies its effects at once.
+    fn step_mote(&mut self, mote: MoteId, cb: Callback) {
+        let (s, l) = self.loc(mote);
+        let shard = &mut self.shards[s];
+        if let Err(payload) = shard.run_callback(l, self.now, cb, &mut self.seq, self.cpu_slice_us)
+        {
+            std::panic::resume_unwind(payload);
+        }
+        self.apply_step(s);
+    }
+
+    /// Applies the effects one sequential step left on shard `s` at once,
+    /// through the merge's own replay (`flush_merge_actions`): nothing else
+    /// is pending, so the step's sends and crash are the whole batch.
+    fn apply_step(&mut self, s: usize) {
+        debug_assert!(self.pending_sends.is_empty() && self.pending_crashes.is_empty());
+        self.absorb(s);
+        self.flush_merge_actions(None);
+    }
+
+    /// Moves shard `s`'s [`Effects`](crate::shard::Effects) into the world:
+    /// its counters into the stats, its sends and crashes into the pending
+    /// buffers.
+    fn absorb(&mut self, s: usize) {
+        let fx = &mut self.shards[s].fx;
+        let dropped = std::mem::take(&mut fx.dropped_in_flight);
+        self.stats.delivered += std::mem::take(&mut fx.delivered);
+        self.stats.cpu_slices += std::mem::take(&mut fx.cpu_slices);
+        self.stats.dropped_in_flight += dropped;
+        self.radio.stats.dropped_in_flight += dropped;
+        self.pending_sends.append(&mut fx.sends);
+        self.pending_crashes.append(&mut fx.crashes);
     }
 
     /// Total `(pushes, pops)` across the world queue and every shard heap.
@@ -1170,207 +1199,89 @@ impl World {
         (pushes, pops)
     }
 
-    /// Runs until the given virtual time (µs), or until nothing is left.
-    ///
-    /// Sequentially min-scans the world queue and the shard heads; because
-    /// every key packs `(lane, seq)` under one global counter, the scan
-    /// pops the exact order a single merged heap would.
-    pub fn run_until(&mut self, deadline: u64) {
-        self.ensure_shards();
-        loop {
-            let mut best = self.world_queue.peek_key();
-            let mut src = usize::MAX;
-            for (i, shard) in self.shards.iter().enumerate() {
-                if let Some(k) = shard.heap.peek_key() {
-                    let better = match best {
-                        Some(b) => k < b,
-                        None => true,
-                    };
-                    if better {
-                        best = Some(k);
-                        src = i;
-                    }
+    /// The global head: the smallest pending `(at, key)` over the world
+    /// queue and every shard heap, with the shard holding it (`None` for
+    /// the world queue). Every key packs `(lane, kind, seq)`, so the scan
+    /// yields the exact order a single merged heap would pop.
+    fn head(&self) -> Option<((u64, u64), Option<usize>)> {
+        let mut best = self.world_queue.peek_key().map(|k| (k, None));
+        for (i, shard) in self.shards.iter().enumerate() {
+            if let Some(k) = shard.heap.peek_key() {
+                if best.is_none_or(|(b, _)| k < b) {
+                    best = Some((k, Some(i)));
                 }
             }
-            let Some((at, _)) = best else { break };
+        }
+        best
+    }
+
+    /// Pops the world queue's head and applies it (a fault or a reboot).
+    fn fire_world(&mut self) {
+        let (at, _, fire) = self.world_queue.pop().expect("peeked");
+        self.now = at;
+        match fire {
+            Fire::Fault { index } => self.apply_fault(index),
+            Fire::Reboot { mote } => self.apply_reboot(mote),
+            _ => unreachable!("only world fires enter the world queue"),
+        }
+    }
+
+    /// Runs until the given virtual time (µs), or until nothing is left —
+    /// the reference stepper: one event at a time from the global head,
+    /// each mote event fired by [`Shard::fire`] against the live radio and
+    /// its effects applied at once.
+    pub fn run_until(&mut self, deadline: u64) {
+        self.ensure_shards();
+        while let Some(((at, _), src)) = self.head() {
             if at > deadline {
                 break;
             }
-            let (at, _, fire) = if src == usize::MAX {
-                self.world_queue.pop().expect("peeked")
-            } else {
-                self.shards[src].heap.pop().expect("peeked")
+            let Some(s) = src else {
+                self.fire_world();
+                continue;
             };
+            let (at, _, fire) = self.shards[s].heap.pop().expect("peeked");
             self.now = at;
-            match fire {
-                Fire::Deliver { to, packet } => {
-                    // the destination may have gone down while the packet
-                    // was in flight: discard at arrival, don't wake it
-                    let (s, l) = self.loc(to);
-                    if !self.shards[s].status[l].is_up() || self.radio.is_down(to) {
-                        self.note_in_flight_drops(to, 1);
-                        continue;
-                    }
-                    self.stats.delivered += 1;
-                    self.shards[s].stats[l].received += 1;
-                    self.with_ctx(to, |backend, ctx| backend.deliver(ctx, packet));
-                }
-                Fire::Timer { mote } => {
-                    // stale timer? (the mote re-requested a different time,
-                    // or crashed — a crash clears `timer_at`)
-                    let (s, l) = self.loc(mote);
-                    let shard = &mut self.shards[s];
-                    if shard.timer_at[l] == Some(at) && shard.status[l].is_up() {
-                        shard.timer_at[l] = None;
-                        shard.stats[l].timer_firings += 1;
-                        self.with_ctx(mote, |backend, ctx| backend.timer(ctx));
-                    }
-                }
-                Fire::Cpu { mote } => {
-                    let (s, l) = self.loc(mote);
-                    if !self.shards[s].status[l].is_up() {
-                        continue; // crash cleared `cpu_scheduled` already
-                    }
-                    self.stats.cpu_slices += 1;
-                    self.shards[s].stats[l].cpu_slices += 1;
-                    self.shards[s].cpu_scheduled[l] = false;
-                    self.with_ctx(mote, |backend, ctx| backend.cpu(ctx));
-                }
-                Fire::Fault { index } => self.apply_fault(index),
-                Fire::Reboot { mote } => self.apply_reboot(mote),
+            let shard = &mut self.shards[s];
+            if let Err((_, payload)) =
+                shard.fire(at, fire, Some(&self.radio), &mut self.seq, self.cpu_slice_us)
+            {
+                std::panic::resume_unwind(payload);
             }
+            self.apply_step(s);
         }
         self.now = self.now.max(deadline);
     }
 
-    /// Runs one backend callback and applies its effects (sends, timer
-    /// requests, CPU requests). Mirrored exactly by
-    /// [`Shard::run_window`](crate::shard::Shard::run_window), which defers
-    /// the radio-touching effects to the merge barrier.
-    fn with_ctx(&mut self, id: MoteId, f: impl FnOnce(&mut dyn Backend, &mut MoteCtx)) {
-        let (s, l) = self.loc(id);
-        let now = self.now;
-        let skew = self.shards[s].skew_ppm[l];
-        let mut backend = std::mem::replace(&mut self.shards[s].backends[l], Box::new(Inert));
-        let (timer_request, wants_cpu, failure);
-        // the shard's outbox, lent to the callback and handed back with
-        // its capacity once its packets are transmitted
-        let mut outbox = std::mem::take(&mut self.shards[s].outbox);
-        {
-            let shard = &mut self.shards[s];
-            let mut ctx = MoteCtx::new(
-                id,
-                skewed(now, skew),
-                &mut shard.leds[l],
-                &mut outbox,
-                &mut shard.vm_scratch,
-            );
-            f(backend.as_mut(), &mut ctx);
-            timer_request = ctx.timer_request;
-            wants_cpu = ctx.wants_cpu;
-            failure = ctx.take_failure();
-        }
-        self.shards[s].backends[l] = backend;
-        {
-            let mut trace = self.trace.as_mut();
-            let shard = &mut self.shards[s];
-            if trace.is_some() || shard.recorder.is_some() {
-                for event in &shard.vm_scratch {
-                    shard.trace_seq[l] += 1;
-                    if let Some(rec) = shard.recorder.as_mut() {
-                        rec.record(now, id, shard.trace_seq[l], event);
-                    }
-                    if let Some(trace) = trace.as_deref_mut() {
-                        trace.push(FlightRecord {
-                            t_us: now,
-                            mote: id,
-                            seq: shard.trace_seq[l],
-                            event: event.normalized(),
-                        });
-                    }
-                }
-            } else {
-                // keep the per-mote counter in step with the parallel
-                // path, which stamps events before the merge decides
-                shard.trace_seq[l] += shard.vm_scratch.len() as u64;
-            }
-            shard.vm_scratch.clear();
-        }
-        if let Some(cause) = failure {
-            // graceful degradation: the failing callback's pending effects
-            // (sends, timer/CPU requests) die with the mote
-            outbox.clear();
-            self.shards[s].outbox = outbox;
-            self.crash_mote(id, cause, None);
-            return;
-        }
-        for (to, packet) in outbox.drain(..) {
-            self.shards[s].stats[l].sent += 1;
-            if let Some(arrival) = self.radio.transmit(now, id, to, &packet) {
-                self.schedule(arrival, Fire::Deliver { to, packet });
-            } else {
-                self.stats.lost += 1;
-                self.shards[s].stats[l].lost += 1;
-            }
-        }
-        self.shards[s].outbox = outbox;
-        if let Some(at) = timer_request {
-            // the backend asked in its own (skewed) clock; convert back
-            let at = unskew(at, skew).max(now);
-            let better = match self.shards[s].timer_at[l] {
-                Some(t) => at < t,
-                None => true,
-            };
-            if better {
-                self.shards[s].timer_at[l] = Some(at);
-                self.schedule(at, Fire::Timer { mote: id });
-            }
-        }
-        if wants_cpu && !self.shards[s].cpu_scheduled[l] {
-            self.shards[s].cpu_scheduled[l] = true;
-            let at = now + self.cpu_slice_us;
-            self.schedule(at, Fire::Cpu { mote: id });
-        }
-    }
-
-    /// Replays deferred window effects — sends and crash world-effects —
-    /// whose time lies strictly before `threshold` (all of them when
-    /// `None`), interleaved in the canonical `(time, mote, emission)`
-    /// order through the single radio RNG. Deferral is what keeps the RNG
-    /// draw order global-time-sorted under *per-shard* lookaheads: a
-    /// fast-lookahead window can emit a send later (in virtual time) than
-    /// a send a slower shard will only emit next window, so transmits
-    /// must wait until no earlier emission can still appear — i.e. until
-    /// the global head has moved past them. Returns whether anything was
-    /// replayed (new deliveries may change the global head).
-    fn flush_merge_actions(
-        &mut self,
-        sends: &mut Vec<(u64, MoteId, usize, MoteId, Packet)>,
-        crashes: &mut Vec<(u64, MoteId, usize)>,
-        threshold: Option<u64>,
-    ) -> bool {
-        if sends.is_empty() && crashes.is_empty() {
+    /// Replays pending effects — sends and crash world-effects — whose
+    /// time lies strictly before `threshold` (all of them when `None`),
+    /// interleaved in the canonical `(time, mote, emission)` order through
+    /// the single radio RNG. Deferral is what keeps the RNG draw order
+    /// global-time-sorted under *per-shard* lookaheads: a fast-lookahead
+    /// window can emit a send later (in virtual time) than a send a slower
+    /// shard will only emit next window, so transmits must wait until no
+    /// earlier emission can still appear — i.e. until the global head has
+    /// moved past them. Returns whether anything was replayed (new
+    /// deliveries may change the global head).
+    fn flush_merge_actions(&mut self, threshold: Option<u64>) -> bool {
+        if self.pending_sends.is_empty() && self.pending_crashes.is_empty() {
             return false;
         }
+        let mut sends = std::mem::take(&mut self.pending_sends);
+        let mut crashes = std::mem::take(&mut self.pending_crashes);
         sends.sort_unstable_by_key(|s| (s.0, s.1, s.2));
         crashes.sort_unstable();
-        let within = |at: u64| match threshold {
-            Some(t) => at < t,
-            None => true,
-        };
+        let within = |at: u64| threshold.is_none_or(|t| at < t);
         let n_s = sends.iter().take_while(|s| within(s.0)).count();
         let n_c = crashes.iter().take_while(|c| within(c.0)).count();
-        if n_s == 0 && n_c == 0 {
-            return false;
-        }
         let mut crash_iter = crashes.drain(..n_c).peekable();
         for (at, from, emission, to, packet) in sends.drain(..n_s) {
             // crash world-effects precede the sends they beat in the
             // canonical order: the crash powers the radio off, and later
-            // loss rolls must see it down — exactly as in [`run_until`]
+            // loss rolls must see it down
             while let Some(&(c_at, c_mote, c_emission)) = crash_iter.peek() {
                 if (c_at, c_mote, c_emission) <= (at, from, emission) {
-                    self.apply_crash_world_effects(c_mote, c_at);
+                    self.apply_crash_world_effects(c_mote, c_at, None);
                     crash_iter.next();
                 } else {
                     break;
@@ -1385,9 +1296,11 @@ impl World {
             }
         }
         for (c_at, c_mote, _) in crash_iter {
-            self.apply_crash_world_effects(c_mote, c_at);
+            self.apply_crash_world_effects(c_mote, c_at, None);
         }
-        true
+        self.pending_sends = sends;
+        self.pending_crashes = crashes;
+        n_s + n_c > 0
     }
 
     /// Runs until `deadline` using a conservative sharded-PDES scheduler
@@ -1438,51 +1351,27 @@ impl World {
         }
         let hard_end = deadline.saturating_add(1);
         let wall_base = self.par_stats.as_ref().map_or(0, |ps| ps.wall_ns);
-        let mut pending_sends = std::mem::take(&mut self.merge_sends);
-        pending_sends.clear();
-        let mut pending_crashes: Vec<(u64, MoteId, usize)> = Vec::new();
         loop {
-            // find the global head: world queue vs shard heads
-            let world_head = self.world_queue.peek_key();
-            let mut best = world_head;
-            let mut from_world = world_head.is_some();
-            for shard in &self.shards {
-                if let Some(k) = shard.heap.peek_key() {
-                    let better = match best {
-                        Some(b) => k < b,
-                        None => true,
-                    };
-                    if better {
-                        best = Some(k);
-                        from_world = false;
-                    }
-                }
-            }
+            let head = self.head();
             // replay deferred effects that nothing can precede anymore
-            let threshold = match best {
-                Some((at, _)) if at <= deadline => Some(at),
+            let threshold = match head {
+                Some(((at, _), _)) if at <= deadline => Some(at),
                 _ => None,
             };
-            if self.flush_merge_actions(&mut pending_sends, &mut pending_crashes, threshold) {
+            if self.flush_merge_actions(threshold) {
                 continue; // fresh deliveries may have moved the head
             }
-            let Some((start, _)) = best else { break };
+            let Some(((start, _), src)) = head else { break };
             if start > deadline {
                 break;
             }
-            if from_world {
+            if src.is_none() {
                 // world events (faults, reboots) barrier: apply on the
                 // simulation thread at exactly their scheduled time
-                let (at, _, fire) = self.world_queue.pop().expect("peeked");
-                self.now = at;
-                match fire {
-                    Fire::Fault { index } => self.apply_fault(index),
-                    Fire::Reboot { mote } => self.apply_reboot(mote),
-                    _ => unreachable!("only world fires enter the world queue"),
-                }
+                self.fire_world();
                 continue;
             }
-            let world_at = world_head.map(|(at, _)| at);
+            let world_at = self.world_queue.peek_key().map(|(at, _)| at);
             let win_t0 = stats_on.then(std::time::Instant::now);
             let heap_ops_0 = stats_on.then(|| self.heap_op_totals());
             // check out every shard with work inside its own window
@@ -1537,7 +1426,7 @@ impl World {
             let mut win_events = 0u64;
             let mut win_motes = 0u32;
             let mut max_seq = self.seq;
-            let pend0 = pending_sends.len();
+            let pend0 = self.pending_sends.len();
             let mut panicked: Option<(MoteId, String, u64)> = None;
             for bout in outs {
                 let wait_each = bout.channel_wait_ns / bout.jobs.len().max(1) as u64;
@@ -1545,28 +1434,18 @@ impl World {
                     busy_ns[bout.worker] = bout.busy_ns;
                 }
                 for JobOut { shard, out, run_end: job_end, busy_ns: jbusy } in bout.jobs {
-                    let sid = out.shard;
-                    debug_assert_eq!(sid, shard.id);
+                    let sid = shard.id;
                     if stats_on {
                         events_per_worker[bout.worker] += out.events;
                         motes_per_worker[bout.worker] += shard.n() as u32;
                     }
                     win_events += out.events;
                     win_motes += shard.n() as u32;
-                    let n_sends = out.sends.len() as u64;
+                    let n_sends = shard.fx.sends.len() as u64;
                     max_seq = max_seq.max(out.seq_used);
-                    self.stats.delivered += out.delivered;
-                    self.stats.cpu_slices += out.cpu_slices;
-                    self.stats.dropped_in_flight += out.dropped_in_flight;
-                    self.radio.stats.dropped_in_flight += out.dropped_in_flight;
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.extend(out.trace);
-                    }
-                    pending_crashes.extend(out.crashes);
                     if let Some((mote, msg)) = out.panicked {
                         panicked.get_or_insert((mote, msg, job_end));
                     }
-                    pending_sends.extend(out.sends);
                     if let Some(ps) = self.par_stats.as_mut() {
                         ps.record_shard(
                             sid,
@@ -1581,6 +1460,7 @@ impl World {
                         shard_busy.push((sid, bout.worker as u32, jbusy, out.events));
                     }
                     self.shards[sid as usize] = shard;
+                    self.absorb(sid as usize);
                 }
             }
             if let Some((mote, msg, run_end)) = panicked {
@@ -1600,7 +1480,7 @@ impl World {
             // pending buffers — the pre-window flush replays them through
             // the radio RNG once nothing earlier can still appear (see
             // `flush_merge_actions`); here we only stamp the stats sample
-            let new_sends = &mut pending_sends[pend0..];
+            let new_sends = &mut self.pending_sends[pend0..];
             new_sends.sort_unstable_by_key(|s| (s.0, s.1, s.2));
             let cross_sends = new_sends.len() as u64;
             let send_sample: Vec<(u64, u32, u32)> = new_sends
@@ -1608,22 +1488,17 @@ impl World {
                 .take(SEND_SAMPLE_CAP)
                 .map(|&(at, from, _, to, _)| (at, from as u32, to as u32))
                 .collect();
-            if let (Some(ps), Some(win_t0), Some(drain_done), Some(par_done), Some(ops0)) =
-                (self.par_stats.as_mut(), win_t0, drain_done, par_done, heap_ops_0)
+            let heap_ops_1 = stats_on.then(|| self.heap_op_totals());
+            if let (
+                Some(ps),
+                Some(win_t0),
+                Some(drain_done),
+                Some(par_done),
+                Some(ops0),
+                Some(ops1),
+            ) = (self.par_stats.as_mut(), win_t0, drain_done, par_done, heap_ops_0, heap_ops_1)
             {
-                let (p0, q0) = ops0;
-                let mut pushes = 0u64;
-                let mut pops = 0u64;
-                {
-                    let (wp, wq) = self.world_queue.op_counts();
-                    pushes += wp;
-                    pops += wq;
-                }
-                for shard in &self.shards {
-                    let (p, q) = shard.heap.op_counts();
-                    pushes += p;
-                    pops += q;
-                }
+                let ((p0, q0), (pushes, pops)) = (ops0, ops1);
                 let index = ps.totals.windows;
                 ps.record_window(ParWindowStats {
                     index,
@@ -1650,24 +1525,12 @@ impl World {
                 });
             }
         }
-        debug_assert!(pending_sends.is_empty() && pending_crashes.is_empty());
-        self.merge_sends = pending_sends;
+        debug_assert!(self.pending_sends.is_empty() && self.pending_crashes.is_empty());
         if let Some(ps) = self.par_stats.as_mut() {
             ps.fallback = false;
             ps.wall_ns += run_t0.elapsed().as_nanos() as u64;
         }
         self.now = self.now.max(deadline);
-    }
-}
-
-/// Renders a caught panic payload for re-raising with mote context.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -1690,15 +1553,6 @@ impl<B: Backend> Backend for std::sync::Arc<std::sync::Mutex<B>> {
     }
 }
 
-/// Placeholder while a backend is checked out during a callback.
-pub(crate) struct Inert;
-
-impl Backend for Inert {
-    fn boot(&mut self, _: &mut MoteCtx) {}
-    fn deliver(&mut self, _: &mut MoteCtx, _: Packet) {}
-    fn timer(&mut self, _: &mut MoteCtx) {}
-    fn cpu(&mut self, _: &mut MoteCtx) {}
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1913,6 +1767,31 @@ mod tests {
         let msg = err.downcast_ref::<String>().cloned().expect("panic message is a string");
         assert!(msg.contains("mote 1 panicked in parallel window ["), "{msg}");
         assert!(msg.contains("the backend blew up"), "{msg}");
+    }
+
+    #[test]
+    fn sequential_mote_panics_propagate_unchanged() {
+        // the shared callback routine catches the panic; `run_until`
+        // re-raises the backend's own payload (on this thread, so the
+        // default hook's message stays in the test's captured output)
+        struct Bomb;
+        impl Backend for Bomb {
+            fn boot(&mut self, ctx: &mut MoteCtx) {
+                ctx.set_timer_at(1_000);
+            }
+            fn deliver(&mut self, _: &mut MoteCtx, _: Packet) {}
+            fn timer(&mut self, _: &mut MoteCtx) {
+                panic!("the backend blew up");
+            }
+            fn cpu(&mut self, _: &mut MoteCtx) {}
+        }
+        let mut w = World::new(Radio::ideal(500));
+        w.add_mote(Box::new(Pinger { peer: 1, received: 0 }));
+        w.add_mote(Box::new(Bomb));
+        w.boot();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run_until(5_000)))
+            .expect_err("the mote panic must propagate");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"the backend blew up"));
     }
 
     #[test]
@@ -2216,6 +2095,176 @@ mod tests {
         w.boot();
         w.run_until(50_000);
         assert!(w.mote_stats(0).timer_firings > 40, "the skewed mote must keep ticking");
+    }
+
+    /// Checks that sequential and parallel runs (threads 2 and 4) of
+    /// `build` to `horizon` agree on every counter, LED, trace record and
+    /// flight record; returns the sequential world.
+    fn assert_steppers_agree(build: impl Fn() -> World, horizon: u64) -> World {
+        let mut seq = build();
+        seq.run_until(horizon);
+        let seq_trace = seq.take_trace();
+        for threads in [2, 4] {
+            let mut par = build();
+            par.run_until_parallel(horizon, threads);
+            assert_eq!(observe(&seq), observe(&par), "threads={threads}");
+            assert_eq!(seq_trace, par.take_trace(), "threads={threads}");
+            assert_eq!(seq.flight_records(), par.flight_records(), "threads={threads}");
+        }
+        seq
+    }
+
+    #[test]
+    fn reboot_times_saturate_instead_of_overflowing() {
+        // every reboot below is due past u64::MAX: none may overflow, and
+        // none is ever reached
+        let forever = "18446744073709551615us";
+        let plans = [
+            format!("at 1ms reboot 0 after {forever}"),
+            format!("at 1ms crash 0\nat 2ms reboot 0 after {forever}"),
+        ];
+        for plan in &plans {
+            let plan = FaultPlan::parse(plan).unwrap();
+            let seq = assert_steppers_agree(
+                || {
+                    let mut w = pinger_world(Radio::ideal(1_000));
+                    w.set_fault_plan(&plan).unwrap();
+                    w
+                },
+                10_000,
+            );
+            assert!(!seq.mote_status(0).is_up(), "{plan:?}");
+            assert_eq!(seq.mote_stats(0).reboots, 0, "{plan:?}");
+        }
+        let seq = assert_steppers_agree(
+            || {
+                let mut w = World::new(Radio::ideal(1_000));
+                w.set_reboot_policy(RebootPolicy::After(u64::MAX));
+                w.add_mote(Box::new(FlakyPinger { peer: 1, fail_at: 4_000 }));
+                w.add_mote(Box::new(Pinger { peer: 0, received: 0 }));
+                w.boot();
+                w
+            },
+            10_000,
+        );
+        assert!(!seq.mote_status(0).is_up());
+        assert_eq!(seq.mote_stats(0).crashes, 1);
+    }
+
+    #[test]
+    fn skews_that_stop_the_clock_are_refused() {
+        // at -1e6 ppm a mote's clock stands still: every timer it asks for
+        // lands at once and is asked for again, forever
+        for ppm in [-1_000_000, i64::MIN] {
+            let mut w = World::new(Radio::ideal(1_000));
+            w.add_mote(Box::new(Pinger { peer: 1, received: 0 }));
+            w.add_mote(Box::new(Pinger { peer: 0, received: 0 }));
+            let plan = FaultPlan::new()
+                .at(0, FaultAction::Heal)
+                .at(1_000, FaultAction::ClockSkew { mote: 0, ppm });
+            let err = w.set_fault_plan(&plan).expect_err("a clock that stands still");
+            assert!(err.contains("entry 2") && err.contains(&format!("ppm {ppm}")), "{err}");
+            // nothing of a refused plan is installed
+            w.boot();
+            w.run_until(5_000);
+            assert!(w.mote_stats(0).timer_firings >= 4);
+        }
+        let mut w = World::new(Radio::ideal(1_000));
+        w.add_mote(Box::new(Pinger { peer: 1, received: 0 }));
+        w.add_mote(Box::new(Pinger { peer: 0, received: 0 }));
+        let slowest = FaultPlan::new().at(0, FaultAction::ClockSkew { mote: 0, ppm: -999_999 });
+        assert!(w.set_fault_plan(&slowest).is_ok());
+    }
+
+    /// In one timer callback at `fail_at`, traces, sends, asks for a timer
+    /// and a CPU slice, then fails: the crash must discard all three.
+    struct Discarder {
+        peer: MoteId,
+        fail_at: u64,
+    }
+
+    impl Backend for Discarder {
+        fn boot(&mut self, ctx: &mut MoteCtx) {
+            ctx.set_timer_at(ctx.now + 1_000);
+        }
+        fn deliver(&mut self, ctx: &mut MoteCtx, p: Packet) {
+            ctx.vm_events.push(TraceEvent::Terminated { value: Some(p.value()) });
+        }
+        fn timer(&mut self, ctx: &mut MoteCtx) {
+            ctx.vm_events.push(TraceEvent::Terminated { value: Some(ctx.now as i64) });
+            ctx.send(self.peer, Packet::with_value(ctx.id, self.peer, ctx.now as i64));
+            ctx.set_timer_at(ctx.now + 1_000);
+            ctx.wants_cpu = true;
+            if ctx.now == self.fail_at {
+                let e = RuntimeError::new(Span::default(), "discard everything");
+                ctx.fail(CrashCause::from_error(&e));
+            }
+        }
+        fn cpu(&mut self, ctx: &mut MoteCtx) {
+            ctx.vm_events.push(TraceEvent::Terminated { value: Some(0) });
+        }
+    }
+
+    /// A pinger whose first reboot sends, asks for a timer and a CPU
+    /// slice, then fails: it crashes again and only the second reboot
+    /// brings it back.
+    struct RebootFailer {
+        peer: MoteId,
+        reboots: u32,
+    }
+
+    impl Backend for RebootFailer {
+        fn boot(&mut self, ctx: &mut MoteCtx) {
+            ctx.set_timer_at(ctx.now + 1_000);
+        }
+        fn deliver(&mut self, _: &mut MoteCtx, _: Packet) {}
+        fn timer(&mut self, ctx: &mut MoteCtx) {
+            ctx.send(self.peer, Packet::with_value(ctx.id, self.peer, 1));
+            ctx.set_timer_at(ctx.now + 1_000);
+        }
+        fn cpu(&mut self, _: &mut MoteCtx) {}
+        fn reboot(&mut self, ctx: &mut MoteCtx) {
+            self.reboots += 1;
+            ctx.vm_events.push(TraceEvent::Terminated { value: Some(self.reboots as i64) });
+            ctx.send(self.peer, Packet::with_value(ctx.id, self.peer, 2));
+            ctx.set_timer_at(ctx.now + 1_000);
+            ctx.wants_cpu = true;
+            if self.reboots == 1 {
+                let e = RuntimeError::new(Span::default(), "reboot failed");
+                ctx.fail(CrashCause::from_error(&e));
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_callback_discards_its_sends_timer_and_cpu_request() {
+        let build = || {
+            let mut w = World::new(Radio::new(crate::radio::Topology::Full, 700, 0.2, 5));
+            w.enable_trace();
+            w.enable_flight_recorder(64);
+            w.set_reboot_policy(RebootPolicy::After(2_500));
+            w.add_mote(Box::new(Discarder { peer: 1, fail_at: 4_000 }));
+            w.add_mote(Box::new(RebootFailer { peer: 2, reboots: 0 }));
+            w.add_mote(Box::new(TracingPinger { peer: 3 }));
+            w.add_mote(Box::new(TracingPinger { peer: 0 }));
+            w.set_fault_plan(&FaultPlan::new().at(3_500, FaultAction::Crash { mote: 1 })).unwrap();
+            w.boot();
+            w
+        };
+        let w = assert_steppers_agree(build, 30_000);
+        let (discarder, failer) = (w.mote_stats(0), w.mote_stats(1));
+        assert_eq!((discarder.crashes, discarder.reboots), (1, 1));
+        // every timer callback sent one packet, except the failing one
+        assert_eq!(discarder.sent, discarder.timer_firings - 1);
+        // and every CPU slice was asked for by a timer callback that kept
+        // its effects (the slice fires 100 µs later)
+        assert_eq!(discarder.cpu_slices, discarder.timer_firings - 1);
+        assert_eq!((failer.crashes, failer.reboots), (2, 2));
+        // the second reboot's send counts; the first one's was discarded
+        assert_eq!(failer.sent, failer.timer_firings + 1);
+        assert_eq!(failer.cpu_slices, 1);
+        let sent: u64 = (0..4).map(|m| w.mote_stats(m).sent).sum();
+        assert_eq!(w.radio.stats.attempts, sent, "a discarded packet never reaches the radio");
     }
 
     #[test]

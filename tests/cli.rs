@@ -204,6 +204,20 @@ fn run_watchdog_aborts_runaway_reactions() {
 }
 
 #[test]
+fn run_reboot_due_past_the_end_of_time_never_comes() {
+    // crash + reboot `u64::MAX` µs later: the revive time saturates, so
+    // the machine stays down (no overflow, no wrap to before the crash)
+    let prog = write_tmp("forever.ceu", OK_PROGRAM);
+    let script = write_tmp("forever.script", "time 10ms\ntime 50ms\n");
+    let plan = write_tmp("forever.plan", "at 5ms reboot 0 after 18446744073709551615us\n");
+    let out =
+        ceuc().arg("run").arg(&prog).arg(&script).arg("--faults").arg(&plan).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "ends powered off: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("machine rebooted"), "{stderr}");
+}
+
+#[test]
 fn run_rejects_unknown_flags() {
     let prog = write_tmp("uf.ceu", OK_PROGRAM);
     let out = ceuc().arg("run").arg(&prog).arg("--no-such-flag").output().unwrap();
