@@ -1,7 +1,8 @@
 //! A steady-state reaction allocates nothing: `dataflow_chain` (internal
 //! emits, nested reactions) and `expr_heavy` (the data plane), each raw
 //! and optimized, interpreted and native, plus `expr_heavy` with the
-//! coarse flight recorder on.
+//! coarse flight recorder on, and [`GUARD_MISS`] interpreted, raw and
+//! optimized.
 //!
 //! The counting allocator is process-wide, so this file holds a single
 //! test: nothing else may allocate while the lanes run.
@@ -70,11 +71,30 @@ impl Lane {
     }
 }
 
+/// Int-pure expressions that miss the typed flat path's guard on every
+/// event: `p` holds a pointer, so `p + v` and the `if` test `q - v` fall
+/// back to the generic code each time.
+const GUARD_MISS: &str = r#"
+    input int E;
+    int v, n;
+    int* p;
+    int* q;
+    p = &v;
+    loop do
+       v = await E;
+       q = p + v;
+       if q - v then
+          n = n + 1;
+       end
+    end
+"#;
+
 #[test]
 fn steady_state_reactions_do_not_allocate() {
     let programs = [
         ("dataflow", ceu_corpus::DATAFLOW_CHAIN, "Go", false),
         ("expr_heavy", ceu_corpus::EXPR_HEAVY, "E", true),
+        ("guard_miss", GUARD_MISS, "E", true),
     ];
     let mut lanes = Vec::new();
     for (name, src, event, valued) in programs {
@@ -82,7 +102,10 @@ fn steady_state_reactions_do_not_allocate() {
             let compiler =
                 if optimized { ceu::Compiler::new() } else { ceu::Compiler::unoptimized() };
             let prog = Arc::new(compiler.compile(src).unwrap_or_else(|e| panic!("{name}: {e}")));
-            let mut modes = vec!["interpreted", "native"];
+            let mut modes = vec!["interpreted"];
+            if name != "guard_miss" {
+                modes.push("native");
+            }
             if name == "expr_heavy" && optimized {
                 modes.push("recorded");
             }
@@ -116,5 +139,11 @@ fn steady_state_reactions_do_not_allocate() {
         assert_eq!(n, 0, "{what}: {n} allocations over {EVENTS} events");
         let native = what.ends_with("native");
         assert_eq!(lane.m.native_steps() > 0, native, "{what}: native steps");
+    }
+    // the miss lanes did take the fallback: `n` counted every event
+    for (what, lane) in lanes.iter().filter(|(what, _)| what.starts_with("guard_miss")) {
+        let slot = lane.m.program().slots.iter().find(|s| s.name.starts_with("n#"));
+        let n = lane.m.data()[slot.expect("`n` is a variable").slot as usize];
+        assert_eq!(n, Value::Int((WARMUP + EVENTS) as i64), "{what}: n");
     }
 }

@@ -14,7 +14,7 @@ pub mod opt;
 pub mod report;
 pub mod rsbackend;
 
-pub use flat::{FlatOp, FlatPool};
+pub use flat::{FlatOp, FlatPool, IntOp};
 pub use ir::*;
 pub use layout::{layout, Layout};
 pub use lower::{compile, CompileError};

@@ -42,6 +42,13 @@ pub struct OptStats {
     pub blocks_removed: usize,
     /// Gate entries pruned from the dispatch tables.
     pub gates_pruned: usize,
+    /// After the pass: expressions with a typed stream and its ops, and
+    /// expressions with only generic code and their ops (the split of
+    /// [`FlatPool`]'s accessors of the same names).
+    pub typed_exprs: usize,
+    pub typed_ops: usize,
+    pub generic_exprs: usize,
+    pub generic_ops: usize,
 }
 
 /// Optimizes `prog` in place. Semantics-preserving by construction; the
@@ -60,6 +67,10 @@ pub fn optimize(prog: &mut CompiledProgram) -> OptStats {
     }
     prog.flat = pool;
     stats.flat_ops_after = prog.flat.code.len();
+    stats.typed_exprs = prog.flat.typed_exprs();
+    stats.typed_ops = prog.flat.typed_ops();
+    stats.generic_exprs = prog.flat.generic_exprs();
+    stats.generic_ops = prog.flat.generic_ops();
 
     // 2. branch-on-const
     for blk in &mut prog.blocks {
@@ -111,6 +122,13 @@ pub fn simplify(rv: &Rv) -> Rv {
 /// `Add`/`Sub` are excluded (data-pointer arithmetic yields pointers) and
 /// so are slots/event values (untyped: they may hold pointers or strings,
 /// whose coercion errors must survive optimization).
+///
+/// This is a static question about the result, for rewrites such as
+/// `!!x` → `x`. It is not [`int_pure`](crate::flat::int_pure), which asks
+/// whether every *operand and operator* is integer-only, so that the code
+/// can run on `i64` behind run-time guards: `v + 1` is int-pure but not
+/// `is_int` (`v` may hold a pointer), and `a == "s"` is `is_int` but not
+/// int-pure (it reads a string).
 fn is_int(rv: &Rv) -> bool {
     match rv {
         Rv::Const(_) | Rv::SizeOf(_) => true,

@@ -15,8 +15,10 @@
 //! * flat postfix expressions become straight-line `let` bindings: each
 //!   operand lands in a local, so the emitted code has no operand stack
 //!   at all and rustc sees plain data flow;
-//! * int-pure expressions (arithmetic over slots/constants/event values)
-//!   additionally get an **i64 fast path**: each operand is guarded for
+//! * int-pure expressions (arithmetic over slots/constants/event values,
+//!   as [`flat::int_pure`](crate::flat::int_pure) defines them for the
+//!   interpreter's typed flat code too) additionally get an **i64 fast
+//!   path**: each operand is guarded for
 //!   `Value::Int` at entry, the computation runs in plain `i64` locals
 //!   (registers, no `Value` moves), and any non-int operand
 //!   or division by zero falls back to the generic lowering, which
@@ -37,7 +39,7 @@
 //! [`fingerprint`](CompiledProgram::fingerprint) is baked into the output
 //! so a stale emission is rejected at attach time.
 
-use crate::flat::FlatOp;
+use crate::flat::{int_pure, FlatOp};
 use crate::ir::{BBlock, CompiledProgram, Instr, Op, Place, Term, TimeAmount};
 use ceu_ast::{BinOp, Span, UnOp};
 use std::fmt::{self, Write};
@@ -188,24 +190,6 @@ fn is_sched(op: &Op) -> bool {
             | Op::ActivateAsync { .. }
             | Op::ClearRegion(_)
     )
-}
-
-/// `true` when a flat expression is pure integer arithmetic over slots,
-/// constants and event values — the shape the i64 fast path can compile
-/// to plain register code. Anything touching strings, pointers, memory
-/// or the host falls back to the generic `Value` lowering.
-fn int_pure(code: &[FlatOp]) -> bool {
-    code.iter().all(|op| match op {
-        FlatOp::Const(_)
-        | FlatOp::Slot(_)
-        | FlatOp::EventVal(_)
-        | FlatOp::Truthy
-        | FlatOp::ShortAnd(_)
-        | FlatOp::ShortOr(_) => true,
-        FlatOp::Un(op) => !matches!(op, UnOp::Addr | UnOp::Deref),
-        FlatOp::Bin(op) => !matches!(op, BinOp::And | BinOp::Or),
-        _ => false,
-    })
 }
 
 /// A deduplicated operand source for the i64 fast path's entry guards.

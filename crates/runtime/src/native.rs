@@ -217,16 +217,25 @@ pub fn time_value(v: Value, span: Span) -> Result<u64> {
 #[inline(always)]
 pub fn un_op(op: UnOp, v: Value, span: Span) -> Result<Value> {
     if let Value::Int(x) = v {
-        let v = match op {
-            UnOp::Not => (x == 0) as i64,
-            UnOp::Neg => x.wrapping_neg(),
-            UnOp::Plus => x,
-            UnOp::BitNot => !x,
-            UnOp::Addr | UnOp::Deref => return un_op_slow(op, v, span),
-        };
-        return Ok(Value::Int(v));
+        if let Some(v) = int_un(op, x) {
+            return Ok(Value::Int(v));
+        }
     }
     un_op_slow(op, v, span)
+}
+
+/// The unary operators on an int: [`un_op`]'s fast path, which the
+/// interpreter's typed flat code also runs. `None` for `&`/`*`, which
+/// lowering resolves before run time.
+#[inline(always)]
+pub(crate) fn int_un(op: UnOp, x: i64) -> Option<i64> {
+    Some(match op {
+        UnOp::Not => (x == 0) as i64,
+        UnOp::Neg => x.wrapping_neg(),
+        UnOp::Plus => x,
+        UnOp::BitNot => !x,
+        UnOp::Addr | UnOp::Deref => return None,
+    })
 }
 
 /// The non-integer cases of [`un_op`] (truthiness of pointers/strings,
@@ -243,11 +252,12 @@ fn un_op_slow(op: UnOp, v: Value, span: Span) -> Result<Value> {
     }
 }
 
-/// The int×int operators: wrapping arithmetic, comparisons, bit ops.
-/// `None` for division or modulo by zero and for the operators that are
-/// not int×int (`&&`/`||`, which are lowered to jumps).
+/// The int×int operators: wrapping arithmetic, comparisons, bit ops —
+/// [`bin_op`]'s fast path, which the interpreter's typed flat code also
+/// runs. `None` for division or modulo by zero and for the operators that
+/// are not int×int (`&&`/`||`, which are lowered to jumps).
 #[inline(always)]
-fn int_op(op: BinOp, x: i64, y: i64) -> Option<i64> {
+pub(crate) fn int_op(op: BinOp, x: i64, y: i64) -> Option<i64> {
     use BinOp::*;
     Some(match op {
         Add => x.wrapping_add(y),
@@ -297,12 +307,13 @@ pub fn bin_op(op: BinOp, a: Value, b: Value, span: Span) -> Result<Value> {
 fn bin_op_slow(op: BinOp, a: Value, b: Value, span: Span) -> Result<Value> {
     use BinOp::*;
     match (op, a, b) {
-        // pointer arithmetic: data pointers offset by integers
+        // pointer arithmetic: data pointers offset by integers, wrapping
+        // like the integers themselves
         (Add, Value::Ptr(Ptr::Data(p)), Value::Int(i)) => {
-            return Ok(Value::Ptr(Ptr::Data((p as i64 + i) as usize)))
+            return Ok(Value::Ptr(Ptr::Data((p as i64).wrapping_add(i) as usize)))
         }
         (Sub, Value::Ptr(Ptr::Data(p)), Value::Int(i)) => {
-            return Ok(Value::Ptr(Ptr::Data((p as i64 - i) as usize)))
+            return Ok(Value::Ptr(Ptr::Data((p as i64).wrapping_sub(i) as usize)))
         }
         (Eq, ..) => return Ok(Value::Int(a.c_eq(&b) as i64)),
         (Ne, ..) => return Ok(Value::Int(!a.c_eq(&b) as i64)),
@@ -342,6 +353,15 @@ mod tests {
             Value::Ptr(Ptr::Data(6)),
             "data pointers offset by integers"
         );
+    }
+
+    #[test]
+    fn pointer_offsets_wrap_like_integers() {
+        let sp = Span::default();
+        let far = bin_op(BinOp::Add, Value::Ptr(Ptr::Data(4)), Value::Int(i64::MAX), sp);
+        assert_eq!(far.unwrap(), Value::Ptr(Ptr::Data((4i64).wrapping_add(i64::MAX) as usize)));
+        let back = bin_op(BinOp::Sub, Value::Ptr(Ptr::Data(4)), Value::Int(i64::MIN), sp);
+        assert_eq!(back.unwrap(), Value::Ptr(Ptr::Data((4i64).wrapping_sub(i64::MIN) as usize)));
     }
 
     #[test]

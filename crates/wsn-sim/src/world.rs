@@ -1479,15 +1479,7 @@ impl World {
             // the window's sends and crash effects stay *deferred* in the
             // pending buffers — the pre-window flush replays them through
             // the radio RNG once nothing earlier can still appear (see
-            // `flush_merge_actions`); here we only stamp the stats sample
-            let new_sends = &mut self.pending_sends[pend0..];
-            new_sends.sort_unstable_by_key(|s| (s.0, s.1, s.2));
-            let cross_sends = new_sends.len() as u64;
-            let send_sample: Vec<(u64, u32, u32)> = new_sends
-                .iter()
-                .take(SEND_SAMPLE_CAP)
-                .map(|&(at, from, _, to, _)| (at, from as u32, to as u32))
-                .collect();
+            // `flush_merge_actions`); here we only record the stats
             let heap_ops_1 = stats_on.then(|| self.heap_op_totals());
             if let (
                 Some(ps),
@@ -1499,6 +1491,17 @@ impl World {
             ) = (self.par_stats.as_mut(), win_t0, drain_done, par_done, heap_ops_0, heap_ops_1)
             {
                 let ((p0, q0), (pushes, pops)) = (ops0, ops1);
+                // the sample lists the window's sends in canonical order;
+                // the flush sorts every pending send itself, so only the
+                // stats need this sort
+                let new_sends = &mut self.pending_sends[pend0..];
+                new_sends.sort_unstable_by_key(|s| (s.0, s.1, s.2));
+                let cross_sends = new_sends.len() as u64;
+                let send_sample = new_sends
+                    .iter()
+                    .take(SEND_SAMPLE_CAP)
+                    .map(|&(at, from, _, to, _)| (at, from as u32, to as u32))
+                    .collect();
                 let index = ps.totals.windows;
                 ps.record_window(ParWindowStats {
                     index,

@@ -9,16 +9,18 @@
 //!   promise;
 //! * every expression lane agrees: the tree walker, the raw flat code and
 //!   the optimized flat code end a script with the same data, host calls,
-//!   status and error, on generated programs and on string literals;
+//!   status and error, on generated programs, on string literals, and on
+//!   generated integer expressions that exercise the interpreter's typed
+//!   flat code and its fallback to the generic code;
 //! * the overlay allocator never exceeds the sum layout and never loses a
 //!   variable.
 
-use ceu::runtime::{RecordingHost, Value};
+use ceu::runtime::{Ptr, RecordingHost, Value};
 use ceu::{CompileOptions, CompiledProgram, Compiler, Simulator, Status};
 use proptest::prelude::*;
 
 mod programs;
-use programs::arb_program;
+use programs::{arb_int_expr, arb_program};
 
 // ---- generators ---------------------------------------------------------------
 
@@ -29,6 +31,8 @@ enum Input {
     B,
     X(i64),
     Time(u64),
+    /// `X` with any payload: none, `null` or a pointer as well as an int.
+    Xraw(Option<Value>),
 }
 
 fn arb_script() -> impl Strategy<Value = Vec<Input>> {
@@ -55,6 +59,7 @@ fn run_script(program: ceu::CompiledProgram, script: &[Input]) -> (Vec<Value>, V
             Input::B => sim.event("B", None).map(|_| ()).expect("B"),
             Input::X(v) => sim.event("X", Some(Value::Int(*v))).map(|_| ()).expect("X"),
             Input::Time(us) => sim.advance_by(*us).map(|_| ()).expect("time"),
+            Input::Xraw(v) => sim.event("X", *v).map(|_| ()).expect("X"),
         }
     }
     let data = sim.machine().data().to_vec();
@@ -81,6 +86,7 @@ fn run_lane(program: CompiledProgram, tree: bool, script: &[Input]) -> Observed 
             Input::B => sim.event("B", None),
             Input::X(v) => sim.event("X", Some(Value::Int(*v))),
             Input::Time(us) => sim.advance_by(*us),
+            Input::Xraw(v) => sim.event("X", *v),
         }
         .err();
     }
@@ -131,6 +137,41 @@ fn string_literals_agree_on_every_lane() {
     assert_eq!(calls, [vec!["hi", "1", "1"], vec!["ho", "0"]]);
     // equal text, equal id: the pool holds each literal once
     assert_eq!(p.strs.len(), 2);
+}
+
+/// A program for the typed-path property: each `X` sets `v0` and then
+/// runs generated statements, which assign [`arb_int_expr`]s to `v1..v3`
+/// and test them as `if` conditions; `_f` reports `v0..v3` to the host.
+/// `k0..k3` hold the edge values the generator's operands rely on.
+fn arb_int_program() -> impl Strategy<Value = String> {
+    let stmt = prop_oneof![
+        (1u8..4, arb_int_expr()).prop_map(|(i, e)| format!("   v{i} = {e};")),
+        (arb_int_expr(), 1u8..4).prop_map(|(c, i)| {
+            format!("   if {c} then\n      _t(v{i});\n   else\n      _e({i});\n   end")
+        }),
+    ];
+    prop::collection::vec(stmt, 1..6).prop_map(|stmts| {
+        format!(
+            "input int X;\nint v0, v1, v2, v3, k0, k1, k2, k3, s;\nint* p;\n\
+             k0 = (-9223372036854775807) - 1;\nk1 = -1;\nk2 = 0;\nk3 = 64;\n\
+             p = &v0;\ns = \"hi\";\nv1 = 3;\nv2 = -7;\nv3 = 100;\n\
+             loop do\n   v0 = await X;\n{}\n   _f(v0, v1, v2, v3);\nend",
+            stmts.join("\n")
+        )
+    })
+}
+
+/// `X` events whose payloads reach the typed path's guards: ints (edge
+/// values among them), no value, `null` and a host pointer.
+fn arb_int_script() -> impl Strategy<Value = Vec<Input>> {
+    let payload = prop_oneof![
+        (-100i64..100).prop_map(|n| Some(Value::Int(n))),
+        prop::sample::select(vec![i64::MIN, i64::MAX, -1, 0, 64]).prop_map(|n| Some(Value::Int(n))),
+        Just(None),
+        Just(Some(Value::Null)),
+        Just(Some(Value::Ptr(Ptr::Host(3)))),
+    ];
+    prop::collection::vec(payload.prop_map(Input::Xraw), 1..8)
 }
 
 // ---- properties ----------------------------------------------------------------
@@ -214,6 +255,13 @@ proptest! {
 
     #[test]
     fn lanes_agree_on_generated_programs(src in arb_program(), script in arb_script()) {
+        let [tree, flat, opt] = lanes(&src, &script);
+        prop_assert_eq!(&tree, &flat, "tree vs raw flat on\n{}", src);
+        prop_assert_eq!(&flat, &opt, "raw flat vs optimized flat on\n{}", src);
+    }
+
+    #[test]
+    fn lanes_agree_on_int_expressions(src in arb_int_program(), script in arb_int_script()) {
         let [tree, flat, opt] = lanes(&src, &script);
         prop_assert_eq!(&tree, &flat, "tree vs raw flat on\n{}", src);
         prop_assert_eq!(&flat, &opt, "raw flat vs optimized flat on\n{}", src);
