@@ -6,9 +6,8 @@ pub mod chaos;
 pub mod shard_mesh;
 pub mod table;
 
-// the corpus sources moved to the `ceu-corpus` leaf crate (so build
-// scripts can AOT-compile them too); re-exported here for compatibility
-pub use ceu_corpus as corpus;
+// the corpus sources live in the `ceu-corpus` leaf crate (so build
+// scripts can AOT-compile them too)
 pub use ceu_corpus::*;
 
 /// Where harness binaries drop their artifacts (dot files, raw results).

@@ -21,7 +21,7 @@ mod programs;
 /// Generated programs in the digest (seeds `0..GENERATED`).
 const GENERATED: u64 = 24;
 
-/// The await-chain shape of `crates/bench/benches/dfa_scaling.rs`.
+/// The await-chain shape of the A3 table in `crates/bench/src/bin/sweeps.rs`.
 fn chain_program(m: usize, n: usize) -> String {
     let awaits = |k: usize| "  await A;\n".repeat(k);
     format!(
@@ -31,7 +31,7 @@ fn chain_program(m: usize, n: usize) -> String {
     )
 }
 
-/// The coprime-timer shape of `crates/bench/benches/dfa_scaling.rs`.
+/// The coprime-timer shape of the A3 table in `crates/bench/src/bin/sweeps.rs`.
 fn timer_program(k: usize) -> String {
     let periods = [7u64, 11, 13, 17, 19, 23];
     let mut src = String::from("int x;\npar do\n");

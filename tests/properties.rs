@@ -4,8 +4,9 @@
 //! * pretty-printing is a fixpoint of parsing;
 //! * compiled programs are structurally well-formed (valid block/gate/slot
 //!   references, well-nested regions) for arbitrary generated programs;
-//! * the machine is deterministic: the same program and input sequence
-//!   produce identical states and host-call logs — the language's central
+//! * compilation and execution are deterministic: two independent compiles
+//!   of one source build the same artifact, and the same input sequence
+//!   produces identical states and host-call logs — the language's central
 //!   promise;
 //! * every expression lane agrees: the tree walker, the raw flat code and
 //!   the optimized flat code end a script with the same data, host calls,
@@ -245,10 +246,14 @@ proptest! {
 
     #[test]
     fn execution_is_deterministic(src in arb_program(), script in arb_script()) {
-        // the language's core promise, checked end-to-end: identical runs
+        // the language's core promise, checked end-to-end: two independent
+        // compiles (each with fresh hash-map keys) build the same artifact,
+        // and the two runs observe the same data and host calls
         let p1 = Compiler::unchecked().compile(&src).expect("compiles");
-        let (d1, c1) = run_script(p1.clone(), &script);
-        let (d2, c2) = run_script(p1, &script);
+        let p2 = Compiler::unchecked().compile(&src).expect("compiles");
+        prop_assert_eq!(p1.fingerprint(), p2.fingerprint(), "two compiles differ on\n{}", src);
+        let (d1, c1) = run_script(p1, &script);
+        let (d2, c2) = run_script(p2, &script);
         prop_assert_eq!(d1, d2);
         prop_assert_eq!(c1, c2);
     }
