@@ -6,7 +6,7 @@
 //! counters to its LEDs and beacons its own counter to the next mote
 //! once per millisecond, so crashes, reboots, partitions, bursts and
 //! clock skew all land on live traffic. A rebooted mote restarts from
-//! fresh machine state and its beacon loop resumes — LED activity after
+//! its boot image and its beacon loop resumes — LED activity after
 //! the revival time is the observable re-convergence signal.
 //!
 //! The binary (`cargo run -p ceu-bench --bin chaos`) drives this over
@@ -207,6 +207,13 @@ pub fn run_chaos_scenario(
         let stats = par.take_par_stats().expect("par stats enabled");
         if !stats.fallback {
             par_stats = Some(stats);
+        }
+    }
+    // a rebooted machine keeps counting: one id names one reaction
+    let mut ids = std::collections::HashSet::new();
+    for e in &trace {
+        if let TraceEvent::ReactionStart { id, .. } = e.event {
+            assert!(ids.insert(id), "{name}: reaction id {id:?} repeats in the world trace");
         }
     }
     let crashes =

@@ -1,7 +1,8 @@
 //! Booting a machine allocates its state blocks and nothing else: one
 //! zeroed block per element type (`Value`, `u32`, `u64`), laid out once
 //! per artifact by `StateLayout`, for every corpus program, raw and
-//! optimized.
+//! optimized. Rebooting it (`Machine::reboot`, then `go_init`) reuses
+//! those blocks and allocates nothing.
 //!
 //! The counting allocator is process-wide, so this file holds a single
 //! test: nothing else may allocate while a machine boots.
@@ -82,6 +83,11 @@ fn booting_allocates_one_block_per_element_type() {
             let made = ALLOCS.load(Ordering::Relaxed) - before;
             assert_eq!(made, planned as u64, "{name} [{mode}]: allocations at boot");
             assert_eq!(m.data().len(), prog.data_len as usize, "{name} [{mode}]");
+            let before = ALLOCS.load(Ordering::Relaxed);
+            m.reboot();
+            m.go_init(&mut Zeros).expect("reboot");
+            let made = ALLOCS.load(Ordering::Relaxed) - before;
+            assert_eq!(made, 0, "{name} [{mode}]: allocations at reboot");
         }
     }
 }

@@ -7,8 +7,9 @@
 //! * nothing ever panics (the test completing is the proof);
 //! * every failure surfaces as a `RuntimeError` with a message (and,
 //!   for host-call failures inside program code, a source span);
-//! * after an error the machine can be re-minted from the shared
-//!   artifact and driven on — the reboot path the WSN world relies on;
+//! * after an error the machine can be rebooted in place
+//!   (`Machine::reboot`) and driven on — the reboot path the WSN world
+//!   and `ceuc run --faults` rely on;
 //! * the AOT-compiled native backend (`Machine::set_native`) degrades
 //!   *identically*: the same seeds produce the same errors (message,
 //!   span, classification) and the same host-call stream as the
@@ -88,9 +89,9 @@ fn corpus() -> Vec<(&'static str, String)> {
 /// One soak run: `steps` random actions against one program. Returns
 /// the errors observed, the number of host calls reached, and the
 /// cumulative native step count (0 on the interpreter lane); panics
-/// only if the machine layer itself does. When `native` is given, it is
-/// re-attached after every re-mint — the reboot path must not silently
-/// fall back to the interpreter either.
+/// only if the machine layer itself does. When `native` is given, it
+/// stays attached across every reboot — the reboot path must not
+/// silently fall back to the interpreter either.
 fn soak(
     name: &str,
     prog: &Arc<ceu::CompiledProgram>,
@@ -101,15 +102,10 @@ fn soak(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut host = FlakyHost::new(seed ^ 0x5eed, 0.08);
     let mut errors = Vec::new();
-    let mint = || {
-        let mut m = Machine::from_arc(Arc::clone(prog));
-        if let Some(n) = native {
-            m.set_native(Arc::clone(n)).unwrap_or_else(|e| panic!("{name}: set_native: {e}"));
-        }
-        m
-    };
-    let mut native_steps = 0u64;
-    let mut m = mint();
+    let mut m = Machine::from_arc(Arc::clone(prog));
+    if let Some(n) = native {
+        m.set_native(Arc::clone(n)).unwrap_or_else(|e| panic!("{name}: set_native: {e}"));
+    }
 
     let external: Vec<_> = (0..prog.events.len())
         .filter_map(|i| {
@@ -118,26 +114,21 @@ fn soak(
         })
         .collect();
 
-    let note = |r: Result<ceu::Status, RuntimeError>,
-                m: &mut Machine,
-                errors: &mut Vec<RuntimeError>,
-                native_steps: &mut u64| {
+    let note = |r: Result<ceu::Status, RuntimeError>, m: &mut Machine, errors: &mut Vec<_>| {
         if let Err(e) = r {
             assert!(!e.message.is_empty(), "{name}/{seed}: error without a message");
             errors.push(e);
-            // graceful-degradation reboot: fresh machine, same artifact
-            // (and the native program re-attached, when on that lane)
-            *native_steps += m.native_steps();
-            *m = mint();
+            // graceful-degradation reboot: boot image, same instance
+            // (the native program stays attached, when on that lane)
+            m.reboot();
         }
     };
 
-    note(m.go_init(&mut host), &mut m, &mut errors, &mut native_steps);
+    note(m.go_init(&mut host), &mut m, &mut errors);
     for _ in 0..steps {
         if m.status().is_terminated() {
-            native_steps += m.native_steps();
-            m = mint();
-            note(m.go_init(&mut host), &mut m, &mut errors, &mut native_steps);
+            m.reboot();
+            note(m.go_init(&mut host), &mut m, &mut errors);
         }
         match rng.gen_range(0u32..10) {
             // junk-valued external events (most common action)
@@ -150,7 +141,7 @@ fn soak(
                         3 => Some(Value::Int(rng.gen_range(-1_000_000i64..1_000_000))),
                         _ => Some(Value::Ptr(ceu::runtime::Ptr::Host(rng.gen_range(0u64..4)))),
                     };
-                    note(m.go_event(ev, v, &mut host), &mut m, &mut errors, &mut native_steps);
+                    note(m.go_event(ev, v, &mut host), &mut m, &mut errors);
                 }
             }
             // time jumps: tiny, past every corpus period, or huge
@@ -160,7 +151,7 @@ fn soak(
                     1 => rng.gen_range(1_000u64..2_000_000),
                     _ => rng.gen_range(0u64..60_000_000),
                 };
-                note(m.go_time(m.now() + dt, &mut host), &mut m, &mut errors, &mut native_steps);
+                note(m.go_time(m.now() + dt, &mut host), &mut m, &mut errors);
             }
             // bounded async slices
             _ => {
@@ -169,7 +160,7 @@ fn soak(
                         Ok(true) => {}
                         Ok(false) => break,
                         Err(e) => {
-                            note(Err(e), &mut m, &mut errors, &mut native_steps);
+                            note(Err(e), &mut m, &mut errors);
                             break;
                         }
                     }
@@ -177,8 +168,7 @@ fn soak(
             }
         }
     }
-    native_steps += m.native_steps();
-    (errors, host.calls, native_steps)
+    (errors, host.calls, m.native_steps())
 }
 
 #[test]

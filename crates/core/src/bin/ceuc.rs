@@ -416,22 +416,17 @@ fn exec_script(
     };
     // map original names to unique slots for `print`
     let names: Vec<String> = p.slots.iter().map(|s| s.name.clone()).collect();
-    // shared artifact so a reboot can remint a fresh machine cheaply
-    let arc = std::sync::Arc::new(p);
-    let configure = |sim: &mut Simulator<NullHost>| {
-        sim.machine_mut().use_tree_eval = opts.tree_eval;
-        if opts.profile {
-            sim.machine_mut().enable_profiling();
-        }
-        if opts.metrics || opts.metrics_out.is_some() {
-            sim.enable_metrics();
-        }
-        if opts.max_reaction_us.is_some() || opts.max_tracks.is_some() {
-            sim.set_reaction_limits(opts.max_reaction_us, opts.max_tracks);
-        }
-    };
-    let mut sim = Simulator::from_arc(arc.clone(), NullHost);
-    configure(&mut sim);
+    let mut sim = Simulator::new(p, NullHost);
+    sim.machine_mut().use_tree_eval = opts.tree_eval;
+    if opts.profile {
+        sim.machine_mut().enable_profiling();
+    }
+    if opts.metrics || opts.metrics_out.is_some() {
+        sim.enable_metrics();
+    }
+    if opts.max_reaction_us.is_some() || opts.max_tracks.is_some() {
+        sim.set_reaction_limits(opts.max_reaction_us, opts.max_tracks);
+    }
 
     let fmt_sink = match opts.trace {
         Some(fmt) => {
@@ -568,17 +563,14 @@ fn exec_script(
                     if pick_revive {
                         revive_at = None;
                         if crashed.is_some() {
-                            let mut fresh = Simulator::from_arc(arc.clone(), NullHost);
-                            configure(&mut fresh);
-                            // the trace and the black box follow the machine
-                            // into its next life, on one host-clock axis
-                            fresh.inherit_trace_sink(&mut sim);
-                            // carry the clock forward before boot so the
-                            // previous life's timers do not replay
-                            if let Err(e) = fresh.machine_mut().go_time(at, &mut NullHost) {
+                            // settings, the trace sink and the black box
+                            // stay with the machine into its next life
+                            sim.machine_mut().reboot();
+                            // the new life's clock starts at the reboot
+                            // time, so its timers count from there
+                            if let Err(e) = sim.machine_mut().go_time(at, &mut NullHost) {
                                 return Err(e.to_string());
                             }
-                            sim = fresh;
                             if let Some(c) = crashed.take() {
                                 first_crash.get_or_insert(c);
                             }

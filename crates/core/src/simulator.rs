@@ -7,20 +7,6 @@ use ceu_runtime::{
     Host, Machine, Result, RuntimeError, Status, TraceEvent, TraceMask, TraceSink, Value,
 };
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Moves a sampled host-clock stamp by `ns`; 0 means "not sampled" (see
-/// [`TraceMask`]) and stays 0.
-fn shift_wall(e: &mut TraceEvent, ns: u64) {
-    if let TraceEvent::ReactionStart { wall_ns, .. }
-    | TraceEvent::ReactionEnd { wall_ns, .. }
-    | TraceEvent::BudgetExceeded { wall_ns, .. } = e
-    {
-        if *wall_ns != 0 {
-            *wall_ns += ns;
-        }
-    }
-}
 
 /// A machine plus its host, with convenience driving methods. This is what
 /// the examples and the WSN/Arduino substrates embed.
@@ -32,13 +18,6 @@ pub struct Simulator<H: Host> {
     sink: Option<Box<dyn TraceSink + Send>>,
     /// Reused drain buffer between the machine and `sink`.
     drained: Vec<TraceEvent>,
-    /// When the machine was created: the zero of its `wall_ns` stamps, to
-    /// within the machine's construction time.
-    born: Instant,
-    /// Added to every sampled `wall_ns` on its way to `sink`, so a trace
-    /// that follows a machine across reboots keeps the first life's epoch
-    /// ([`inherit_trace_sink`](Self::inherit_trace_sink)).
-    wall_offset_ns: u64,
 }
 
 impl<H: Host> Simulator<H> {
@@ -49,15 +28,7 @@ impl<H: Host> Simulator<H> {
     /// Instantiates over an already-shared artifact — the cheap path when
     /// many simulators (motes, bench workers) run one program.
     pub fn from_arc(program: Arc<CompiledProgram>, host: H) -> Self {
-        let machine = Machine::from_arc(program);
-        Simulator {
-            machine,
-            host,
-            sink: None,
-            drained: Vec::new(),
-            born: Instant::now(),
-            wall_offset_ns: 0,
-        }
+        Simulator { machine: Machine::from_arc(program), host, sink: None, drained: Vec::new() }
     }
 
     pub fn host(&self) -> &H {
@@ -94,28 +65,13 @@ impl<H: Host> Simulator<H> {
         self.sink.take()
     }
 
-    /// Moves `prev`'s trace sink, if any, to this simulator — the one that
-    /// replaces `prev` after a reboot — at the same event mask, and keeps
-    /// one host-clock axis for the whole trace: this machine's `wall_ns`
-    /// stamps are shifted onto `prev`'s epoch (itself shifted onto its
-    /// predecessor's), so Chrome/Perfetto timestamps never jump backwards
-    /// at a reboot.
-    pub fn inherit_trace_sink(&mut self, prev: &mut Simulator<H>) {
-        let Some(sink) = prev.sink.take() else { return };
-        let mask = prev.machine.event_mask().unwrap_or(TraceMask::Full);
-        self.wall_offset_ns =
-            prev.wall_offset_ns + self.born.saturating_duration_since(prev.born).as_nanos() as u64;
-        self.set_trace_sink(sink, mask);
-    }
-
     /// One machine call, followed by draining its events into the sink
     /// whether or not the call failed.
     fn step<T>(&mut self, call: impl FnOnce(&mut Machine, &mut H) -> Result<T>) -> Result<T> {
         let r = call(&mut self.machine, &mut self.host);
         if let Some(sink) = &mut self.sink {
             self.machine.drain_events_into(&mut self.drained);
-            for mut e in self.drained.drain(..) {
-                shift_wall(&mut e, self.wall_offset_ns);
+            for e in self.drained.drain(..) {
                 sink.on_event(&e);
             }
         }

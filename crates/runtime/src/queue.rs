@@ -17,7 +17,8 @@
 //! (`ceu_codegen::StateLayout`), which it lends to every queue operation:
 //! the links at the front of the `u32` block, the ends and the time bases
 //! at the offsets the queue was built with. The blocks start zeroed, and
-//! a zero link is an idle block, so a new machine's queue is empty.
+//! a zero link is an idle block, so a new or rebooted machine's queue is
+//! empty.
 //!
 //! Nested reactions (internal emits, §2.2) run on a fresh *level*:
 //! [`open_level`](TrackQueue::open_level) parks the current level's
@@ -80,6 +81,14 @@ impl TrackQueue {
     /// and whose time bases start at word `base` of the `u64` block.
     pub(crate) fn new(ends: u32, base: u32) -> Self {
         TrackQueue { mask: [0; WORDS], len: 0, ends, base, frames: Vec::new(), parked: Vec::new() }
+    }
+
+    /// Empties every level, keeping the frame stacks' capacity; the
+    /// caller zeroes the links and ends in the state blocks.
+    pub(crate) fn reset(&mut self) {
+        (self.mask, self.len) = ([0; WORDS], 0);
+        self.frames.clear();
+        self.parked.clear();
     }
 
     /// Tracks queued at the current level.

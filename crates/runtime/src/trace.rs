@@ -200,7 +200,7 @@ pub enum TraceEvent {
         line: u32,
         col: u32,
     },
-    /// World-level: the mote restarted from a fresh machine with full
+    /// World-level: the mote restarted from its boot image with full
     /// state loss. `boots` counts completed reboots (1 = first reboot).
     MoteRebooted {
         boots: u32,

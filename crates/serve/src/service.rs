@@ -12,9 +12,6 @@
 //!   per-reaction step budget counted in executed blocks. Exhaustion is a
 //!   function of the program and its inputs alone, so evictions reproduce
 //!   bit-for-bit across reruns, hosts, and backends.
-//! * **wall-clock/track watchdog** ([`Machine::set_reaction_limits`]) —
-//!   the non-deterministic belt to fuel's braces, catching reactions that
-//!   are slow without being long (host-call stalls).
 //! * **admission control and load shedding** — bounded per-session
 //!   mailboxes and a bounded global queue; over either limit the send is
 //!   refused with an explicit [`SendError::Shed`] carrying a retry hint,
@@ -55,10 +52,6 @@ pub struct ServeConfig {
     /// Deterministic per-reaction step budget (`None` = only the
     /// `REACTION_BUDGET` safety net deep in the runtime).
     pub fuel_limit: Option<u32>,
-    /// Wall-clock watchdog per reaction, µs (`None` = off).
-    pub max_reaction_us: Option<u64>,
-    /// Track-count watchdog per reaction (`None` = off).
-    pub max_tracks: Option<u32>,
     /// Messages a worker takes from one mailbox per epoch (fairness
     /// quantum: bigger = better locality, smaller = lower tail latency
     /// for neighbours).
@@ -93,8 +86,6 @@ impl Default for ServeConfig {
             session_queue_cap: 64,
             global_queue_cap: 8192,
             fuel_limit: Some(200_000),
-            max_reaction_us: None,
-            max_tracks: None,
             epoch_batch: 32,
             async_slices_per_epoch: 64,
             max_async_epochs: 16,
@@ -117,7 +108,8 @@ pub struct SessionId(pub u64);
 pub enum EvictCause {
     /// Deterministic fuel exhaustion — the reproducible eviction.
     Fuel { limit: u32 },
-    /// Wall-clock or track-count watchdog trip.
+    /// The runtime's execution-budget safety net tripped: with no fuel
+    /// limit set, a reaction ran past `REACTION_BUDGET` blocks.
     Watchdog,
     /// The program itself faulted (division by zero, bad host call…).
     Runtime { message: String },
@@ -520,9 +512,6 @@ impl SessionService {
     fn make_machine(cfg: &ServeConfig, prog: &Arc<CompiledProgram>) -> Machine {
         let mut m = Machine::from_arc(Arc::clone(prog));
         m.set_fuel_limit(cfg.fuel_limit);
-        if cfg.max_reaction_us.is_some() || cfg.max_tracks.is_some() {
-            m.set_reaction_limits(cfg.max_reaction_us, cfg.max_tracks);
-        }
         m
     }
 
@@ -671,7 +660,8 @@ impl SessionService {
 
     /// Client-requested restart of a crashed session, gated by the
     /// configured [`RebootPolicy`] backoff and crash cap. On success the
-    /// session gets a fresh machine (same cached artifact) and a queued
+    /// session gets a fresh machine (same cached artifact; quarantine
+    /// freed the crashed one, so there is none to reboot) and a queued
     /// boot.
     pub fn restart(&self, id: SessionId) -> Result<(), RestartError> {
         let cfg = &self.inner.cfg;

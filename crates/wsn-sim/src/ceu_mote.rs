@@ -168,8 +168,6 @@ pub struct CeuMote {
     /// the moment a callback arrived (how stale the mote's view of time
     /// was, before the pre-reaction `go_time` resync).
     max_clock_lag_us: u64,
-    /// Remembered watchdog limits, re-armed on reboot.
-    reaction_limits: Option<(Option<u64>, Option<u32>)>,
 }
 
 impl CeuMote {
@@ -193,7 +191,6 @@ impl CeuMote {
             radio_evt,
             async_per_slice: 8,
             max_clock_lag_us: 0,
-            reaction_limits: None,
         }
     }
 
@@ -232,15 +229,6 @@ impl CeuMote {
     /// Switches on the embedded machine's metrics registry.
     pub fn enable_metrics(&mut self) {
         self.machine.enable_metrics();
-    }
-
-    /// Arms the machine's watchdog (wall-clock budget per reaction and/or
-    /// a track-count ceiling). A trip crashes the *mote* — the world sees
-    /// `MoteStatus::Crashed` with a watchdog cause, never a panic. The
-    /// limits survive reboots.
-    pub fn set_reaction_limits(&mut self, max_reaction_us: Option<u64>, max_tracks: Option<u32>) {
-        self.reaction_limits = Some((max_reaction_us, max_tracks));
-        self.machine.set_reaction_limits(max_reaction_us, max_tracks);
     }
 
     pub fn metrics(&self) -> Option<&ceu::runtime::Metrics> {
@@ -348,25 +336,14 @@ impl Backend for CeuMote {
         self.sync_world(ctx);
     }
 
-    /// Reboot with full state loss, as a crashed device would: a fresh
-    /// machine over the same shared program artifact, a fresh C world
-    /// (experiment hooks carry over), then the normal boot sequence.
-    /// Observability settings (event channel, metrics, watchdog limits)
-    /// are re-armed on the new machine.
+    /// Reboot with full state loss, as a crashed device would: the
+    /// machine's program state goes back to its boot image
+    /// ([`Machine::reboot`]), the C world starts fresh (experiment hooks
+    /// carry over), then the normal boot sequence runs. The machine's
+    /// settings survive, and its reaction ids keep counting, so every life
+    /// of the mote stays apart in the trace.
     fn reboot(&mut self, ctx: &mut MoteCtx) {
-        let mut machine = Machine::from_arc(self.machine.program_arc());
-        machine.set_trace_mote(self.node_id as u32);
-        if self.machine.metrics_enabled() {
-            machine.enable_metrics();
-        }
-        if let Some((max_us, max_tracks)) = self.reaction_limits {
-            machine.set_reaction_limits(max_us, max_tracks);
-        }
-        if let Some(mask) = self.machine.event_mask() {
-            machine.enable_events(mask);
-        }
-        self.radio_evt = machine.event_id("Radio_receive");
-        self.machine = machine;
+        self.machine.reboot();
         let extra = std::mem::take(&mut self.host.extra);
         self.host = TosHost::new(self.node_id);
         self.host.extra = extra;
@@ -479,7 +456,7 @@ mod tests {
 
     /// Serves radio messages, but a parallel trail calls a C function the
     /// TinyOS binding doesn't have, 5 ms into every life — a guaranteed
-    /// machine error (and after a reboot, the fresh machine re-arms it).
+    /// machine error (and after a reboot, the rebooted machine re-arms it).
     const FRAGILE: &str = r#"
         input _message_t* Radio_receive;
         par do

@@ -45,8 +45,9 @@ pub enum FaultAction {
     /// Power the mote off. It stays down unless the world's reboot policy
     /// (or a later [`FaultAction::Reboot`]) brings it back.
     Crash { mote: MoteId },
-    /// Crash the mote now and restart it `delay_us` later (fresh machine,
-    /// full state loss), regardless of the world's reboot policy.
+    /// Crash the mote now and restart it `delay_us` later (program state
+    /// reset to the boot image, full state loss), regardless of the
+    /// world's reboot policy.
     Reboot { mote: MoteId, delay_us: u64 },
     /// Split the network: no traffic between `group_a` and `group_b`
     /// until `until_us`.

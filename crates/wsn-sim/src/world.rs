@@ -341,8 +341,8 @@ pub trait Backend: Send {
     fn cpu(&mut self, ctx: &mut MoteCtx);
     /// Restart after a crash: come back as a freshly-booted instance with
     /// full state loss. The default boots again without resetting state;
-    /// stateful backends override it (see `CeuMote`, which rebuilds its
-    /// machine from the shared program artifact).
+    /// stateful backends override it (see `CeuMote`, which resets its
+    /// machine to the boot image).
     fn reboot(&mut self, ctx: &mut MoteCtx) {
         self.boot(ctx)
     }

@@ -13,12 +13,16 @@
 //!   status and error, on generated programs, on string literals, and on
 //!   generated integer expressions that exercise the interpreter's typed
 //!   flat code and its fallback to the generic code;
+//! * a rebooted machine runs a script exactly as a fresh one does, even
+//!   after a prefix that failed mid-reaction; only its reaction ids keep
+//!   counting;
 //! * the overlay allocator never exceeds the sum layout and never loses a
 //!   variable.
 
-use ceu::runtime::{Ptr, RecordingHost, Value};
-use ceu::{CompileOptions, CompiledProgram, Compiler, Simulator, Status};
+use ceu::runtime::{Host, HostResult, Ptr, RecordingHost, TraceEvent, TraceMask, Value};
+use ceu::{CompileOptions, CompiledProgram, Compiler, Machine, Simulator, Status};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 mod programs;
 use programs::{arb_int_expr, arb_program};
@@ -175,6 +179,146 @@ fn arb_int_script() -> impl Strategy<Value = Vec<Input>> {
     prop::collection::vec(payload.prop_map(Input::Xraw), 1..8)
 }
 
+/// A recording host whose call number `fail_at` (0-based) fails, so a
+/// run against it can stop in the middle of a reaction.
+struct FailingHost {
+    rec: RecordingHost,
+    fail_at: usize,
+}
+
+impl Host for FailingHost {
+    fn call(&mut self, name: &str, args: &[Value]) -> HostResult<Value> {
+        if self.rec.calls.len() == self.fail_at {
+            self.fail_at = usize::MAX;
+            return Err(format!("`_{name}` failed on purpose"));
+        }
+        self.rec.call(name, args)
+    }
+}
+
+/// Feeds `script` to a booted machine up to its end, its termination or
+/// its first error, which is returned as text with its span.
+fn drive(m: &mut Machine, host: &mut dyn Host, script: &[Input]) -> Option<String> {
+    let evt = |m: &Machine, name| m.event_id(name).expect("the programs declare A, B and X");
+    for inp in script {
+        if m.status().is_terminated() {
+            return None;
+        }
+        let r = match inp {
+            Input::A => m.go_event(evt(m, "A"), None, host),
+            Input::B => m.go_event(evt(m, "B"), None, host),
+            Input::X(v) => m.go_event(evt(m, "X"), Some(Value::Int(*v)), host),
+            Input::Xraw(v) => m.go_event(evt(m, "X"), *v, host),
+            Input::Time(us) => m.go_time(m.now() + us, host),
+        };
+        if let Err(e) = r {
+            return Some(e.to_string());
+        }
+    }
+    None
+}
+
+/// What one life of a machine showed: outputs, data, host calls, status,
+/// the error with its span, and the coarse trace.
+type Life = (
+    Vec<(ceu::ast::EventId, Option<Value>)>,
+    Vec<Value>,
+    Vec<String>,
+    Status,
+    Option<String>,
+    Vec<TraceEvent>,
+);
+
+/// Boots `m` and runs `script` against a fresh recording host.
+fn life(m: &mut Machine, script: &[Input]) -> Life {
+    let mut host = RecordingHost::new();
+    let err = match m.go_init(&mut host) {
+        Ok(_) => drive(m, &mut host, script),
+        Err(e) => Some(e.to_string()),
+    };
+    let calls = host.calls.iter().map(|(n, a)| format!("{n}{a:?}")).collect();
+    let mut trace = Vec::new();
+    m.drain_events_into(&mut trace);
+    (m.take_outputs(), m.data().to_vec(), calls, m.status(), err, trace)
+}
+
+/// Runs `prefix` against a host that fails its call `fail_at`, reboots
+/// the machine and runs `script`; returns that life, a fresh machine's
+/// run of `script` with the same settings, and the rebooted machine's
+/// reaction ids moved back by the prefix's count.
+fn reboot_vs_fresh(
+    src: &str,
+    prefix: &[Input],
+    fail_at: usize,
+    script: &[Input],
+) -> (Life, Life, bool) {
+    let prog = Arc::new(Compiler::unchecked().compile(src).expect("compiles"));
+    let machine = || {
+        let mut m = Machine::from_arc(Arc::clone(&prog));
+        m.enable_events(TraceMask::Coarse);
+        m.set_fuel_limit(Some(100_000));
+        m.set_trace_mote(3);
+        m
+    };
+    let mut m = machine();
+    let mut host = FailingHost { rec: RecordingHost::new(), fail_at };
+    if m.go_init(&mut host).is_ok() {
+        drive(&mut m, &mut host, prefix);
+    }
+    m.drain_events_into(&mut Vec::new());
+    let lived = m.reactions_started();
+    m.reboot();
+    let mut rebooted = life(&mut m, script);
+    for e in &mut rebooted.5 {
+        if let TraceEvent::ReactionStart { id, .. } = e {
+            id.seq -= lived;
+        }
+    }
+    let mut fresh = machine();
+    let fresh_life = life(&mut fresh, script);
+    let counted_on = m.reactions_started() == lived + fresh.reactions_started();
+    (rebooted, fresh_life, counted_on)
+}
+
+#[test]
+fn a_reboot_clears_a_reaction_cut_short() {
+    // `A` queues both trails' tracks; the first one emits an output and
+    // then its `_f` fails, so the reaction dies with an output buffered
+    // and the second track still queued
+    let src = "input void A, B;\ninput int X;\noutput int Out;\nint v, w;\npar do\n\
+               loop do\n      await A;\n      emit Out = v;\n      _f(v);\n      v = v + 1;\n\
+               end\nwith\n   loop do\n      await A;\n      w = w + 1;\n   end\nend";
+    let script = [Input::A, Input::Time(5_000), Input::A];
+    let (rebooted, fresh, counted_on) = reboot_vs_fresh(src, &[Input::A], 0, &script);
+    assert_eq!(rebooted, fresh);
+    assert!(counted_on, "reaction ids keep counting across the reboot");
+    assert_eq!((fresh.0.len(), &fresh.1[..2]), (2, &[Value::Int(2), Value::Int(2)][..]));
+}
+
+#[test]
+fn a_reboot_restarts_the_async_round_robin_and_the_status() {
+    let src = "int a, b;\npar/and do\n   a = async do\n      _f(1);\n      return 1;\n   end;\n\
+               with\n   b = async do\n      _f(2);\n      return 2;\n   end;\nend\nreturn a + b;";
+    let prog = Arc::new(Compiler::unchecked().compile(src).expect("compiles"));
+    // boots `m` and runs its asyncs to the end
+    let run = |m: &mut Machine| {
+        let mut host = RecordingHost::new();
+        m.go_init(&mut host).expect("boot");
+        while m.go_async(&mut host).expect("slice") {}
+        (host.calls, m.status())
+    };
+    let fresh = run(&mut Machine::from_arc(Arc::clone(&prog)));
+    assert_eq!(fresh.1, Status::Terminated(Some(3)));
+    let mut m = Machine::from_arc(prog);
+    m.go_init(&mut RecordingHost::new()).expect("boot");
+    // one slice moves the round-robin past the first async
+    m.go_async(&mut RecordingHost::new()).expect("slice");
+    m.reboot();
+    assert_eq!(run(&mut m), fresh, "rebooted mid-run");
+    m.reboot();
+    assert_eq!(run(&mut m), fresh, "rebooted after termination");
+}
+
 // ---- properties ----------------------------------------------------------------
 
 proptest! {
@@ -270,6 +414,18 @@ proptest! {
         let [tree, flat, opt] = lanes(&src, &script);
         prop_assert_eq!(&tree, &flat, "tree vs raw flat on\n{}", src);
         prop_assert_eq!(&flat, &opt, "raw flat vs optimized flat on\n{}", src);
+    }
+
+    #[test]
+    fn a_rebooted_machine_runs_like_a_fresh_one(
+        src in arb_program(),
+        prefix in arb_script(),
+        fail_at in 0usize..4,
+        script in arb_script(),
+    ) {
+        let (rebooted, fresh, counted_on) = reboot_vs_fresh(&src, &prefix, fail_at, &script);
+        prop_assert_eq!(rebooted, fresh, "rebooted vs fresh on\n{}", src);
+        prop_assert!(counted_on, "reaction ids restarted on\n{}", src);
     }
 
     #[test]
