@@ -86,7 +86,9 @@ fn corpus() -> Vec<(&'static str, String)> {
     ]
 }
 
-/// One soak run: `steps` random actions against one program. Returns
+/// One soak run: `steps` random actions against one program, each
+/// reaction chain held to `fuel` blocks (the runtime's default budget
+/// when `None`). Returns
 /// the errors observed, the number of host calls reached, and the
 /// cumulative native step count (0 on the interpreter lane); panics
 /// only if the machine layer itself does. When `native` is given, it
@@ -96,6 +98,7 @@ fn soak(
     name: &str,
     prog: &Arc<ceu::CompiledProgram>,
     native: Option<&Arc<dyn NativeProgram>>,
+    fuel: Option<u32>,
     seed: u64,
     steps: u32,
 ) -> (Vec<RuntimeError>, u64, u64) {
@@ -103,6 +106,7 @@ fn soak(
     let mut host = FlakyHost::new(seed ^ 0x5eed, 0.08);
     let mut errors = Vec::new();
     let mut m = Machine::from_arc(Arc::clone(prog));
+    m.set_fuel_limit(fuel);
     if let Some(n) = native {
         m.set_native(Arc::clone(n)).unwrap_or_else(|e| panic!("{name}: set_native: {e}"));
     }
@@ -180,7 +184,7 @@ fn random_soak_never_panics_and_errors_are_spanned() {
         let prog =
             Arc::new(ceu::Compiler::new().compile(&src).unwrap_or_else(|e| panic!("{name}: {e}")));
         for seed in [1u64, 7, 42, 1234] {
-            let (errors, calls, _) = soak(name, &prog, None, seed, 400);
+            let (errors, calls, _) = soak(name, &prog, None, None, seed, 400);
             total_errors += errors.len();
             spanned_errors += errors.iter().filter(|e| e.span != ceu_ast::Span::default()).count();
             host_calls += calls;
@@ -197,7 +201,7 @@ fn random_soak_never_panics_and_errors_are_spanned() {
 /// The native lane of the same soak: for every corpus program with an
 /// AOT-emitted twin, junk events, wild time jumps, and induced host
 /// failures must produce *exactly* the interpreter's behavior — same
-/// error list (message, span, watchdog/fuel classification), same
+/// error list (message, span, fuel classification), same
 /// host-call stream — and the native step counter must prove the native
 /// path ran instead of silently falling back.
 #[test]
@@ -214,8 +218,9 @@ fn native_soak_errors_match_interpreter_exactly() {
         native_progs += 1;
         let mut prog_native_steps = 0u64;
         for seed in [1u64, 7, 42, 1234] {
-            let (interp_errors, interp_calls, _) = soak(name, &prog, None, seed, 400);
-            let (native_errors, native_calls, steps) = soak(name, &prog, Some(&native), seed, 400);
+            let (interp_errors, interp_calls, _) = soak(name, &prog, None, None, seed, 400);
+            let (native_errors, native_calls, steps) =
+                soak(name, &prog, Some(&native), None, seed, 400);
             assert_eq!(
                 interp_calls, native_calls,
                 "{name}/{seed}: host-call streams diverged between backends"
@@ -236,4 +241,28 @@ fn native_soak_errors_match_interpreter_exactly() {
     assert!(native_progs >= 8, "native corpus coverage shrank to {native_progs} programs");
     assert!(native_steps_total > 0);
     assert!(total_errors > 0, "the soak induced no RuntimeErrors to compare");
+}
+
+/// The same lanes under a budget a few blocks deep: the native charge
+/// path must run dry at exactly the interpreter's step, with the same
+/// fuel-classified error and the same host calls before it.
+#[test]
+fn native_fuel_trips_match_interpreter_exactly() {
+    let mut fuel_errors = 0usize;
+    for (name, src) in corpus() {
+        let prog =
+            Arc::new(ceu::Compiler::new().compile(&src).unwrap_or_else(|e| panic!("{name}: {e}")));
+        let Some(native) = ceu_native_corpus::lookup(name, true) else {
+            continue;
+        };
+        for (seed, fuel) in [(3u64, 1u32), (5, 4), (11, 16)] {
+            let (interp_errors, interp_calls, _) = soak(name, &prog, None, Some(fuel), seed, 100);
+            let (native_errors, native_calls, _) =
+                soak(name, &prog, Some(&native), Some(fuel), seed, 100);
+            assert_eq!(interp_calls, native_calls, "{name}/{fuel}: host-call streams diverged");
+            assert_eq!(interp_errors, native_errors, "{name}/{fuel}: errors diverged");
+            fuel_errors += native_errors.iter().filter(|e| e.fuel).count();
+        }
+    }
+    assert!(fuel_errors > 0, "no budget ran dry on either lane");
 }

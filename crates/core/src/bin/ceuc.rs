@@ -26,8 +26,9 @@
 //! --metrics-out PATH   write the metrics snapshot as JSON to PATH
 //! --profile            per-block execution profile, rendered as hot
 //!                      statements against the original source
-//! --max-reaction-us N  watchdog: abort reactions over N µs wall time
-//! --max-tracks N       watchdog: abort reactions over N tracks
+//! --fuel N             reaction budget: abort any reaction chain that
+//!                      runs more than N blocks (N >= 1; the default, and
+//!                      the cap, is the runtime's 5,000,000-block net)
 //! --faults PLAN        inject faults from a plan file (see below)
 //! --deadline-ms N      whole-run wall-clock budget: if the run (scripted
 //!                      reactions, output rendering, everything) exceeds
@@ -63,10 +64,10 @@
 //! `drop-in-flight`) are noted and ignored — they need the WSN
 //! simulator. Faults degrade gracefully rather than abort: a crashed
 //! machine drops subsequent script directives until a scheduled reboot
-//! revives it (metrics/profile then reflect the newest boot; the trace
-//! and the black box span every boot).  Machine-level runtime errors
-//! (including watchdog trips) follow the same path: the machine powers
-//! off instead of the process exiting.
+//! revives it (metrics, profile, trace and black box span every boot).
+//! Machine-level runtime errors (including an exhausted reaction
+//! budget) follow the same path: the machine powers off instead of the
+//! process exiting.
 //!
 //! Exit codes: `0` ok, `1` usage/compile/script error, `2` the program
 //! ended powered off (crashed and never rebooted), `3` the run exceeded
@@ -99,8 +100,8 @@ struct RunOpts {
     metrics_out: Option<String>,
     /// Per-block profile, rendered as hot statements against the source.
     profile: bool,
-    max_reaction_us: Option<u64>,
-    max_tracks: Option<u32>,
+    /// Per-reaction fuel budget (`--fuel`).
+    fuel: Option<u32>,
     /// Evaluate expressions by walking the IR trees instead of the flat
     /// postfix code (ablation / differential debugging).
     tree_eval: bool,
@@ -141,14 +142,10 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, RunOpts), String> {
                 opts.trace_out = Some(path.clone());
                 opts.trace = Some(opts.trace.unwrap_or(TraceFormat::Text));
             }
-            "--max-reaction-us" => {
-                let n = it.next().ok_or("--max-reaction-us needs a number")?;
-                opts.max_reaction_us =
-                    Some(n.parse().map_err(|_| "--max-reaction-us: bad number")?);
-            }
-            "--max-tracks" => {
-                let n = it.next().ok_or("--max-tracks needs a number")?;
-                opts.max_tracks = Some(n.parse().map_err(|_| "--max-tracks: bad number")?);
+            "--fuel" => {
+                let n = it.next().ok_or("--fuel needs a number")?;
+                let fuel = n.parse().ok().filter(|&f| f > 0);
+                opts.fuel = Some(fuel.ok_or("--fuel: expected a number of steps >= 1")?);
             }
             "--faults" => {
                 let path = it.next().ok_or("--faults needs a path")?;
@@ -180,7 +177,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let (cmd, file) = match pos.as_slice() {
         [cmd, file, ..] => (cmd.as_str(), file.as_str()),
         _ => {
-            return Err("usage: ceuc <check|fmt|emit-c|emit-rust|dfa|flow|report|run> <file.ceu> [script] [-O|--no-opt] [--trace[=fmt]] [--trace-out PATH] [--metrics] [--metrics-out PATH] [--profile] [--tree-eval] [--max-reaction-us N] [--max-tracks N] [--faults PLAN] [--blackbox PATH] [--deadline-ms N]".into())
+            return Err("usage: ceuc <check|fmt|emit-c|emit-rust|dfa|flow|report|run> <file.ceu> [script] [-O|--no-opt] [--trace[=fmt]] [--trace-out PATH] [--metrics] [--metrics-out PATH] [--profile] [--tree-eval] [--fuel N] [--faults PLAN] [--blackbox PATH] [--deadline-ms N]".into())
         }
     };
     let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
@@ -424,9 +421,7 @@ fn exec_script(
     if opts.metrics || opts.metrics_out.is_some() {
         sim.enable_metrics();
     }
-    if opts.max_reaction_us.is_some() || opts.max_tracks.is_some() {
-        sim.set_reaction_limits(opts.max_reaction_us, opts.max_tracks);
-    }
+    sim.machine_mut().set_fuel_limit(opts.fuel);
 
     let fmt_sink = match opts.trace {
         Some(fmt) => {

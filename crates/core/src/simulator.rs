@@ -93,11 +93,6 @@ impl<H: Host> Simulator<H> {
         self.machine.take_metrics()
     }
 
-    /// Arms the reaction watchdog (see [`Machine::set_reaction_limits`]).
-    pub fn set_reaction_limits(&mut self, max_reaction_us: Option<u64>, max_tracks: Option<u32>) {
-        self.machine.set_reaction_limits(max_reaction_us, max_tracks);
-    }
-
     /// Drains the machine's output-event buffer (emission order) through
     /// `f` without allocating — see [`Machine::drain_outputs`]. Drivers
     /// composing programs (GALS) call this after each step instead of
@@ -134,9 +129,10 @@ impl<H: Host> Simulator<H> {
         Ok(self.status())
     }
 
-    /// Advances the wall clock by a delta (µs).
+    /// Advances the wall clock by a delta (µs), saturating at the end of
+    /// time.
     pub fn advance_by(&mut self, us: u64) -> Result<Status> {
-        let target = self.machine.now() + us;
+        let target = self.machine.now().saturating_add(us);
         self.advance_to(target)
     }
 
@@ -230,6 +226,19 @@ mod tests {
         sim.advance_by(25_000).unwrap();
         sim.advance_by(25_000).unwrap();
         assert_eq!(sim.read_var("n#0"), Some(&Value::Int(5)));
+    }
+
+    #[test]
+    fn advance_by_saturates_at_the_end_of_time() {
+        let p = Compiler::new()
+            .compile("input void Go;\nint n;\nawait 10ms;\nn = 1;\nawait Go;\nn = 2;")
+            .unwrap();
+        let mut sim = Simulator::new(p, NullHost);
+        sim.start().unwrap();
+        sim.advance_by(5_000).unwrap();
+        sim.advance_by(u64::MAX).unwrap();
+        assert_eq!(sim.machine().now(), u64::MAX);
+        assert_eq!(sim.read_var("n#0"), Some(&Value::Int(1)));
     }
 
     #[test]

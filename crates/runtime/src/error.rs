@@ -9,37 +9,25 @@ use std::fmt;
 pub struct RuntimeError {
     pub span: Span,
     pub message: String,
-    /// `true` when the error came from the reaction watchdog
-    /// ([`Machine::set_reaction_limits`](crate::Machine::set_reaction_limits))
-    /// rather than the program itself — fault-handling layers (the WSN
-    /// world's crash states) classify the two differently.
-    pub watchdog: bool,
-    /// `true` when the error is a *fuel* exhaustion: the deterministic
-    /// per-reaction step budget set via
-    /// [`Machine::set_fuel_limit`](crate::Machine::set_fuel_limit) ran
-    /// out. Unlike wall-clock watchdog trips, fuel trips depend only on
-    /// the program and its inputs, so supervisors (the multi-tenant
-    /// session service in `crates/serve`) can make eviction decisions
-    /// that are reproducible bit-for-bit across reruns. Fuel errors also
-    /// carry `watchdog: true` — they are a resource limit, not a program
-    /// fault — so existing watchdog classification keeps working.
+    /// `true` when the error is a *fuel* exhaustion: the reaction chain
+    /// ran past its per-reaction step budget
+    /// ([`Machine::set_fuel_limit`](crate::Machine::set_fuel_limit), or
+    /// the safety-net default when none is set). Fuel trips depend only
+    /// on the program and its inputs, so supervisors (the session service
+    /// in `crates/serve`, the WSN world's crash states) classify them
+    /// apart from program faults, reproducibly across reruns.
     pub fuel: bool,
 }
 
 impl RuntimeError {
     pub fn new(span: Span, message: impl Into<String>) -> Self {
-        RuntimeError { span, message: message.into(), watchdog: false, fuel: false }
+        RuntimeError { span, message: message.into(), fuel: false }
     }
 
-    /// A watchdog trip (wall-clock or track budget exceeded).
-    pub fn watchdog_trip(span: Span, message: impl Into<String>) -> Self {
-        RuntimeError { span, message: message.into(), watchdog: true, fuel: false }
-    }
-
-    /// A deterministic fuel-budget exhaustion (see
+    /// A reaction-budget exhaustion (see
     /// [`Machine::set_fuel_limit`](crate::Machine::set_fuel_limit)).
     pub fn fuel_exhausted(span: Span, message: impl Into<String>) -> Self {
-        RuntimeError { span, message: message.into(), watchdog: true, fuel: true }
+        RuntimeError { span, message: message.into(), fuel: true }
     }
 }
 

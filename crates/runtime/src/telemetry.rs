@@ -132,7 +132,8 @@ pub struct Metrics {
     pub emit_depth_hwm: u32,
     /// High-water mark of the track queue across all reactions.
     pub queue_peak: u32,
-    /// Reaction watchdog trips (see [`Machine::set_reaction_limits`](crate::Machine::set_reaction_limits)).
+    /// Reaction chains that exhausted their budget (see
+    /// [`Machine::set_fuel_limit`](crate::Machine::set_fuel_limit)).
     pub watchdog_trips: u64,
     /// Host wall time per reaction chain (ns).
     pub reaction_wall_ns: Histogram,
@@ -560,7 +561,7 @@ impl<W: Write + 'static> TraceSink for JsonLinesSink<W> {
 /// Chrome `trace_event` / Perfetto JSON ("JSON Array Format").
 ///
 /// Each reaction chain becomes a `B`/`E` duration pair on the host-time
-/// axis (`ts` in µs, fractional); emits, discards, watchdog trips and
+/// axis (`ts` in µs, fractional); emits, discards, exhausted budgets and
 /// termination become instant (`i`) events. Load the output in
 /// `ui.perfetto.dev` or `chrome://tracing`. Call [`finish`](TraceSink::finish)
 /// once after the run to close the array (the viewers tolerate a missing
@@ -802,8 +803,8 @@ impl<T: Copy> Ring<T> {
 }
 
 /// Always-on, bounded-memory flight recorder: the last `capacity`
-/// interesting trace events (reaction boundaries, emissions, watchdog
-/// trips, crashes/reboots — per-track/gate detail is filtered out) plus
+/// interesting trace events (reaction boundaries, emissions, exhausted
+/// budgets, crashes/reboots — per-track/gate detail is filtered out) plus
 /// a small out-of-band ring of scheduler [`WindowMark`]s. Steady-state
 /// recording is allocation-free and O(1) per event; overflow drops
 /// oldest-first behind a monotonic [`dropped`](FlightRecorder::dropped)
@@ -829,7 +830,7 @@ impl FlightRecorder {
     }
 
     /// The recording filter: reaction begin/end, emissions, discards,
-    /// faults, watchdog trips, termination, crash/reboot — everything a
+    /// faults, exhausted budgets, termination, crash/reboot — everything a
     /// post-mortem needs; per-track and per-gate detail is too fine for
     /// a bounded ring and is skipped. Identical to
     /// [`TraceEvent::is_coarse`], so a machine running under

@@ -97,8 +97,9 @@ impl Cause {
 pub enum CrashKind {
     /// The machine surfaced an `Err(RuntimeError)` from a reaction.
     RuntimeError,
-    /// The reaction watchdog
-    /// ([`set_reaction_limits`](crate::Machine::set_reaction_limits)) tripped.
+    /// A reaction chain exhausted its budget
+    /// ([`set_fuel_limit`](crate::Machine::set_fuel_limit), or the
+    /// safety-net default); the label stays `"watchdog"` on the wire.
     Watchdog,
     /// A fault plan took the mote down deliberately.
     FaultInjected,
@@ -166,8 +167,9 @@ pub enum TraceEvent {
     AsyncSlice {
         async_id: AsyncId,
     },
-    /// The reaction watchdog tripped (`tracks` executed so far); the
-    /// machine aborts the reaction with a runtime error right after.
+    /// The reaction chain exhausted its budget (`tracks` executed so far,
+    /// see [`set_fuel_limit`](crate::Machine::set_fuel_limit)); the
+    /// machine aborts the reaction with a fuel error right after.
     BudgetExceeded {
         tracks: u32,
         wall_ns: u64,
@@ -264,10 +266,9 @@ impl TraceEvent {
 /// `Full` is the debugging configuration: every event, including the
 /// per-track firehose, with real `wall_ns` stamps. `Coarse` is the
 /// always-on flight-recorder configuration: only [`TraceEvent::is_coarse`]
-/// events are buffered, and — when neither metrics, a watchdog budget, nor
-/// profiling need the host clock — the per-reaction `Instant` samples are
-/// skipped too (`wall_ns` is 0, which the recorder normalizes away
-/// anyway). This is what keeps the recorder's steady-state overhead in
+/// events are buffered, and — when neither metrics nor profiling need
+/// the host clock — the per-reaction `Instant` samples are skipped too
+/// (`wall_ns` is 0, which the recorder normalizes away anyway). This is what keeps the recorder's steady-state overhead in
 /// the low single digits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceMask {

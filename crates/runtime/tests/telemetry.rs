@@ -165,7 +165,7 @@ fn wall_of(e: &TraceEvent) -> Option<u64> {
 
 #[test]
 fn the_mask_decides_granularity_and_wall_sampling() {
-    // no metrics, watchdog, or profile: only the mask can ask for clocks
+    // no metrics or profile: only the mask can ask for clocks
     let coarse = drive_fig1(&mut fig1(TraceMask::Coarse));
     assert!(coarse.iter().any(|e| matches!(e, TraceEvent::ReactionStart { .. })));
     for e in &coarse {

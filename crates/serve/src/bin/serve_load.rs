@@ -664,7 +664,6 @@ struct LoadRow<'a> {
     epochs: u64,
     async_slices: u64,
     evicted_fuel: u64,
-    evicted_watchdog: u64,
     quarantined_runtime: u64,
     quarantined_panic: u64,
     completed: u64,
@@ -706,7 +705,6 @@ fn row(o: &MixOutcome, quick: bool, seed: u64, workers: usize) -> LoadRow<'_> {
         epochs: st.epochs,
         async_slices: st.async_slices,
         evicted_fuel: st.evicted_fuel,
-        evicted_watchdog: st.evicted_watchdog,
         quarantined_runtime: st.quarantined_runtime,
         quarantined_panic: st.quarantined_panic,
         completed: st.completed,
@@ -862,6 +860,8 @@ mod tests {
     use super::*;
 
     /// One `ceu-serve-load/v1` row, byte for byte, from fixed values.
+    /// Every exhausted reaction budget, safety net included, counts
+    /// under `evicted_fuel`.
     #[test]
     fn row_keeps_its_bytes() {
         let mut stats =
@@ -899,7 +899,7 @@ mod tests {
                 r#""tenants":3,"sessions_admitted":12,"sessions_shed":3,"admission_shed_retries":6,"#,
                 r#""peak_resident":9,"events_enqueued":400,"events_processed":375,"events_shed":20,"#,
                 r#""events_dropped":5,"burst_sends":40,"epochs":31,"async_slices":0,"evicted_fuel":2,"#,
-                r#""evicted_watchdog":0,"quarantined_runtime":0,"quarantined_panic":0,"completed":4,"#,
+                r#""quarantined_runtime":0,"quarantined_panic":0,"completed":4,"#,
                 r#""restarts":1,"restarts_deferred":0,"restarts_refused":0,"worker_deaths":0,"#,
                 r#""cache_misses":3,"cache_hits":9,"events_per_sec":300.0,"reaction_p50_ns":2047,"#,
                 r#""reaction_p99_ns":90000,"reaction_max_ns":90000,"elapsed_s":1.250,"#,

@@ -8,19 +8,19 @@
 //! mid-state; the service only has to bound *how much* each reaction may
 //! do. Supervision is layered:
 //!
-//! * **fuel metering** ([`Machine::set_fuel_limit`]) — a deterministic
-//!   per-reaction step budget counted in executed blocks. Exhaustion is a
+//! * **fuel metering** ([`Machine::set_fuel_limit`]) — the one
+//!   per-reaction step budget, counted in executed blocks. Exhaustion is a
 //!   function of the program and its inputs alone, so evictions reproduce
 //!   bit-for-bit across reruns, hosts, and backends.
 //! * **admission control and load shedding** — bounded per-session
 //!   mailboxes and a bounded global queue; over either limit the send is
 //!   refused with an explicit [`SendError::Shed`] carrying a retry hint,
 //!   never buffered unboundedly.
-//! * **session isolation** — a [`RuntimeError`], watchdog trip, fuel
-//!   exhaustion, or caught panic moves *that session* to
-//!   [`SessionState::Crashed`] with an attributed [`EvictCause`]; the
-//!   worker thread survives. Client-requested restarts go through a
-//!   [`RebootPolicy`] backoff so a crash-looping tenant cannot hot-spin.
+//! * **session isolation** — a [`RuntimeError`], fuel exhaustion, or
+//!   caught panic moves *that session* to [`SessionState::Crashed`] with
+//!   an attributed [`EvictCause`]; the worker thread survives.
+//!   Client-requested restarts go through a [`RebootPolicy`] backoff so
+//!   a crash-looping tenant cannot hot-spin.
 //! * **graceful drain** — [`SessionService::drain`] stops admission,
 //!   flushes in-flight epochs, and reports every session's final status.
 
@@ -49,8 +49,9 @@ pub struct ServeConfig {
     pub session_queue_cap: usize,
     /// Global in-flight event bound across all mailboxes.
     pub global_queue_cap: usize,
-    /// Deterministic per-reaction step budget (`None` = only the
-    /// `REACTION_BUDGET` safety net deep in the runtime).
+    /// Deterministic per-reaction step budget. `None` leaves the
+    /// runtime's 5,000,000-block safety net, which evicts as
+    /// [`EvictCause::Fuel`] with that limit like any other budget.
     pub fuel_limit: Option<u32>,
     /// Messages a worker takes from one mailbox per epoch (fairness
     /// quantum: bigger = better locality, smaller = lower tail latency
@@ -107,10 +108,9 @@ pub struct SessionId(pub u64);
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EvictCause {
     /// Deterministic fuel exhaustion — the reproducible eviction.
+    /// `limit` is the budget that tripped (the safety net's when no
+    /// [`ServeConfig::fuel_limit`] is set).
     Fuel { limit: u32 },
-    /// The runtime's execution-budget safety net tripped: with no fuel
-    /// limit set, a reaction ran past `REACTION_BUDGET` blocks.
-    Watchdog,
     /// The program itself faulted (division by zero, bad host call…).
     Runtime { message: String },
     /// A panic escaped the reaction and was caught at the epoch boundary.
@@ -121,7 +121,6 @@ impl EvictCause {
     pub fn kind(&self) -> &'static str {
         match self {
             EvictCause::Fuel { .. } => "fuel",
-            EvictCause::Watchdog => "watchdog",
             EvictCause::Runtime { .. } => "runtime",
             EvictCause::Panic { .. } => "panic",
         }
@@ -217,7 +216,6 @@ pub struct ServeStats {
     pub epochs: u64,
     pub async_slices: u64,
     pub evicted_fuel: u64,
-    pub evicted_watchdog: u64,
     pub quarantined_runtime: u64,
     pub quarantined_panic: u64,
     /// Sessions that reached `Terminated` normally.
@@ -236,10 +234,7 @@ pub struct ServeStats {
 impl ServeStats {
     /// Total evictions + quarantines, any cause.
     pub fn crashes(&self) -> u64 {
-        self.evicted_fuel
-            + self.evicted_watchdog
-            + self.quarantined_runtime
-            + self.quarantined_panic
+        self.evicted_fuel + self.quarantined_runtime + self.quarantined_panic
     }
 }
 
@@ -830,9 +825,7 @@ struct EpochOutcome {
 
 fn classify(err: RuntimeError, machine: &Machine) -> EvictCause {
     if err.fuel {
-        EvictCause::Fuel { limit: machine.fuel_limit().unwrap_or(0) }
-    } else if err.watchdog {
-        EvictCause::Watchdog
+        EvictCause::Fuel { limit: machine.fuel_limit() }
     } else {
         EvictCause::Runtime { message: err.to_string() }
     }
@@ -1007,7 +1000,6 @@ fn worker_loop(inner: &Inner) {
                     sess.scheduled = false;
                     match &cause {
                         EvictCause::Fuel { .. } => stats.evicted_fuel += 1,
-                        EvictCause::Watchdog => stats.evicted_watchdog += 1,
                         EvictCause::Runtime { .. } => stats.quarantined_runtime += 1,
                         EvictCause::Panic { .. } => stats.quarantined_panic += 1,
                     }

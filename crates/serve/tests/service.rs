@@ -182,6 +182,23 @@ fn runaway_is_fuel_evicted_and_neighbours_survive() {
 }
 
 #[test]
+fn without_a_fuel_limit_the_default_budget_evicts_as_fuel() {
+    let cfg = ServeConfig { fuel_limit: None, workers: 1, ..ServeConfig::default() };
+    let svc = SessionService::start(cfg);
+    let spin = svc.open_session_unchecked(RUNAWAY_EVENT).unwrap();
+    svc.send_event(spin, "Go", Some(Value::Int(1))).unwrap();
+    assert!(svc.settle(spin, SETTLE), "the runaway did not settle");
+    match svc.status(spin).unwrap().state {
+        SessionState::Crashed { cause: EvictCause::Fuel { limit } } => {
+            assert_eq!(limit, 5_000_000)
+        }
+        other => panic!("expected a fuel eviction, got {other:?}"),
+    }
+    let stats = svc.stats();
+    assert_eq!((stats.evicted_fuel, stats.crashes()), (1, 1));
+}
+
+#[test]
 fn fuel_evictions_are_deterministic_across_reruns() {
     let run = || {
         let cfg = ServeConfig { fuel_limit: Some(7_777), workers: 3, ..ServeConfig::default() };

@@ -44,10 +44,11 @@ pub struct CrashCause {
 }
 
 impl CrashCause {
-    /// Classifies a machine error (watchdog trips vs program errors).
+    /// Classifies a machine error (an exhausted reaction budget vs a
+    /// program error).
     pub fn from_error(e: &RuntimeError) -> Self {
         CrashCause {
-            kind: if e.watchdog { CrashKind::Watchdog } else { CrashKind::RuntimeError },
+            kind: if e.fuel { CrashKind::Watchdog } else { CrashKind::RuntimeError },
             message: e.message.clone(),
             span: e.span,
         }
@@ -269,7 +270,7 @@ impl<'w> MoteCtx<'w> {
     }
 
     /// Reports that the backend failed mid-callback (a machine
-    /// `RuntimeError`, a watchdog trip). The world transitions the mote
+    /// `RuntimeError`, an exhausted reaction budget). The world transitions the mote
     /// to [`MoteStatus::Crashed`] after the callback returns — graceful
     /// degradation instead of a panic. The failing callback's pending
     /// effects (sends, timer/CPU requests) are discarded; trace events
@@ -377,7 +378,8 @@ pub struct MoteStats {
     pub timer_firings: u64,
     /// CPU slices granted.
     pub cpu_slices: u64,
-    /// Times this mote crashed (runtime error, watchdog, or fault plan).
+    /// Times this mote crashed (runtime error, exhausted budget, or fault
+    /// plan).
     pub crashes: u64,
     /// Times this mote rebooted after a crash.
     pub reboots: u64,
@@ -599,7 +601,7 @@ impl World {
     }
 
     /// Where crash black-box dumps land. Setting a path arms automatic
-    /// dumps on mote crashes, watchdog trips and parallel-worker panics
+    /// dumps on mote crashes, exhausted budgets and parallel-worker panics
     /// (the recorder must be on for a dump to carry any history).
     pub fn set_blackbox_out(&mut self, path: impl Into<PathBuf>) {
         self.blackbox_out = Some(path.into());
@@ -905,7 +907,8 @@ impl World {
         Ok(())
     }
 
-    /// What happens after a machine crash (runtime error / watchdog).
+    /// What happens after a machine crash (runtime error / exhausted
+    /// budget).
     /// Plan-driven `Reboot` actions carry their own delay and ignore this.
     pub fn set_reboot_policy(&mut self, policy: RebootPolicy) {
         self.reboot_policy = policy;

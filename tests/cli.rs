@@ -196,11 +196,21 @@ fn run_metrics_prints_a_summary() {
 fn run_watchdog_aborts_runaway_reactions() {
     let prog = write_tmp("wd.ceu", OK_PROGRAM);
     let script = write_tmp("wd.script", "time 1s\n");
-    let out =
-        ceuc().arg("run").arg(&prog).arg(&script).args(["--max-tracks", "1"]).output().unwrap();
-    assert!(!out.status.success(), "the boot chain alone exceeds one track");
+    let out = ceuc().arg("run").arg(&prog).arg(&script).args(["--fuel", "1"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "the boot chain alone exceeds one block: {out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("track"), "{stderr}");
+    assert!(stderr.contains("fuel budget (1 steps)"), "{stderr}");
+}
+
+#[test]
+fn run_fuel_refuses_bad_budgets() {
+    let prog = write_tmp("badfuel.ceu", OK_PROGRAM);
+    for args in [&["--fuel", "0"][..], &["--fuel"], &["--fuel", "lots"], &["--fuel", "-3"]] {
+        let out = ceuc().arg("run").arg(&prog).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("ceuc: --fuel"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! and the emit stack.
 
 use ceu::runtime::{NullHost, Status, Value};
-use ceu::{Compiler, Simulator};
+use ceu::{Compiler, Machine, Simulator};
 
 #[test]
 fn two_hundred_trails_share_one_event() {
@@ -103,4 +103,20 @@ fn thousand_iteration_async_under_watchdogs() {
     let mut sim = Simulator::new(p, NullHost);
     sim.start().unwrap();
     assert_eq!(sim.status(), Status::Terminated(Some(100000)));
+}
+
+#[test]
+fn a_runaway_reaction_without_a_fuel_limit_exhausts_the_default_budget() {
+    // statically unbounded, so only the unchecked compiler admits it; with
+    // no fuel limit set, the runtime's default budget is what stops it
+    let src = "input void Go;\nint n;\nawait Go;\nloop do\n n = n + 1;\nend";
+    let mut m = Machine::new(Compiler::unchecked().compile(src).unwrap());
+    m.enable_metrics();
+    assert_eq!(m.fuel_limit(), 5_000_000);
+    m.go_init(&mut NullHost).unwrap();
+    let go = m.event_id("Go").unwrap();
+    let err = m.go_event(go, None, &mut NullHost).unwrap_err();
+    assert!(err.fuel, "{err}");
+    assert!(err.message.contains("5000000"), "{err}");
+    assert_eq!(m.metrics().unwrap().watchdog_trips, 1);
 }
