@@ -20,6 +20,7 @@ use crate::expr::{Expr, ExprKind};
 use crate::span::Span;
 use crate::stmt::{AssignRhs, Block, Program, Stmt, StmtKind};
 use crate::types::Type;
+use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -47,7 +48,7 @@ impl std::error::Error for ResolveError {}
 type Result<T> = std::result::Result<T, ResolveError>;
 
 /// Identifies an event in the [`EventTable`]; serializes as its number.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, serde::Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
 pub struct EventId(pub u16);
 
 impl EventId {

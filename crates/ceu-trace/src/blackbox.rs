@@ -4,43 +4,39 @@
 //! scheduler windows, the crashed mote's final recorded reactions, and
 //! the cross-mote causal chain that led into the crash.
 //!
-//! Dump lines are discriminated by key: `"schema"` → the header,
-//! `"blackbox"` → a stats/window line, `"ev"` → a flight record in the
-//! world-trace wire shape (so [`crate::parse_jsonl`] reads them as-is).
+//! The first line is the header (`"schema"`); after it a line with a
+//! `"blackbox"` key is a `BlackboxStat` and any other line a
+//! `FlightRecord` (the world-trace wire shape). Each decodes into that
+//! type, and a line that does not is refused with its line number.
 
-use crate::Record;
-use ceu::runtime::telemetry::BLACKBOX_SCHEMA;
-use serde_json::Value;
+use crate::cause_label;
+use ceu::runtime::telemetry::{
+    BlackboxHeader, BlackboxStat, FlightRecord, WindowMark, BLACKBOX_SCHEMA,
+};
+use ceu::runtime::TraceEvent;
 use std::fmt::Write as _;
 
-/// A parsed `ceu-blackbox/v1` dump.
+/// A parsed `ceu-blackbox/v1` dump, decoded into the types its writer
+/// serializes.
 #[derive(Debug)]
 pub struct BlackboxDump {
-    /// The header object (`schema`, `reason`, `t_us`, optional crash
-    /// attribution, ring totals).
-    pub header: Value,
-    /// `{"blackbox":"shard"|"machine",…}` ring-stat lines, in file order.
-    pub shards: Vec<Value>,
-    /// `{"blackbox":"window",…}` scheduler window marks, in file order.
-    pub windows: Vec<Value>,
-    /// `{"blackbox":"mote",…}` per-mote stat lines, in file order.
-    pub motes: Vec<Value>,
-    /// The flight records, parsed to the normalised trace shape.
-    pub records: Vec<Record>,
+    /// The header (`reason`, `t_us`, optional crash attribution, ring
+    /// totals).
+    pub header: BlackboxHeader,
+    /// `shard` and `machine` ring-stat lines, in file order.
+    pub shards: Vec<BlackboxStat>,
+    /// `window` scheduler marks with their shard, in file order.
+    pub windows: Vec<(u32, WindowMark)>,
+    /// `mote` stat lines, in file order.
+    pub motes: Vec<BlackboxStat>,
+    /// The flight records.
+    pub records: Vec<FlightRecord>,
 }
 
 impl BlackboxDump {
-    fn header_u64(&self, key: &str) -> Option<u64> {
-        self.header.get(key).and_then(|v| v.as_u64())
-    }
-
-    fn header_str(&self, key: &str) -> Option<&str> {
-        self.header.get(key).and_then(|v| v.as_str())
-    }
-
     /// The crashed mote named by the dump, if any.
     pub fn crashed_mote(&self) -> Option<u64> {
-        self.header_u64("mote")
+        self.header.mote.map(|m| m as u64)
     }
 }
 
@@ -51,43 +47,33 @@ pub fn parse_blackbox(text: &str) -> Result<BlackboxDump, String> {
     let (first_no, first) = lines
         .next()
         .ok_or("empty input: not a ceu-blackbox/v1 dump (did the crash produce one?)")?;
-    let header: Value =
-        serde_json::from_str(first.trim()).map_err(|e| format!("line {}: {e}", first_no + 1))?;
+    let at = |idx: usize| move |e: serde_json::Error| format!("line {}: {e}", idx + 1);
+    let header = serde_json::from_str(first.trim()).map_err(at(first_no))?;
     match header.get("schema").and_then(|v| v.as_str()) {
         Some(BLACKBOX_SCHEMA) => {}
         Some(other) => return Err(format!("not a ceu-blackbox/v1 dump (schema {other:?})")),
         None => return Err("not a ceu-blackbox/v1 dump (no schema header)".into()),
     }
     let mut dump = BlackboxDump {
-        header,
+        header: serde_json::from_value(header).map_err(at(first_no))?,
         shards: Vec::new(),
         windows: Vec::new(),
         motes: Vec::new(),
         records: Vec::new(),
     };
-    let mut record_lines = String::new();
     for (idx, line) in lines {
-        let line_no = idx + 1;
-        let v: Value =
-            serde_json::from_str(line.trim()).map_err(|e| format!("line {line_no}: {e}"))?;
-        match v.get("blackbox").and_then(|b| b.as_str()) {
-            Some("shard") | Some("machine") => dump.shards.push(v),
-            Some("window") => dump.windows.push(v),
-            Some("mote") => dump.motes.push(v),
-            Some(other) => return Err(format!("line {line_no}: unknown blackbox kind {other:?}")),
-            None if v.get("ev").is_some() => {
-                record_lines.push_str(line);
-                record_lines.push('\n');
-            }
-            None => return Err(format!("line {line_no}: neither a stat line nor a record")),
+        let v = serde_json::from_str(line.trim()).map_err(at(idx))?;
+        if v.get("blackbox").is_none() {
+            dump.records.push(serde_json::from_value(v).map_err(at(idx))?);
+            continue;
+        }
+        match serde_json::from_value(v).map_err(at(idx))? {
+            BlackboxStat::Window { shard, mark } => dump.windows.push((shard, mark)),
+            stat @ BlackboxStat::Mote { .. } => dump.motes.push(stat),
+            stat => dump.shards.push(stat),
         }
     }
-    dump.records = crate::parse_jsonl(&record_lines)?;
     Ok(dump)
-}
-
-fn get_u64(v: &Value, key: &str) -> u64 {
-    v.get(key).and_then(|x| x.as_u64()).unwrap_or(0)
 }
 
 /// Renders the triage page. `src` is the original `.ceu` source (enables
@@ -95,24 +81,23 @@ fn get_u64(v: &Value, key: &str) -> u64 {
 /// scheduler-window timeline.
 pub fn render_blackbox(dump: &BlackboxDump, src: Option<&str>, last_windows: usize) -> String {
     let mut out = String::new();
-    let reason = dump.header_str("reason").unwrap_or("?");
-    let t_us = dump.header_u64("t_us").unwrap_or(0);
-    let _ = writeln!(out, "black box: {reason} at {t_us}µs");
+    let h = &dump.header;
+    let _ = writeln!(out, "black box: {} at {}µs", h.reason, h.t_us);
 
     // -- what crashed ---------------------------------------------------
-    if let Some(mote) = dump.crashed_mote() {
+    if let Some(mote) = h.mote {
         let mut line = format!("  mote {mote}");
-        if let Some(at) = dump.header_u64("crash_us") {
+        if let Some(at) = h.crash_us {
             let _ = write!(line, " crashed at {at}µs");
         }
-        if let Some(kind) = dump.header_str("kind") {
+        if let Some(kind) = h.kind {
             let _ = write!(line, " ({kind})");
         }
-        if let Some(cause) = dump.header_str("cause") {
+        if let Some(cause) = &h.cause {
             let _ = write!(line, ": {cause}");
         }
         let _ = writeln!(out, "{line}");
-        if let (Some(l), Some(c)) = (dump.header_u64("line"), dump.header_u64("col")) {
+        if let (Some(l), Some(c)) = (h.line, h.col) {
             if l > 0 {
                 let _ = writeln!(out, "{}", render_source_site(src, l, c));
             }
@@ -121,58 +106,55 @@ pub fn render_blackbox(dump: &BlackboxDump, src: Option<&str>, last_windows: usi
     let _ = writeln!(
         out,
         "  {} motes, {} shards, ring {}/{} records ({} dropped)",
-        dump.header_u64("motes").unwrap_or(0),
-        dump.header_u64("shards").unwrap_or(0),
-        dump.header_u64("ring_records").unwrap_or(0),
-        dump.header_u64("ring_capacity").unwrap_or(0),
-        dump.header_u64("ring_dropped").unwrap_or(0),
+        h.motes, h.shards, h.ring_records, h.ring_capacity, h.ring_dropped,
     );
 
     // -- ring occupancy per shard --------------------------------------
     if !dump.shards.is_empty() {
         let _ = writeln!(out, "\nrings:");
         for s in &dump.shards {
-            if s.get("blackbox").and_then(|b| b.as_str()) == Some("machine") {
-                let _ = writeln!(
-                    out,
-                    "  machine: {} kept, {} dropped, {} recorded ({} boots)",
-                    get_u64(s, "ring_len"),
-                    get_u64(s, "ring_dropped"),
-                    get_u64(s, "ring_recorded"),
-                    get_u64(s, "boots"),
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "  shard {}: {} motes, lookahead {}µs, {} kept, {} dropped, {} recorded",
-                    get_u64(s, "shard"),
-                    get_u64(s, "motes"),
-                    get_u64(s, "lookahead_us"),
-                    get_u64(s, "ring_len"),
-                    get_u64(s, "ring_dropped"),
-                    get_u64(s, "ring_recorded"),
-                );
+            match *s {
+                BlackboxStat::Machine { boots, ring_len, ring_dropped, ring_recorded } => {
+                    let _ = writeln!(
+                        out,
+                        "  machine: {ring_len} kept, {ring_dropped} dropped, \
+                         {ring_recorded} recorded ({boots} boots)",
+                    );
+                }
+                BlackboxStat::Shard {
+                    shard,
+                    motes,
+                    lookahead_us,
+                    ring_len,
+                    ring_dropped,
+                    ring_recorded,
+                } => {
+                    let _ = writeln!(
+                        out,
+                        "  shard {shard}: {motes} motes, lookahead {lookahead_us}µs, \
+                         {ring_len} kept, {ring_dropped} dropped, {ring_recorded} recorded",
+                    );
+                }
+                _ => {}
             }
         }
     }
 
     // -- scheduler windows ----------------------------------------------
-    if !dump.windows.is_empty() {
-        let shown = dump.windows.len().min(last_windows);
-        let skipped = dump.windows.len() - shown;
-        let _ = writeln!(out, "\nscheduler windows (last {shown} of {}):", dump.windows.len());
-        let tail = &dump.windows[skipped..];
-        let peak = tail.iter().map(|w| get_u64(w, "events")).max().unwrap_or(1).max(1);
-        for w in tail {
-            let events = get_u64(w, "events");
-            let bar_len = (events as u128 * 24).div_ceil(peak as u128) as usize;
+    let windows = &dump.windows;
+    if !windows.is_empty() {
+        let shown = windows.len().min(last_windows);
+        let _ = writeln!(out, "\nscheduler windows (last {shown} of {}):", windows.len());
+        let tail = &windows[windows.len() - shown..];
+        let peak = tail.iter().map(|(_, m)| m.events).max().unwrap_or(1).max(1);
+        for (shard, m) in tail {
+            let bar_len = (m.events as u128 * 24).div_ceil(peak as u128) as usize;
             let _ = writeln!(
                 out,
-                "  shard {} [{:>8} .. {:>8})µs {:>6} events  {}",
-                get_u64(w, "shard"),
-                get_u64(w, "start_us"),
-                get_u64(w, "end_us"),
-                events,
+                "  shard {shard} [{:>8} .. {:>8})µs {:>6} events  {}",
+                m.start_us,
+                m.end_us,
+                m.events,
                 "#".repeat(bar_len),
             );
         }
@@ -182,25 +164,31 @@ pub fn render_blackbox(dump: &BlackboxDump, src: Option<&str>, last_windows: usi
     if !dump.motes.is_empty() {
         let _ = writeln!(out, "\nmotes on the record:");
         for m in &dump.motes {
-            let up = m.get("up").and_then(|u| u.as_bool()).unwrap_or(false);
-            let _ = writeln!(
-                out,
-                "  mote {:>4} {}  sent {} received {} ({} in-flight drops, {} crashes, {} reboots)",
-                get_u64(m, "mote"),
-                if up { "up  " } else { "DOWN" },
-                get_u64(m, "sent"),
-                get_u64(m, "received"),
-                get_u64(m, "dropped_in_flight"),
-                get_u64(m, "crashes"),
-                get_u64(m, "reboots"),
-            );
+            if let BlackboxStat::Mote {
+                mote,
+                up,
+                sent,
+                received,
+                dropped_in_flight,
+                crashes,
+                reboots,
+            } = *m
+            {
+                let _ = writeln!(
+                    out,
+                    "  mote {mote:>4} {}  sent {sent} received {received} ({dropped_in_flight} \
+                     in-flight drops, {crashes} crashes, {reboots} reboots)",
+                    if up { "up  " } else { "DOWN" },
+                );
+            }
         }
     }
 
     // -- final reactions of the crashed mote ----------------------------
     let focus = dump.crashed_mote();
     if let Some(mote) = focus {
-        let last: Vec<&Record> = dump.records.iter().filter(|r| r.mote as u64 == mote).collect();
+        let last: Vec<&FlightRecord> =
+            dump.records.iter().filter(|r| r.mote as u64 == mote).collect();
         if !last.is_empty() {
             let tail_from = last.len().saturating_sub(12);
             let _ = writeln!(
@@ -226,31 +214,24 @@ pub fn render_blackbox(dump: &BlackboxDump, src: Option<&str>, last_windows: usi
 
 /// One recorded event, one human line. With `src`, crash records point
 /// at the offending source line.
-fn describe_record(r: &Record, src: Option<&str>) -> String {
-    match r.kind() {
-        "ReactionStart" => {
-            let id =
-                r.reaction_id().map(|(m, s)| format!("m{m}.{s}")).unwrap_or_else(|| "?".into());
-            format!("reaction {id} begins ({})", r.cause_label())
+fn describe_record(r: &FlightRecord, src: Option<&str>) -> String {
+    match r.event {
+        TraceEvent::ReactionStart { id, cause, .. } => {
+            format!("reaction m{}.{} begins ({})", id.mote, id.seq, cause_label(&cause))
         }
-        "ReactionEnd" => format!(
-            "reaction ends: {} tracks, {} emits, queue peak {}",
-            get_u64(&r.ev, "tracks"),
-            get_u64(&r.ev, "emits"),
-            get_u64(&r.ev, "queue_peak"),
-        ),
-        "EmitInt" => {
-            format!("emit #{} (depth {})", get_u64(&r.ev, "event"), get_u64(&r.ev, "depth"))
+        TraceEvent::ReactionEnd { tracks, emits, queue_peak, .. } => {
+            format!("reaction ends: {tracks} tracks, {emits} emits, queue peak {queue_peak}")
         }
-        "Discarded" => format!("event #{} discarded (no active gates)", get_u64(&r.ev, "event")),
-        "BudgetExceeded" => {
-            format!("WATCHDOG: budget exceeded after {} tracks", get_u64(&r.ev, "tracks"))
+        TraceEvent::EmitInt { event, depth } => format!("emit #{} (depth {depth})", event.0),
+        TraceEvent::Discarded { event } => {
+            format!("event #{} discarded (no active gates)", event.0)
         }
-        "Terminated" => "terminated".into(),
-        "MoteRebooted" => format!("rebooted (boot {})", get_u64(&r.ev, "boots")),
-        "MoteCrashed" => {
-            let kind = r.ev.get("kind").and_then(|k| k.as_str()).unwrap_or("?");
-            let (line, col) = (get_u64(&r.ev, "line"), get_u64(&r.ev, "col"));
+        TraceEvent::BudgetExceeded { tracks, .. } => {
+            format!("WATCHDOG: budget exceeded after {tracks} tracks")
+        }
+        TraceEvent::Terminated { .. } => "terminated".into(),
+        TraceEvent::MoteRebooted { boots } => format!("rebooted (boot {boots})"),
+        TraceEvent::MoteCrashed { kind, line, col } => {
             let mut s = format!("CRASHED ({kind})");
             if line > 0 {
                 let _ = write!(s, " at {line}:{col}");
@@ -261,18 +242,18 @@ fn describe_record(r: &Record, src: Option<&str>) -> String {
             }
             s
         }
-        other => other.to_string(),
+        ev => ev.kind().to_string(),
     }
 }
 
 /// The crash site against the original source, caret included; empty
 /// when no source is available or the span is out of range. A column
 /// past the end of the line puts the caret just after it.
-fn render_source_site(src: Option<&str>, line: u64, col: u64) -> String {
+fn render_source_site(src: Option<&str>, line: u32, col: u32) -> String {
     let Some(src) = src else { return String::new() };
     let Some(text) = src.lines().nth(line as usize - 1) else { return String::new() };
     let text = text.trim_end();
-    let col = (col.max(1) - 1).min(text.chars().count() as u64) as usize;
+    let col = (col.max(1) as usize - 1).min(text.chars().count());
     let caret = " ".repeat(col + 8 + line.to_string().len());
     format!("      {line} | {text}\n{caret}^")
 }
@@ -280,26 +261,27 @@ fn render_source_site(src: Option<&str>, line: u64, col: u64) -> String {
 /// The parent chain leading into the crashed mote's last reaction (or,
 /// without a focus mote, the trace-wide critical path): who caused the
 /// reaction that caused the reaction that crashed.
-fn causal_context(records: &[Record], focus: Option<u64>) -> Vec<crate::Hop> {
+fn causal_context(records: &[FlightRecord], focus: Option<u64>) -> Vec<crate::Hop> {
     let Some(mote) = focus else { return crate::critical_path(records) };
     // anchor on the crashed mote's last ReactionStart and walk parents
     let mut starts = std::collections::HashMap::new();
     for r in records {
-        if r.kind() == "ReactionStart" {
-            if let Some(id) = r.reaction_id() {
-                starts.insert(id, (r.t_us, r.cause_label(), r.parent()));
-            }
+        if let TraceEvent::ReactionStart { id, cause, .. } = r.event {
+            starts.insert(id, (r.t_us, cause));
         }
     }
-    let Some(&anchor) = starts.keys().filter(|(m, _)| *m == mote).max_by_key(|(_, s)| *s) else {
+    let mine = starts.keys().filter(|id| id.mote as u64 == mote);
+    let Some(&anchor) = mine.max_by_key(|id| id.seq) else {
         return Vec::new();
     };
     let mut chain = Vec::new();
     let mut id = anchor;
     loop {
-        let (t_us, cause, parent) = starts[&id].clone();
-        chain.push(crate::Hop { mote: id.0, seq: id.1, t_us, cause });
-        match parent {
+        let (t_us, cause) = starts[&id];
+        let hop =
+            crate::Hop { mote: id.mote as u64, seq: id.seq, t_us, cause: cause_label(&cause) };
+        chain.push(hop);
+        match cause.parent() {
             Some(p) if starts.contains_key(&p) && chain.len() < 64 => id = p,
             _ => break,
         }
@@ -369,13 +351,20 @@ mod tests {
     }
 
     #[test]
+    fn a_mistyped_record_is_refused_with_its_line_in_the_dump() {
+        let bad = DUMP.replace(
+            r#""seq":2,"ev":{"ev":"ReactionEnd""#,
+            r#""seq":"2","ev":{"ev":"ReactionEnd""#,
+        );
+        let err = parse_blackbox(&bad).unwrap_err();
+        assert!(err.starts_with("line 10: `seq` does not fit a u64"), "{err}");
+    }
+
+    #[test]
     fn source_attribution_points_at_the_line() {
         let src = "input void GO;\nawait GO;\n_boom();\n";
         let mut d = parse_blackbox(DUMP).unwrap();
-        if let Value::Object(h) = &mut d.header {
-            h.insert("line".into(), Value::Number(3u64.into()));
-            h.insert("col".into(), Value::Number(1u64.into()));
-        }
+        (d.header.line, d.header.col) = (Some(3), Some(1));
         let page = render_blackbox(&d, Some(src), 8);
         assert!(page.contains("3 | _boom();"), "{page}");
         assert!(page.contains('^'), "{page}");

@@ -10,13 +10,15 @@
 //!   `wsn_sim::write_trace_jsonl`: `{"t_us":N,"mote":M,"seq":S,"ev":{…}}`.
 //!
 //! The two are distinguished per line: a world record's `ev` member is an
-//! object, a machine record's `ev` member is the kind string. Every
-//! analysis works on either (a machine trace is a world trace with one
-//! mote and no world clock).
+//! object, a machine record's `ev` member is the kind string. Each line
+//! then decodes into the writer's own type (`FlightRecord` or
+//! `TraceEvent`), so an unknown kind or a mistyped field is refused with
+//! its line number. Every analysis works on either (a machine trace is a
+//! world trace with one mote and no world clock).
 
-use ceu::runtime::telemetry::{to_json, Fixed};
+use ceu::runtime::telemetry::{to_json, Fixed, FlightRecord};
+use ceu::runtime::{Cause, ReactionId, TraceEvent};
 use serde::Serialize;
-use serde_json::Value;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -26,98 +28,42 @@ pub mod parstats;
 pub use blackbox::{parse_blackbox, render_blackbox, BlackboxDump};
 pub use parstats::{par_report, par_stats_perfetto_events, render_par_run};
 
-/// One parsed trace line, normalised to the world-trace shape.
-#[derive(Clone, Debug)]
-pub struct Record {
-    /// World time (µs); for machine traces the event's own `now_us`
-    /// (carried forward over events that don't record a clock).
-    pub t_us: u64,
-    pub mote: usize,
-    /// Per-mote emission index (world traces) or the 1-based line number
-    /// (machine traces).
-    pub seq: u64,
-    /// The machine-level event object (`{"ev":"…",…}`).
-    pub ev: Value,
-    /// 1-based line number in the input.
-    pub line: usize,
-}
-
-impl Record {
-    /// The event kind string (`ReactionStart`, `TrackRun`, …).
-    pub fn kind(&self) -> &str {
-        self.ev.get("ev").and_then(|v| v.as_str()).unwrap_or("?")
-    }
-
-    /// The reaction id of a `ReactionStart`, as `(mote, seq)`.
-    pub fn reaction_id(&self) -> Option<(u64, u64)> {
-        let id = self.ev.get("id")?;
-        Some((id.get("mote")?.as_u64()?, id.get("seq")?.as_u64()?))
-    }
-
-    /// The causal parent reaction recorded on a `ReactionStart`.
-    pub fn parent(&self) -> Option<(u64, u64)> {
-        let p = self.ev.get("cause")?.get("parent")?;
-        Some((p.get("mote")?.as_u64()?, p.get("seq")?.as_u64()?))
-    }
-
-    /// Human label for a `ReactionStart` cause.
-    pub fn cause_label(&self) -> String {
-        let Some(c) = self.ev.get("cause") else { return "?".into() };
-        match c.get("type").and_then(|v| v.as_str()) {
-            Some("boot") => "boot".into(),
-            Some("event") => match c.get("id").and_then(|v| v.as_u64()) {
-                Some(id) => format!("event #{id}"),
-                None => "event".into(),
-            },
-            Some("timer") => match c.get("deadline_us").and_then(|v| v.as_u64()) {
-                Some(d) => format!("timer {d}µs"),
-                None => "timer".into(),
-            },
-            Some("async") => "async".into(),
-            _ => "?".into(),
-        }
+/// Human label for a reaction cause.
+pub(crate) fn cause_label(cause: &Cause) -> String {
+    match cause {
+        Cause::Boot => "boot".into(),
+        Cause::Event { event, .. } => format!("event #{}", event.0),
+        Cause::Timer(deadline_us) => format!("timer {deadline_us}µs"),
+        Cause::AsyncDone(_) => "async".into(),
     }
 }
 
 /// Parses a whole JSONL trace (machine- or world-format lines, blank
-/// lines ignored). Errors carry the offending line number.
-pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, String> {
+/// lines ignored) into world-trace records. A machine event gets the
+/// last `now_us` seen as its time, the mote of its reaction id and its
+/// 1-based line number as `seq`. Errors carry the offending line number.
+pub fn parse_jsonl(text: &str) -> Result<Vec<FlightRecord>, String> {
     let mut records = Vec::new();
     let mut clock = 0u64; // machine traces: carry now_us forward
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v = serde_json::from_str(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        let rec = if v.get("ev").map(|e| e.as_object().is_some()).unwrap_or(false) {
-            // world-trace wrapper
-            let t_us = v
-                .get("t_us")
-                .and_then(|t| t.as_u64())
-                .ok_or(format!("line {line_no}: world record without t_us"))?;
-            let mote = v
-                .get("mote")
-                .and_then(|m| m.as_u64())
-                .ok_or(format!("line {line_no}: world record without mote"))?;
-            let seq = v
-                .get("seq")
-                .and_then(|s| s.as_u64())
-                .ok_or(format!("line {line_no}: world record without seq"))?;
-            let ev = v.get("ev").cloned().unwrap_or(Value::Null);
-            Record { t_us, mote: mote as usize, seq, ev, line: line_no }
+    for (line_no, line) in (1..).zip(text.lines()).filter(|(_, l)| !l.trim().is_empty()) {
+        let at = |e: serde_json::Error| format!("line {line_no}: {e}");
+        let v = serde_json::from_str(line.trim()).map_err(at)?;
+        let rec = if v.get("ev").is_some_and(|e| e.as_object().is_some()) {
+            serde_json::from_value(v).map_err(at)?
         } else {
-            // bare machine event; the mote comes from the reaction id
-            if v.get("ev").and_then(|e| e.as_str()).is_none() {
-                return Err(format!("line {line_no}: not a trace event (no `ev`)"));
-            }
-            if let Some(now) = v.get("now_us").and_then(|n| n.as_u64()) {
-                clock = now;
-            }
-            let mote =
-                v.get("id").and_then(|id| id.get("mote")).and_then(|m| m.as_u64()).unwrap_or(0);
-            Record { t_us: clock, mote: mote as usize, seq: line_no as u64, ev: v, line: line_no }
+            let event = serde_json::from_value(v).map_err(at)?;
+            let mote = match event {
+                TraceEvent::ReactionStart { id, now_us, .. } => {
+                    clock = now_us;
+                    id.mote as usize
+                }
+                TraceEvent::ReactionEnd { now_us, .. } => {
+                    clock = now_us;
+                    0
+                }
+                _ => 0,
+            };
+            FlightRecord { t_us: clock, mote, seq: line_no, event }
         };
         records.push(rec);
     }
@@ -128,7 +74,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, String> {
 /// causes, and causal cross-mote links. An empty record set is an error,
 /// not an empty report: it almost always means the trace file was never
 /// written (crashed run, wrong path) and deserves a loud answer.
-pub fn summary(records: &[Record]) -> Result<String, String> {
+pub fn summary(records: &[FlightRecord]) -> Result<String, String> {
     if records.is_empty() {
         return Err("no trace records in input (empty or never-written trace?)".into());
     }
@@ -139,14 +85,14 @@ pub fn summary(records: &[Record]) -> Result<String, String> {
     let mut local_links = 0u64;
     let (mut t_min, mut t_max) = (u64::MAX, 0u64);
     for r in records {
-        *kinds.entry(r.kind().to_string()).or_default() += 1;
+        *kinds.entry(r.event.kind().to_string()).or_default() += 1;
         t_min = t_min.min(r.t_us);
         t_max = t_max.max(r.t_us);
-        if r.kind() == "ReactionStart" {
+        if let TraceEvent::ReactionStart { cause, .. } = r.event {
             *per_mote.entry(r.mote).or_default() += 1;
-            *causes.entry(r.cause_label()).or_default() += 1;
-            if let Some((pm, _)) = r.parent() {
-                if pm as usize == r.mote {
+            *causes.entry(cause_label(&cause)).or_default() += 1;
+            if let Some(p) = cause.parent() {
+                if p.mote as usize == r.mote {
                     local_links += 1;
                 } else {
                     cross_links += 1;
@@ -183,27 +129,25 @@ pub fn summary(records: &[Record]) -> Result<String, String> {
 /// `hot` — source-attributed execution counts: aggregates `TrackRun`
 /// events per block and renders them against the original `.ceu` source
 /// via the compiler's `DebugMap`.
-pub fn hot(records: &[Record], src: &str, top: usize) -> Result<String, String> {
+pub fn hot(records: &[FlightRecord], src: &str, top: usize) -> Result<String, String> {
     let prog =
         ceu::Compiler::new().compile(src).map_err(|e| format!("--src does not compile: {e}"))?;
-    let mut counts: HashMap<u64, u64> = HashMap::new();
+    let mut counts: HashMap<u32, u64> = HashMap::new();
     for r in records {
-        if r.kind() == "TrackRun" {
-            if let Some(b) = r.ev.get("block").and_then(|b| b.as_u64()) {
-                *counts.entry(b).or_default() += 1;
-            }
+        if let TraceEvent::TrackRun { block, .. } = r.event {
+            *counts.entry(block).or_default() += 1;
         }
     }
     if counts.is_empty() {
         return Ok("no TrackRun events in the trace (was it recorded with tracing on?)\n".into());
     }
     let total: u64 = counts.values().sum();
-    let mut rows: Vec<(u64, u64)> = counts.into_iter().collect();
+    let mut rows: Vec<(u32, u64)> = counts.into_iter().collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let lines: Vec<&str> = src.lines().collect();
     let mut out = String::from("   count     %  block  source\n");
     for (block, count) in rows.into_iter().take(top) {
-        let span = prog.debug.block_span(block as u32);
+        let span = prog.debug.block_span(block);
         let pct = 100.0 * count as f64 / total as f64;
         let loc = if span.line > 0 {
             let text = lines.get(span.line as usize - 1).map(|l| l.trim()).unwrap_or("");
@@ -270,7 +214,7 @@ pub(crate) fn wall_us(ns: u64) -> Fixed<3> {
 /// in-reaction events, and `s`/`f` flow arrows from each causal parent
 /// reaction to the reaction it triggered (cross-mote arrows are the
 /// radio packets).
-pub fn to_perfetto(records: &[Record]) -> String {
+pub fn to_perfetto(records: &[FlightRecord]) -> String {
     to_perfetto_merged(records, &[])
 }
 
@@ -278,18 +222,16 @@ pub fn to_perfetto(records: &[Record]) -> String {
 /// the same array — how `to-perfetto --par-stats` folds the scheduler's
 /// wall-clock worker tracks ([`par_stats_perfetto_events`]) into the
 /// virtual-time mote view.
-pub fn to_perfetto_merged(records: &[Record], extra: &[String]) -> String {
+pub fn to_perfetto_merged(records: &[FlightRecord], extra: &[String]) -> String {
     // index reaction starts so flows can anchor on the parent slice
-    let mut starts: HashMap<(u64, u64), u64> = HashMap::new();
+    let mut starts: HashMap<ReactionId, u64> = HashMap::new();
     let mut motes: Vec<usize> = Vec::new();
     for r in records {
         if !motes.contains(&r.mote) {
             motes.push(r.mote);
         }
-        if r.kind() == "ReactionStart" {
-            if let Some(id) = r.reaction_id() {
-                starts.entry(id).or_insert(r.t_us);
-            }
+        if let TraceEvent::ReactionStart { id, .. } = r.event {
+            starts.entry(id).or_insert(r.t_us);
         }
     }
     motes.sort();
@@ -308,12 +250,9 @@ pub fn to_perfetto_merged(records: &[Record], extra: &[String]) -> String {
     let mut flow_id = 0u64;
     for r in records {
         let (pid, tid, ts) = (r.mote as u64, r.mote as u64, Some(r.t_us));
-        match r.kind() {
-            "ReactionStart" => {
-                let label = match r.reaction_id() {
-                    Some((m, s)) => format!("reaction m{m}.{s} ({})", r.cause_label()),
-                    None => format!("reaction ({})", r.cause_label()),
-                };
+        match r.event {
+            TraceEvent::ReactionStart { id, cause, .. } => {
+                let label = format!("reaction m{}.{} ({})", id.mote, id.seq, cause_label(&cause));
                 let (name, cat) = (Some(label.as_str()), Some("reaction"));
                 out.push(to_json(&ChromeEvent {
                     ph: "B",
@@ -325,8 +264,9 @@ pub fn to_perfetto_merged(records: &[Record], extra: &[String]) -> String {
                     ..ChromeEvent::default()
                 }));
                 // flow arrow from the causal parent's slice to this one
-                if let Some((pm, ps)) = r.parent() {
-                    if let Some(&pt) = starts.get(&(pm, ps)) {
+                if let Some(p) = cause.parent() {
+                    if let Some(&pt) = starts.get(&p) {
+                        let pm = p.mote as u64;
                         flow_id += 1;
                         let flow = ChromeEvent {
                             ph: "s",
@@ -350,35 +290,32 @@ pub fn to_perfetto_merged(records: &[Record], extra: &[String]) -> String {
                     }
                 }
             }
-            "ReactionEnd" => {
+            TraceEvent::ReactionEnd { .. } => {
                 out.push(to_json(&ChromeEvent { ph: "E", pid, tid, ts, ..ChromeEvent::default() }))
             }
-            kind => {
+            ev => {
                 // in-reaction detail as thread-scoped instants
-                let detail = match kind {
-                    "TrackRun" => {
-                        r.ev.get("block").and_then(|b| b.as_u64()).map(|b| format!("TrackRun #{b}"))
+                let kind = ev.kind();
+                let name = match ev {
+                    TraceEvent::TrackRun { block, .. } => format!("TrackRun #{block}"),
+                    TraceEvent::GateFired { gate } | TraceEvent::GateArmed { gate } => {
+                        format!("{kind} g{gate}")
                     }
-                    "GateFired" | "GateArmed" => {
-                        r.ev.get("gate").and_then(|g| g.as_u64()).map(|g| format!("{kind} g{g}"))
+                    TraceEvent::EmitInt { event, .. } | TraceEvent::Discarded { event } => {
+                        format!("{kind} #{}", event.0)
                     }
-                    "EmitInt" | "Discarded" => {
-                        r.ev.get("event").and_then(|e| e.as_u64()).map(|e| format!("{kind} #{e}"))
-                    }
-                    _ => Some(kind.to_string()),
+                    _ => kind.to_string(),
                 };
-                if let Some(name) = detail {
-                    out.push(to_json(&ChromeEvent {
-                        ph: "i",
-                        s: Some("t"),
-                        pid,
-                        tid,
-                        ts,
-                        name: Some(&name),
-                        cat: Some("vm"),
-                        ..ChromeEvent::default()
-                    }));
-                }
+                out.push(to_json(&ChromeEvent {
+                    ph: "i",
+                    s: Some("t"),
+                    pid,
+                    tid,
+                    ts,
+                    name: Some(&name),
+                    cat: Some("vm"),
+                    ..ChromeEvent::default()
+                }));
             }
         }
     }
@@ -399,30 +336,28 @@ pub struct Hop {
 /// every reaction back to its root and returns the deepest chain,
 /// root-first. This is the critical path of the distributed computation —
 /// the sequence of reactions (and radio hops) nothing could overlap with.
-pub fn critical_path(records: &[Record]) -> Vec<Hop> {
+pub fn critical_path(records: &[FlightRecord]) -> Vec<Hop> {
     struct Node {
         t_us: u64,
         cause: String,
-        parent: Option<(u64, u64)>,
+        parent: Option<ReactionId>,
     }
-    let mut nodes: HashMap<(u64, u64), Node> = HashMap::new();
+    let mut nodes: HashMap<ReactionId, Node> = HashMap::new();
     for r in records {
-        if r.kind() == "ReactionStart" {
-            if let Some(id) = r.reaction_id() {
-                nodes.entry(id).or_insert(Node {
-                    t_us: r.t_us,
-                    cause: r.cause_label(),
-                    parent: r.parent(),
-                });
-            }
+        if let TraceEvent::ReactionStart { id, cause, .. } = r.event {
+            nodes.entry(id).or_insert(Node {
+                t_us: r.t_us,
+                cause: cause_label(&cause),
+                parent: cause.parent(),
+            });
         }
     }
     // depth of every reaction: walk parent links up to a reaction whose
     // depth is known or to a root (a missing parent — trimmed trace —
     // roots the chain there; so does a link back into the walk, which
     // only a malformed trace has), then number the walk back down
-    let mut memo: HashMap<(u64, u64), u64> = HashMap::new();
-    let mut best: Option<((u64, u64), u64)> = None;
+    let mut memo: HashMap<ReactionId, u64> = HashMap::new();
+    let mut best: Option<(ReactionId, u64)> = None;
     let mut ids: Vec<_> = nodes.keys().copied().collect();
     ids.sort();
     for &id in &ids {
@@ -456,7 +391,7 @@ pub fn critical_path(records: &[Record]) -> Vec<Hop> {
     let mut chain = Vec::new();
     for _ in 0..depth {
         let n = &nodes[&id];
-        chain.push(Hop { mote: id.0, seq: id.1, t_us: n.t_us, cause: n.cause.clone() });
+        chain.push(Hop { mote: id.mote as u64, seq: id.seq, t_us: n.t_us, cause: n.cause.clone() });
         match n.parent {
             Some(p) if nodes.contains_key(&p) => id = p,
             _ => break,
@@ -510,15 +445,15 @@ pub enum DiffResult {
 }
 
 /// Compares two traces event by event, ignoring host-clock (`wall_ns`)
-/// fields — the only nondeterminism the runtime ever records. Reports the
+/// fields — the only nondeterminism the runtime ever records (see
+/// `TraceEvent::normalized`). Reports the
 /// first divergence; identical traces (e.g. sequential vs parallel world
 /// runs, or flat vs tree-eval machine runs) yield [`DiffResult::Match`].
 pub fn diff(left: &str, right: &str) -> Result<DiffResult, String> {
     let l = parse_jsonl(left).map_err(|e| format!("left: {e}"))?;
     let r = parse_jsonl(right).map_err(|e| format!("right: {e}"))?;
     for (i, (a, b)) in l.iter().zip(r.iter()).enumerate() {
-        let (na, nb) = (normalized_key(a), normalized_key(b));
-        if na != nb {
+        if normalized_key(a) != normalized_key(b) {
             return Ok(DiffResult::Divergence {
                 index: i + 1,
                 left: Some(render_record(a)),
@@ -537,20 +472,14 @@ pub fn diff(left: &str, right: &str) -> Result<DiffResult, String> {
     Ok(DiffResult::Match { events: l.len() })
 }
 
-fn render_record(r: &Record) -> String {
-    format!("t={}µs mote={} seq={} {:?}", r.t_us, r.mote, r.seq, r.ev)
+fn render_record(r: &FlightRecord) -> String {
+    format!("t={}µs mote={} seq={} {}", r.t_us, r.mote, r.seq, to_json(&r.event))
 }
 
-/// The comparison key of a record: position + event with `wall_ns`
-/// zeroed.
-fn normalized_key(r: &Record) -> (u64, usize, u64, Value) {
-    let mut ev = r.ev.clone();
-    if let Value::Object(map) = &mut ev {
-        if map.contains_key("wall_ns") {
-            map.insert("wall_ns".into(), Value::Number(0u64.into()));
-        }
-    }
-    (r.t_us, r.mote, r.seq, ev)
+/// The comparison key of a record: position + wall-clock-normalized
+/// event.
+fn normalized_key(r: &FlightRecord) -> (u64, usize, u64, TraceEvent) {
+    (r.t_us, r.mote, r.seq, r.event.normalized())
 }
 
 /// Renders a [`DiffResult`] for the terminal; `true` means "no
@@ -586,11 +515,12 @@ mod tests {
         let recs = parse_jsonl(WORLD).unwrap();
         assert_eq!(recs.len(), 7);
         assert_eq!(recs[3].mote, 1);
-        assert_eq!(recs[3].parent(), Some((0, 1)));
+        let TraceEvent::ReactionStart { cause, .. } = recs[3].event else { panic!("{recs:?}") };
+        assert_eq!(cause.parent(), Some(ReactionId::new(0, 1)));
         let machine = r#"{"ev":"ReactionStart","id":{"mote":0,"seq":1},"cause":{"type":"boot"},"now_us":42,"wall_ns":5}"#;
         let recs = parse_jsonl(machine).unwrap();
         assert_eq!(recs[0].t_us, 42);
-        assert_eq!(recs[0].kind(), "ReactionStart");
+        assert_eq!(recs[0].event.kind(), "ReactionStart");
     }
 
     #[test]
@@ -636,13 +566,26 @@ mod tests {
 
     #[test]
     fn perfetto_names_are_escaped() {
-        // the event kind becomes the instant's name verbatim
+        // instant names come from the decoded event, so a kind the
+        // runtime never writes is refused instead of copied into one
         let trace = r#"{"ev":"x\"y\\z\u0001","now_us":1}"#;
-        let json = to_perfetto(&parse_jsonl(trace).unwrap());
-        let doc = serde_json::from_str(&json).expect("valid JSON");
-        let names: Vec<&str> =
-            doc.as_array().unwrap().iter().filter_map(|e| e["name"].as_str()).collect();
-        assert!(names.contains(&"x\"y\\z\u{1}"), "{names:?}");
+        let err = parse_jsonl(trace).unwrap_err();
+        assert_eq!(err, "line 1: `ev` names no known kind: \"x\\\"y\\\\z\\u{1}\"");
+    }
+
+    #[test]
+    fn unknown_kinds_and_mistyped_fields_are_refused_with_their_line() {
+        let start = r#"{"ev":"ReactionStart","id":{"mote":0,"seq":1},"cause":{"type":"boot"},"now_us":0,"wall_ns":0}"#;
+        let unknown = format!("{start}\n\n{}", r#"{"ev":"ReactionPaused","now_us":1}"#);
+        let err = parse_jsonl(&unknown).unwrap_err();
+        assert!(err.starts_with("line 3: `ev` names no known kind: \"ReactionPaused\""), "{err}");
+        let mistyped = start.replace(r#""seq":1"#, r#""seq":"1""#);
+        let err = parse_jsonl(&format!("{start}\n{mistyped}")).unwrap_err();
+        assert!(err.starts_with("line 2: `id.seq` does not fit a u64"), "{err}");
+        // the same holds inside a world record's `ev` object
+        let world = r#"{"t_us":0,"mote":0,"seq":1,"ev":{"ev":"TrackRun","block":-1,"rank":0}}"#;
+        let err = parse_jsonl(world).unwrap_err();
+        assert!(err.starts_with("line 1: `ev.block` does not fit a u32"), "{err}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn critical_path_never_links_a_hop_to_an_earlier_life() {
 
     let reboots: Vec<(u64, u64)> = records
         .iter()
-        .filter(|r| r.kind() == "MoteRebooted")
+        .filter(|r| r.event.kind() == "MoteRebooted")
         .map(|r| (r.mote as u64, r.t_us))
         .collect();
     assert!(!reboots.is_empty(), "the crashed mote must come back");

@@ -27,8 +27,8 @@
 //! --profile            per-block execution profile, rendered as hot
 //!                      statements against the original source
 //! --fuel N             reaction budget: abort any reaction chain that
-//!                      runs more than N blocks (N >= 1; the default, and
-//!                      the cap, is the runtime's 5,000,000-block net)
+//!                      runs more than N blocks (1 <= N <= 5,000,000; the
+//!                      default is the cap, the runtime's safety net)
 //! --faults PLAN        inject faults from a plan file (see below)
 //! --deadline-ms N      whole-run wall-clock budget: if the run (scripted
 //!                      reactions, output rendering, everything) exceeds
@@ -144,8 +144,11 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, RunOpts), String> {
             }
             "--fuel" => {
                 let n = it.next().ok_or("--fuel needs a number")?;
-                let fuel = n.parse().ok().filter(|&f| f > 0);
-                opts.fuel = Some(fuel.ok_or("--fuel: expected a number of steps >= 1")?);
+                let fuel = n.parse::<u64>().ok().filter(|&f| f > 0);
+                let fuel = fuel.ok_or("--fuel: expected a number of steps >= 1")?;
+                let cap = ceu::runtime::REACTION_BUDGET;
+                let fuel = u32::try_from(fuel).ok().filter(|&f| f <= cap);
+                opts.fuel = Some(fuel.ok_or(format!("--fuel: at most {cap} steps"))?);
             }
             "--faults" => {
                 let path = it.next().ok_or("--faults needs a path")?;
@@ -369,11 +372,11 @@ fn write_blackbox_dump(
 ) -> Result<(), String> {
     let rec = &bb.rec;
     let header = BlackboxHeader {
-        reason: "machine-crashed",
+        reason: "machine-crashed".into(),
         t_us: at,
         mote: Some(0),
         crash_us: Some(at),
-        cause: Some(cause),
+        cause: Some(cause.into()),
         motes: 1,
         shards: 0,
         ring_capacity: rec.capacity(),

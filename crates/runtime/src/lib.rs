@@ -16,7 +16,7 @@ pub mod value;
 
 pub use error::{panic_message, Result, RuntimeError};
 pub use host::{Host, HostResult, NullHost, RecordingHost};
-pub use machine::{Machine, Status};
+pub use machine::{Machine, Status, REACTION_BUDGET};
 pub use native::{NativeCtx, NativeProgram, Step};
 pub use telemetry::{
     render_hot_statements, BlockProfile, ChromeTraceSink, FlightRecord, FlightRecorder, Histogram,

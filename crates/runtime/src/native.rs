@@ -30,7 +30,7 @@ use crate::value::{Ptr, Value};
 // Re-exported so emitted code (and its generated-crate harness) only
 // needs a `ceu-runtime` dependency.
 pub use ceu_ast::{BinOp, Span, UnOp};
-use ceu_codegen::CompiledProgram;
+use ceu_codegen::{BlockId, CompiledProgram};
 
 /// How a native track ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,6 +76,8 @@ pub struct NativeCtx<'a> {
     /// Logical time base of the running track (timer chains, §2.3).
     pub(crate) base: Option<u64>,
     pub(crate) host: &'a mut dyn Host,
+    /// The running track's first block, the span of its fuel errors.
+    pub(crate) entry: BlockId,
 }
 
 impl NativeCtx<'_> {
@@ -94,7 +96,7 @@ impl NativeCtx<'_> {
     #[inline]
     pub fn burn(&mut self) -> Result<()> {
         if self.st.budget == 0 {
-            return Err(self.st.out_of_fuel_error());
+            return Err(self.st.out_of_fuel_error(self.prog.debug.block_span(self.entry)));
         }
         self.st.budget -= 1;
         Ok(())

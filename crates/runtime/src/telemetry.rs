@@ -27,7 +27,8 @@
 //! [`ChromeTraceSink`], need it).
 
 use crate::trace::{Cause, CrashKind, ReactionId, TraceEvent};
-use serde::{Serialize, Serializer};
+use serde::de::{field, tag, unknown_variant, Error, Value};
+use serde::{Deserialize, Serialize, Serializer};
 use std::io::Write;
 
 // ---- metrics registry ------------------------------------------------------
@@ -335,6 +336,15 @@ impl Serialize for CrashKind {
     }
 }
 
+impl Deserialize for CrashKind {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        let kinds = [CrashKind::RuntimeError, CrashKind::Watchdog, CrashKind::FaultInjected];
+        let label = String::deserialize(v)?;
+        let kind = kinds.into_iter().find(|k| k.label() == label);
+        kind.ok_or_else(|| Error::custom(format!("is not a crash kind: {label:?}")))
+    }
+}
+
 /// `{"type":"event","id":3}` (plus a `parent` reaction id when the cause
 /// records one), `{"type":"timer","deadline_us":…}`, `{"type":"boot"}`
 /// or `{"type":"async","id":…}`.
@@ -360,6 +370,18 @@ impl Serialize for Cause {
             }
         }
         s.end_object();
+    }
+}
+
+impl Deserialize for Cause {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        Ok(match tag(v, "type")?.as_str() {
+            "boot" => Cause::Boot,
+            "event" => Cause::Event { event: field(v, "id")?, parent: field(v, "parent")? },
+            "timer" => Cause::Timer(field(v, "deadline_us")?),
+            "async" => Cause::AsyncDone(field(v, "id")?),
+            other => return Err(unknown_variant("type", other)),
+        })
     }
 }
 
@@ -719,7 +741,7 @@ impl TraceFormat {
 /// clock and the mote it happened on. Also the world trace's element and
 /// JSONL line, `{"t_us":…,"mote":…,"seq":…,"ev":{…}}`, so every
 /// `ceu-trace` reader understands it.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FlightRecord {
     /// Virtual clock (µs) when the event was recorded.
     pub t_us: u64,
@@ -739,7 +761,7 @@ impl FlightRecord {
 }
 
 /// One scheduler window, as seen by the shard that ran it.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WindowMark {
     /// Window bounds (virtual µs, half-open `[start, end)`).
     pub start_us: u64,
@@ -926,9 +948,9 @@ pub const BLACKBOX_SCHEMA: &str = "ceu-blackbox/v1";
 /// [`blackbox_dump`] writes. A world dump names the crashed mote and, when
 /// it is down, its crash kind and source site; a single-machine dump has
 /// `shards: 0`. `None` members are left out.
-#[derive(Default, Serialize)]
-pub struct BlackboxHeader<'a> {
-    pub reason: &'a str,
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct BlackboxHeader {
+    pub reason: String,
     pub t_us: u64,
     #[serde(skip_serializing_if = "Option::is_none")]
     pub mote: Option<usize>,
@@ -937,7 +959,7 @@ pub struct BlackboxHeader<'a> {
     #[serde(skip_serializing_if = "Option::is_none")]
     pub kind: Option<CrashKind>,
     #[serde(skip_serializing_if = "Option::is_none")]
-    pub cause: Option<&'a str>,
+    pub cause: Option<String>,
     #[serde(skip_serializing_if = "Option::is_none")]
     pub line: Option<u32>,
     #[serde(skip_serializing_if = "Option::is_none")]
@@ -950,7 +972,7 @@ pub struct BlackboxHeader<'a> {
 }
 
 /// A `ceu-blackbox/v1` stat line, `{"blackbox":"<kind>",…}`.
-#[derive(Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "blackbox", rename_all = "lowercase")]
 pub enum BlackboxStat {
     /// One shard's ring (world dumps).
@@ -991,10 +1013,10 @@ pub fn blackbox_dump<'r>(
     records: impl IntoIterator<Item = &'r FlightRecord>,
 ) -> String {
     #[derive(Serialize)]
-    struct Tagged<'h, 'a> {
+    struct Tagged<'h> {
         schema: &'static str,
         #[serde(flatten)]
-        header: &'h BlackboxHeader<'a>,
+        header: &'h BlackboxHeader,
     }
     let mut out = to_json(&Tagged { schema: BLACKBOX_SCHEMA, header }) + "\n";
     let lines = stats.iter().map(to_json).chain(records.into_iter().map(to_json));

@@ -13,14 +13,14 @@
 
 use ceu_ast::EventId;
 use ceu_codegen::{AsyncId, BlockId, GateId};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Globally unique identity of one reaction chain: which machine ran it
 /// (`mote`, a world-assigned id — 0 for standalone machines) and its
 /// per-machine sequence number (1-based; 0 never names a reaction).
 /// This is the Dapper-style causal id that radio packets carry across
 /// motes so the receive-side [`Cause`] can name its parent.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ReactionId {
     pub mote: u32,
     pub seq: u64,
@@ -128,7 +128,7 @@ impl std::fmt::Display for CrashKind {
 ///
 /// On the wire (the `jsonl` format) an event is one object: its kind under
 /// `"ev"`, then the variant's fields in declaration order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(tag = "ev")]
 pub enum TraceEvent {
     /// A reaction chain begins. `now_us` is the virtual clock, `wall_ns`

@@ -3,11 +3,17 @@
 //! non-empty histogram, `BlockProfile`, a flight record, and one
 //! `ChromeTraceSink` begin/end/instant triple. Readers (`ceu-trace`,
 //! Perfetto, scripts) depend on these exact keys, key order and number
-//! formatting.
+//! formatting. Beside the pins, every record a reader decodes (trace
+//! events, flight records, black-box headers and stat lines) must decode
+//! back into the value that was written.
 
 use ceu_ast::EventId;
-use ceu_runtime::telemetry::{event_to_json, ChromeTraceSink, TraceSink};
-use ceu_runtime::{BlockProfile, Cause, CrashKind, FlightRecord, Metrics, ReactionId, TraceEvent};
+use ceu_runtime::telemetry::{
+    blackbox_dump, event_to_json, to_json, BlackboxHeader, BlackboxStat, ChromeTraceSink, TraceSink,
+};
+use ceu_runtime::{
+    BlockProfile, Cause, CrashKind, FlightRecord, Metrics, ReactionId, TraceEvent, WindowMark,
+};
 
 fn start(cause: Cause) -> TraceEvent {
     TraceEvent::ReactionStart { id: ReactionId::new(2, 7), cause, now_us: 42, wall_ns: 1500 }
@@ -162,4 +168,119 @@ fn chrome_sink_begin_end_instant_keep_their_bytes() {
             "\n]\n"
         )
     );
+}
+
+/// What a reader decodes from one written line.
+fn decode<T: serde::Deserialize>(json: &str) -> T {
+    let value = serde_json::from_str(json).expect("valid JSON");
+    serde_json::from_value(value).unwrap_or_else(|e| panic!("{json}: {e}"))
+}
+
+fn every_event() -> Vec<TraceEvent> {
+    let causes = [
+        Cause::Boot,
+        Cause::event(EventId(3)),
+        Cause::Event { event: EventId(3), parent: Some(ReactionId::new(0, 9)) },
+        Cause::Timer(5000),
+        Cause::AsyncDone(4),
+    ];
+    let kinds = [CrashKind::RuntimeError, CrashKind::Watchdog, CrashKind::FaultInjected];
+    let mut events: Vec<TraceEvent> = causes.into_iter().map(start).collect();
+    events.extend(kinds.map(|kind| TraceEvent::MoteCrashed { kind, line: 3, col: 5 }));
+    events.extend([
+        TraceEvent::Discarded { event: EventId(5) },
+        TraceEvent::TrackRun { block: 3, rank: 1 },
+        TraceEvent::GateArmed { gate: 6 },
+        TraceEvent::GateFired { gate: 6 },
+        TraceEvent::EmitInt { event: EventId(2), depth: 1 },
+        TraceEvent::AsyncSlice { async_id: 8 },
+        TraceEvent::BudgetExceeded { tracks: 1000, wall_ns: 77 },
+        TraceEvent::ReactionEnd {
+            now_us: 42,
+            wall_ns: 1900,
+            tracks: 4,
+            emits: 2,
+            gates_fired: 1,
+            gates_armed: 3,
+            queue_peak: 2,
+            emit_depth_max: 1,
+        },
+        TraceEvent::Terminated { value: Some(-7) },
+        TraceEvent::Terminated { value: None },
+        TraceEvent::MoteRebooted { boots: 2 },
+    ]);
+    events
+}
+
+#[test]
+fn every_trace_event_decodes_to_itself() {
+    for event in every_event() {
+        assert_eq!(decode::<TraceEvent>(&event_to_json(&event)), event);
+    }
+}
+
+#[test]
+fn flight_records_decode_to_themselves() {
+    for (i, event) in every_event().into_iter().enumerate() {
+        let rec = FlightRecord { t_us: 7000 + i as u64, mote: i, seq: 9, event };
+        assert_eq!(decode::<FlightRecord>(&rec.to_json()), rec);
+    }
+}
+
+#[test]
+fn blackbox_headers_and_stats_decode_to_themselves() {
+    let stats = [
+        BlackboxStat::Shard {
+            shard: 1,
+            motes: 2,
+            lookahead_us: 1000,
+            ring_len: 3,
+            ring_dropped: 4,
+            ring_recorded: 7,
+        },
+        BlackboxStat::Window {
+            shard: 1,
+            mark: WindowMark { start_us: 0, end_us: 1000, events: 5 },
+        },
+        BlackboxStat::Mote {
+            mote: 3,
+            up: false,
+            sent: 4,
+            received: 5,
+            dropped_in_flight: 1,
+            crashes: 2,
+            reboots: 1,
+        },
+        BlackboxStat::Machine { boots: 2, ring_len: 3, ring_dropped: 0, ring_recorded: 3 },
+    ];
+    for stat in &stats {
+        assert_eq!(&decode::<BlackboxStat>(&to_json(stat)), stat);
+    }
+    let world = BlackboxHeader {
+        reason: "mote-crashed".into(),
+        t_us: 5000,
+        mote: Some(1),
+        crash_us: Some(4000),
+        kind: Some(CrashKind::RuntimeError),
+        cause: Some("division by zero".into()),
+        line: Some(2),
+        col: Some(3),
+        motes: 3,
+        shards: 2,
+        ring_capacity: 512,
+        ring_records: 6,
+        ring_dropped: 1,
+    };
+    let machine = BlackboxHeader {
+        reason: "machine-crashed".into(),
+        t_us: 10,
+        mote: Some(0),
+        motes: 1,
+        ..BlackboxHeader::default()
+    };
+    for header in [world, machine] {
+        // the header is the first line of a dump, behind its schema tag
+        let dump = blackbox_dump(&header, &stats, &[]);
+        assert_eq!(decode::<BlackboxHeader>(dump.lines().next().unwrap()), header);
+    }
 }

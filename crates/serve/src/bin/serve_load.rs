@@ -402,7 +402,6 @@ fn run_chaos(scale: &Scale, seed: u64, workers: usize, opts: &ChaosOpts) -> MixO
         restart_policy: RebootPolicy::Backoff { base_us: 1_000, max_us: 100_000 },
         max_crashes: 4,
         panic_on_call: Some("chaos_panic".into()),
-        ..ServeConfig::default()
     };
     let svc = SessionService::start(cfg);
     let t0 = Instant::now();

@@ -37,6 +37,26 @@ use std::time::{Duration, Instant};
 
 pub use wsn_sim::RebootPolicy;
 
+/// Messages a worker takes from one mailbox per epoch (fairness quantum:
+/// bigger = better locality, smaller = lower tail latency for
+/// neighbours).
+const EPOCH_BATCH: usize = 32;
+
+/// `go_async` slices appended to an epoch while the session has runnable
+/// asyncs.
+const ASYNC_SLICES_PER_EPOCH: u64 = 64;
+
+/// How many consecutive *async-only* epochs a session may self-schedule
+/// before it must wait for new client input — stops an async-heavy
+/// tenant from monopolising the pool.
+const MAX_ASYNC_EPOCHS: u32 = 16;
+
+/// Retry hint attached to `Shed` responses, µs.
+const RETRY_AFTER_US: u64 = 2_000;
+
+/// Artifact-cache capacity (distinct programs).
+const CACHE_CAPACITY: usize = 1024;
+
 /// Service tuning knobs. The defaults are sized for tests; `serve-load`
 /// overrides most of them per mix.
 #[derive(Clone, Debug)]
@@ -53,26 +73,11 @@ pub struct ServeConfig {
     /// runtime's 5,000,000-block safety net, which evicts as
     /// [`EvictCause::Fuel`] with that limit like any other budget.
     pub fuel_limit: Option<u32>,
-    /// Messages a worker takes from one mailbox per epoch (fairness
-    /// quantum: bigger = better locality, smaller = lower tail latency
-    /// for neighbours).
-    pub epoch_batch: usize,
-    /// `go_async` slices appended to an epoch while the session has
-    /// runnable asyncs.
-    pub async_slices_per_epoch: u32,
-    /// How many consecutive *async-only* epochs a session may
-    /// self-schedule before it must wait for new client input — stops an
-    /// async-heavy tenant from monopolising the pool.
-    pub max_async_epochs: u32,
     /// Backoff schedule for client-requested restarts of crashed
     /// sessions (reused from the WSN fault layer).
     pub restart_policy: RebootPolicy,
     /// Hard cap on restarts per session; beyond it restarts are refused.
     pub max_crashes: u32,
-    /// Retry hint attached to `Shed` responses, µs.
-    pub retry_after_us: u64,
-    /// Artifact-cache capacity (distinct programs).
-    pub cache_capacity: usize,
     /// Fault-injection hook: host function name that panics when called
     /// (e.g. `"chaos_panic"` makes `_chaos_panic()` blow up the host).
     /// Exercises the catch-unwind isolation path end to end.
@@ -87,13 +92,8 @@ impl Default for ServeConfig {
             session_queue_cap: 64,
             global_queue_cap: 8192,
             fuel_limit: Some(200_000),
-            epoch_batch: 32,
-            async_slices_per_epoch: 64,
-            max_async_epochs: 16,
             restart_policy: RebootPolicy::Backoff { base_us: 1_000, max_us: 1_000_000 },
             max_crashes: 8,
-            retry_after_us: 2_000,
-            cache_capacity: 1024,
             panic_on_call: None,
         }
     }
@@ -471,7 +471,7 @@ impl SessionService {
     pub fn start(cfg: ServeConfig) -> Self {
         let n = cfg.workers.max(1);
         let inner = Arc::new(Inner {
-            cache: ArtifactCache::new(cfg.cache_capacity),
+            cache: ArtifactCache::new(CACHE_CAPACITY),
             cfg,
             state: Mutex::new(State {
                 sessions: HashMap::new(),
@@ -520,7 +520,7 @@ impl SessionService {
             }
             if st.running >= self.inner.cfg.max_sessions {
                 st.stats.sessions_shed += 1;
-                return Err(AdmitError::Shed { retry_after_us: self.inner.cfg.retry_after_us });
+                return Err(AdmitError::Shed { retry_after_us: RETRY_AFTER_US });
             }
         }
         let (hash, prog) = match self.inner.cache.get_or_compile(src, unchecked) {
@@ -537,7 +537,7 @@ impl SessionService {
         }
         if st.running >= self.inner.cfg.max_sessions {
             st.stats.sessions_shed += 1;
-            return Err(AdmitError::Shed { retry_after_us: self.inner.cfg.retry_after_us });
+            return Err(AdmitError::Shed { retry_after_us: RETRY_AFTER_US });
         }
         let id = st.next_id;
         st.next_id += 1;
@@ -609,7 +609,7 @@ impl SessionService {
             sess.mailbox.len() - usize::from(matches!(sess.mailbox.front(), Some(Msg::Boot)));
         if queued >= cfg.session_queue_cap || st.global_queued >= cfg.global_queue_cap {
             st.stats.events_shed += 1;
-            return Err(SendError::Shed { retry_after_us: cfg.retry_after_us });
+            return Err(SendError::Shed { retry_after_us: RETRY_AFTER_US });
         }
         let counts = msg.counts_against_queues();
         let sess = st.sessions.get_mut(&id.0).expect("checked above");
@@ -846,12 +846,7 @@ fn apply_msg(rt: &mut SessionRt, msg: &Msg) -> Result<(), RuntimeError> {
 /// the machine, catching panics at each step so a blown reaction is a
 /// session crash, not a worker death. Each message's run time is appended
 /// to `latencies_ns`.
-fn run_epoch(
-    cfg: &ServeConfig,
-    mut rt: Box<SessionRt>,
-    msgs: &[Msg],
-    latencies_ns: &mut Vec<u64>,
-) -> EpochOutcome {
+fn run_epoch(mut rt: Box<SessionRt>, msgs: &[Msg], latencies_ns: &mut Vec<u64>) -> EpochOutcome {
     let mut out = EpochOutcome {
         rt: None,
         processed_events: 0,
@@ -886,7 +881,7 @@ fn run_epoch(
         // never inside a reaction (the paper's async isolation).
         let res = catch_unwind(AssertUnwindSafe(|| -> Result<u64, RuntimeError> {
             let mut slices = 0u64;
-            while slices < cfg.async_slices_per_epoch as u64 {
+            while slices < ASYNC_SLICES_PER_EPOCH {
                 if !rt.machine.go_async(&mut rt.host)? {
                     break;
                 }
@@ -913,7 +908,6 @@ fn run_epoch(
 }
 
 fn worker_loop(inner: &Inner) {
-    let cfg = &inner.cfg;
     // Reused by every epoch, so a steady-state epoch allocates nothing.
     let mut msgs: Vec<Msg> = Vec::new();
     let mut latencies_ns: Vec<u64> = Vec::new();
@@ -952,7 +946,7 @@ fn worker_loop(inner: &Inner) {
             inner.epoch_done(&st);
             continue;
         };
-        let take = sess.mailbox.len().min(cfg.epoch_batch.max(1));
+        let take = sess.mailbox.len().min(EPOCH_BATCH);
         msgs.extend(sess.mailbox.drain(..take));
         let counted = msgs.iter().filter(|m| m.counts_against_queues()).count();
         let Some(rt) = sess.rt.take() else {
@@ -971,7 +965,7 @@ fn worker_loop(inner: &Inner) {
         st.busy += 1;
         drop(st);
 
-        let out = run_epoch(cfg, rt, &msgs, &mut latencies_ns);
+        let out = run_epoch(rt, &msgs, &mut latencies_ns);
         msgs.clear();
 
         st = inner.lock();
@@ -1035,9 +1029,7 @@ fn worker_loop(inner: &Inner) {
                         // Async-driven self-scheduling is bounded so one
                         // async-heavy tenant cannot monopolise the pool.
                         requeue = !sess.mailbox.is_empty()
-                            || (has_async
-                                && !*draining
-                                && sess.async_epochs < cfg.max_async_epochs);
+                            || (has_async && !*draining && sess.async_epochs < MAX_ASYNC_EPOCHS);
                         sess.scheduled = requeue;
                     }
                 }

@@ -42,14 +42,15 @@
 //!
 //! ## Wire format
 //!
-//! The records serialize through `serde`: [`ParStats`] is the `run` line,
-//! [`ParShardStats`] a `shard` line and [`ParWindowStats`] a `window`
-//! line. [`parse_par_stats`] reads v1 and v2 streams back into
-//! [`ParStats`] values, so `ceu-trace` renders the same type the
-//! simulator collects.
+//! Each line kind has one private wire row that derives both `Serialize`
+//! and `Deserialize`: [`ParStats`] is written as a `run` row,
+//! [`ParShardStats`] as a `shard` line as it is, and [`ParWindowStats`]
+//! as a `window` row. [`parse_par_stats`] decodes v1 and v2 streams
+//! through the same rows back into [`ParStats`] values, so `ceu-trace`
+//! renders the same type the simulator collects.
 
-use serde::{Serialize, Serializer};
-use serde_json::Value;
+use ceu::runtime::telemetry::to_json;
+use serde::{Deserialize, Serialize, Serializer};
 use std::io::Write;
 
 /// Schema tag of every line this module writes.
@@ -117,7 +118,8 @@ pub struct ParWindowStats {
 }
 
 /// The exact thread-time split of one window (see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct Attribution {
     pub busy_ns: u64,
     pub imbalance_ns: u64,
@@ -191,27 +193,36 @@ impl ParWindowStats {
 }
 
 /// Aggregate counters over *all* windows, including the ones past the
-/// detailed-window cap.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// detailed-window cap. Written, in field order, as the tail of a `run`
+/// line; `windows` sits earlier on that line.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct ParTotals {
+    #[serde(skip)]
     pub windows: u64,
     pub events: u64,
     pub motes_stepped: u64,
     pub cross_sends: u64,
     pub heap_pushes: u64,
     pub heap_pops: u64,
-    /// Σ drain / par / merge over all windows (ns).
-    pub drain_ns: u64,
-    pub par_ns: u64,
-    pub merge_ns: u64,
+    #[serde(flatten)]
+    pub attribution: Attribution,
     /// Σ max-over-workers busy per window: the critical chain through
     /// the parallel phases (ns) — the floor any thread count must walk.
     pub critical_busy_ns: u64,
-    pub attribution: Attribution,
+    /// Σ drain / par / merge over all windows (ns).
+    #[serde(rename = "drain_wall_ns")]
+    pub drain_ns: u64,
+    #[serde(rename = "par_wall_ns")]
+    pub par_ns: u64,
+    #[serde(rename = "merge_wall_ns")]
+    pub merge_ns: u64,
 }
 
-/// Lifetime aggregates for one shard across every recorded window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Lifetime aggregates for one shard across every recorded window; also
+/// the body of a `shard` line.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct ParShardStats {
     pub shard: u32,
     /// Motes the shard held (last observed — resharding may change it).
@@ -351,62 +362,106 @@ impl ParStats {
 
 // ---- ceu-par-stats/v2 JSONL -------------------------------------------------
 
-/// Opens one record: `{"schema":"ceu-par-stats/v2","kind":…`.
-fn begin_record(s: &mut Serializer, kind: &str) {
-    s.begin_object();
-    s.field("schema", PAR_STATS_SCHEMA);
-    s.field("kind", kind);
+/// One line of a `ceu-par-stats` stream after its `schema` tag. The
+/// fields of each kind are listed once, here: the writer and the reader
+/// both go through these rows. A key a v1 stream lacks reads as 0 or
+/// empty.
+#[derive(Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "lowercase")]
+enum Line {
+    Run {
+        #[serde(flatten)]
+        row: RunRow,
+    },
+    Shard {
+        #[serde(flatten)]
+        row: ParShardStats,
+    },
+    Window {
+        #[serde(flatten)]
+        row: WindowRow,
+    },
 }
 
-/// The `kind:"run"` line: the run header + aggregate attribution.
-impl Serialize for ParStats {
-    fn serialize(&self, s: &mut Serializer) {
-        let (t, a) = (&self.totals, &self.totals.attribution);
-        begin_record(s, "run");
-        s.field("threads", &self.threads);
-        s.field("lookahead_us", &self.lookahead_us);
-        s.field("motes", &self.motes);
-        s.field("shards", &self.shards);
-        s.field("fallback", &self.fallback);
-        s.field("wall_ns", &self.wall_ns);
-        s.field("window_wall_ns", &self.window_wall_ns());
-        s.field("windows", &t.windows);
-        s.field("dropped_windows", &self.dropped_windows);
-        s.field("events", &t.events);
-        s.field("motes_stepped", &t.motes_stepped);
-        s.field("cross_sends", &t.cross_sends);
-        s.field("heap_pushes", &t.heap_pushes);
-        s.field("heap_pops", &t.heap_pops);
-        s.field("busy_ns", &a.busy_ns);
-        s.field("imbalance_ns", &a.imbalance_ns);
-        s.field("lookahead_ns", &a.lookahead_ns);
-        s.field("barrier_ns", &a.barrier_ns);
-        s.field("merge_ns", &a.merge_ns);
-        s.field("critical_busy_ns", &t.critical_busy_ns);
-        s.field("drain_wall_ns", &t.drain_ns);
-        s.field("par_wall_ns", &t.par_ns);
-        s.field("merge_wall_ns", &t.merge_ns);
-        s.end_object();
+/// The `run` line: the run header, then the totals. `window_wall_ns` is
+/// derived on write and not read back.
+#[derive(Serialize, Deserialize)]
+#[serde(default)]
+struct RunRow {
+    threads: u32,
+    lookahead_us: u64,
+    motes: u32,
+    shards: u32,
+    fallback: bool,
+    wall_ns: u64,
+    window_wall_ns: u64,
+    windows: u64,
+    dropped_windows: u64,
+    #[serde(flatten)]
+    totals: ParTotals,
+}
+
+impl RunRow {
+    fn new(s: &ParStats) -> RunRow {
+        RunRow {
+            threads: s.threads,
+            lookahead_us: s.lookahead_us,
+            motes: s.motes,
+            shards: s.shards,
+            fallback: s.fallback,
+            wall_ns: s.wall_ns,
+            window_wall_ns: s.window_wall_ns(),
+            windows: s.totals.windows,
+            dropped_windows: s.dropped_windows,
+            totals: s.totals,
+        }
+    }
+
+    fn stats(self) -> ParStats {
+        ParStats {
+            threads: self.threads,
+            lookahead_us: self.lookahead_us,
+            motes: self.motes,
+            shards: self.shards,
+            fallback: self.fallback,
+            wall_ns: self.wall_ns,
+            dropped_windows: self.dropped_windows,
+            totals: ParTotals { windows: self.windows, ..self.totals },
+            ..ParStats::new(DEFAULT_WINDOW_CAP)
+        }
     }
 }
 
-/// A `kind:"shard"` line: one shard's lifetime aggregates.
-impl Serialize for ParShardStats {
-    fn serialize(&self, s: &mut Serializer) {
-        begin_record(s, "shard");
-        s.field("shard", &self.shard);
-        s.field("motes", &self.motes);
-        s.field("windows", &self.windows);
-        s.field("events", &self.events);
-        s.field("busy_ns", &self.busy_ns);
-        s.field("cross_sends", &self.cross_sends);
-        s.field("channel_wait_ns", &self.channel_wait_ns);
-        s.end_object();
-    }
+/// A `window` line. `wall_ns` is derived on write and not read back.
+#[derive(Serialize, Deserialize)]
+#[serde(default)]
+struct WindowRow {
+    i: u64,
+    t_wall_ns: u64,
+    start_us: u64,
+    end_us: u64,
+    lookahead_us: u64,
+    clipped: bool,
+    threads: u32,
+    workers: u32,
+    motes: u32,
+    events: u64,
+    busy_ns: Vec<u64>,
+    events_per_worker: Vec<u64>,
+    motes_per_worker: Vec<u32>,
+    drain_ns: u64,
+    par_ns: u64,
+    merge_ns: u64,
+    wall_ns: u64,
+    heap_pushes: u64,
+    heap_pops: u64,
+    cross_sends: u64,
+    sends: Vec<SendRow>,
+    shard_busy: Vec<ShardBusyRow>,
 }
 
 /// One sampled cross-window send of a `window` line.
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct SendRow {
     at_us: u64,
     from: u32,
@@ -414,7 +469,7 @@ struct SendRow {
 }
 
 /// One shard's placement in a `window` line.
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct ShardBusyRow {
     shard: u32,
     worker: u32,
@@ -422,45 +477,90 @@ struct ShardBusyRow {
     events: u64,
 }
 
-/// A `kind:"window"` line.
-impl Serialize for ParWindowStats {
+impl WindowRow {
+    fn new(w: &ParWindowStats) -> WindowRow {
+        WindowRow {
+            i: w.index,
+            t_wall_ns: w.t_wall_ns,
+            start_us: w.start_us,
+            end_us: w.end_us,
+            lookahead_us: w.lookahead_us,
+            clipped: w.clipped,
+            threads: w.threads,
+            workers: w.workers,
+            motes: w.motes,
+            events: w.events,
+            busy_ns: w.busy_ns.clone(),
+            events_per_worker: w.events_per_worker.clone(),
+            motes_per_worker: w.motes_per_worker.clone(),
+            drain_ns: w.drain_ns,
+            par_ns: w.par_ns,
+            merge_ns: w.merge_ns,
+            wall_ns: w.wall_ns(),
+            heap_pushes: w.heap_pushes,
+            heap_pops: w.heap_pops,
+            cross_sends: w.cross_sends,
+            sends: w
+                .send_sample
+                .iter()
+                .map(|&(at_us, from, to)| SendRow { at_us, from, to })
+                .collect(),
+            shard_busy: w
+                .shard_busy
+                .iter()
+                .map(|&(shard, worker, busy_ns, events)| ShardBusyRow {
+                    shard,
+                    worker,
+                    busy_ns,
+                    events,
+                })
+                .collect(),
+        }
+    }
+
+    fn stats(self) -> ParWindowStats {
+        ParWindowStats {
+            index: self.i,
+            t_wall_ns: self.t_wall_ns,
+            start_us: self.start_us,
+            end_us: self.end_us,
+            lookahead_us: self.lookahead_us,
+            clipped: self.clipped,
+            threads: self.threads,
+            workers: self.workers,
+            motes: self.motes,
+            events: self.events,
+            busy_ns: self.busy_ns,
+            events_per_worker: self.events_per_worker,
+            motes_per_worker: self.motes_per_worker,
+            drain_ns: self.drain_ns,
+            par_ns: self.par_ns,
+            merge_ns: self.merge_ns,
+            heap_pushes: self.heap_pushes,
+            heap_pops: self.heap_pops,
+            cross_sends: self.cross_sends,
+            send_sample: self.sends.into_iter().map(|s| (s.at_us, s.from, s.to)).collect(),
+            shard_busy: self
+                .shard_busy
+                .into_iter()
+                .map(|b| (b.shard, b.worker, b.busy_ns, b.events))
+                .collect(),
+        }
+    }
+}
+
+/// A whole line as written: the schema tag, then the [`Line`].
+#[derive(Serialize)]
+struct Tagged {
+    schema: &'static str,
+    #[serde(flatten)]
+    line: Line,
+}
+
+/// A [`ParStats`] serializes as its `run` line.
+impl Serialize for ParStats {
     fn serialize(&self, s: &mut Serializer) {
-        let sends: Vec<SendRow> =
-            self.send_sample.iter().map(|&(at_us, from, to)| SendRow { at_us, from, to }).collect();
-        let shard_busy: Vec<ShardBusyRow> = self
-            .shard_busy
-            .iter()
-            .map(|&(shard, worker, busy_ns, events)| ShardBusyRow {
-                shard,
-                worker,
-                busy_ns,
-                events,
-            })
-            .collect();
-        begin_record(s, "window");
-        s.field("i", &self.index);
-        s.field("t_wall_ns", &self.t_wall_ns);
-        s.field("start_us", &self.start_us);
-        s.field("end_us", &self.end_us);
-        s.field("lookahead_us", &self.lookahead_us);
-        s.field("clipped", &self.clipped);
-        s.field("threads", &self.threads);
-        s.field("workers", &self.workers);
-        s.field("motes", &self.motes);
-        s.field("events", &self.events);
-        s.field("busy_ns", &self.busy_ns);
-        s.field("events_per_worker", &self.events_per_worker);
-        s.field("motes_per_worker", &self.motes_per_worker);
-        s.field("drain_ns", &self.drain_ns);
-        s.field("par_ns", &self.par_ns);
-        s.field("merge_ns", &self.merge_ns);
-        s.field("wall_ns", &self.wall_ns());
-        s.field("heap_pushes", &self.heap_pushes);
-        s.field("heap_pops", &self.heap_pops);
-        s.field("cross_sends", &self.cross_sends);
-        s.field("sends", &sends);
-        s.field("shard_busy", &shard_busy);
-        s.end_object();
+        Tagged { schema: PAR_STATS_SCHEMA, line: Line::Run { row: RunRow::new(self) } }.serialize(s)
     }
 }
 
@@ -468,13 +568,11 @@ impl Serialize for ParWindowStats {
 /// then one `shard` line per shard, then one `window` line per detailed
 /// window.
 pub fn write_par_stats_jsonl<W: Write>(stats: &ParStats, mut out: W) -> std::io::Result<()> {
-    use ceu::runtime::telemetry::to_json;
     writeln!(out, "{}", to_json(stats))?;
-    for s in &stats.per_shard {
-        writeln!(out, "{}", to_json(s))?;
-    }
-    for w in &stats.windows {
-        writeln!(out, "{}", to_json(w))?;
+    let shards = stats.per_shard.iter().map(|&row| Line::Shard { row });
+    let windows = stats.windows.iter().map(|w| Line::Window { row: WindowRow::new(w) });
+    for line in shards.chain(windows) {
+        writeln!(out, "{}", to_json(&Tagged { schema: PAR_STATS_SCHEMA, line }))?;
     }
     Ok(())
 }
@@ -482,16 +580,13 @@ pub fn write_par_stats_jsonl<W: Write>(stats: &ParStats, mut out: W) -> std::io:
 /// Parses a `ceu-par-stats/v1` or `/v2` JSONL stream: one [`ParStats`]
 /// per `run` line, holding the `shard` and `window` lines that follow
 /// it. A key a v1 stream lacks reads as 0 or empty; a value that does
-/// not fit its field (wrong type, negative, `threads > u32::MAX`) is an
-/// error naming the line. Fields the writer derives (`window_wall_ns`, a
-/// window's `wall_ns`) are not read back.
+/// not fit its field (wrong type, negative, `threads > u32::MAX`) or an
+/// unknown `kind` is an error naming the line. Fields the writer derives
+/// (`window_wall_ns`, a window's `wall_ns`) are not read back.
 pub fn parse_par_stats(text: &str) -> Result<Vec<ParStats>, String> {
     let mut runs = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if !line.is_empty() {
-            parse_line(line, &mut runs).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        }
+    for (n, line) in (1u64..).zip(text.lines()).filter(|(_, l)| !l.trim().is_empty()) {
+        parse_line(line.trim(), &mut runs).map_err(|e| format!("line {n}: {e}"))?;
     }
     if runs.is_empty() {
         return Err("no ceu-par-stats run records in input".into());
@@ -505,115 +600,16 @@ fn parse_line(line: &str, runs: &mut Vec<ParStats>) -> Result<(), String> {
     if !matches!(schema, Some(PAR_STATS_SCHEMA | "ceu-par-stats/v1")) {
         return Err(format!("not a ceu-par-stats/v1|v2 record (schema={schema:?})"));
     }
-    match v.get("kind").and_then(|k| k.as_str()) {
-        Some("run") => runs.push(ParStats {
-            threads: num(&v, "threads")?,
-            lookahead_us: num(&v, "lookahead_us")?,
-            motes: num(&v, "motes")?,
-            shards: num(&v, "shards")?,
-            fallback: flag(&v, "fallback")?,
-            wall_ns: num(&v, "wall_ns")?,
-            dropped_windows: num(&v, "dropped_windows")?,
-            totals: ParTotals {
-                windows: num(&v, "windows")?,
-                events: num(&v, "events")?,
-                motes_stepped: num(&v, "motes_stepped")?,
-                cross_sends: num(&v, "cross_sends")?,
-                heap_pushes: num(&v, "heap_pushes")?,
-                heap_pops: num(&v, "heap_pops")?,
-                drain_ns: num(&v, "drain_wall_ns")?,
-                par_ns: num(&v, "par_wall_ns")?,
-                merge_ns: num(&v, "merge_wall_ns")?,
-                critical_busy_ns: num(&v, "critical_busy_ns")?,
-                attribution: Attribution {
-                    busy_ns: num(&v, "busy_ns")?,
-                    imbalance_ns: num(&v, "imbalance_ns")?,
-                    lookahead_ns: num(&v, "lookahead_ns")?,
-                    barrier_ns: num(&v, "barrier_ns")?,
-                    merge_ns: num(&v, "merge_ns")?,
-                },
-            },
-            ..ParStats::new(DEFAULT_WINDOW_CAP)
-        }),
-        Some("shard") => {
-            runs.last_mut().ok_or("shard before any run header")?.per_shard.push(ParShardStats {
-                shard: num(&v, "shard")?,
-                motes: num(&v, "motes")?,
-                windows: num(&v, "windows")?,
-                events: num(&v, "events")?,
-                busy_ns: num(&v, "busy_ns")?,
-                cross_sends: num(&v, "cross_sends")?,
-                channel_wait_ns: num(&v, "channel_wait_ns")?,
-            })
+    match serde_json::from_value(v).map_err(|e| e.to_string())? {
+        Line::Run { row } => runs.push(row.stats()),
+        Line::Shard { row } => {
+            runs.last_mut().ok_or("shard before any run header")?.per_shard.push(row)
         }
-        Some("window") => {
-            runs.last_mut().ok_or("window before any run header")?.windows.push(ParWindowStats {
-                index: num(&v, "i")?,
-                t_wall_ns: num(&v, "t_wall_ns")?,
-                start_us: num(&v, "start_us")?,
-                end_us: num(&v, "end_us")?,
-                lookahead_us: num(&v, "lookahead_us")?,
-                clipped: flag(&v, "clipped")?,
-                threads: num(&v, "threads")?,
-                workers: num(&v, "workers")?,
-                motes: num(&v, "motes")?,
-                events: num(&v, "events")?,
-                busy_ns: list(&v, "busy_ns", |x| num_of(x, "busy_ns"))?,
-                events_per_worker: list(&v, "events_per_worker", |x| {
-                    num_of(x, "events_per_worker")
-                })?,
-                motes_per_worker: list(&v, "motes_per_worker", |x| num_of(x, "motes_per_worker"))?,
-                drain_ns: num(&v, "drain_ns")?,
-                par_ns: num(&v, "par_ns")?,
-                merge_ns: num(&v, "merge_ns")?,
-                heap_pushes: num(&v, "heap_pushes")?,
-                heap_pops: num(&v, "heap_pops")?,
-                cross_sends: num(&v, "cross_sends")?,
-                send_sample: list(&v, "sends", |x| {
-                    Ok((num(x, "at_us")?, num(x, "from")?, num(x, "to")?))
-                })?,
-                shard_busy: list(&v, "shard_busy", |x| {
-                    Ok((num(x, "shard")?, num(x, "worker")?, num(x, "busy_ns")?, num(x, "events")?))
-                })?,
-            })
+        Line::Window { row } => {
+            runs.last_mut().ok_or("window before any run header")?.windows.push(row.stats())
         }
-        other => return Err(format!("unknown kind {other:?}")),
     }
     Ok(())
-}
-
-/// Member `key` of `v` as a `T`; absent reads as 0.
-fn num<T: TryFrom<u64> + Default>(v: &Value, key: &str) -> Result<T, String> {
-    v.get(key).map_or(Ok(T::default()), |x| num_of(x, key))
-}
-
-fn num_of<T: TryFrom<u64>>(x: &Value, key: &str) -> Result<T, String> {
-    x.as_u64()
-        .and_then(|n| T::try_from(n).ok())
-        .ok_or_else(|| format!("`{key}` does not fit a {}: {x:?}", std::any::type_name::<T>()))
-}
-
-/// Member `key` of `v` as a bool; absent reads as `false`.
-fn flag(v: &Value, key: &str) -> Result<bool, String> {
-    v.get(key).map_or(Ok(false), |x| x.as_bool().ok_or_else(|| format!("`{key}` is not a bool")))
-}
-
-/// Member `key` of `v` as an array, each element read by `item`; absent
-/// reads as empty.
-fn list<T>(
-    v: &Value,
-    key: &str,
-    item: impl Fn(&Value) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    match v.get(key) {
-        None => Ok(Vec::new()),
-        Some(x) => x
-            .as_array()
-            .ok_or_else(|| format!("`{key}` is not an array"))?
-            .iter()
-            .map(item)
-            .collect(),
-    }
 }
 
 #[cfg(test)]

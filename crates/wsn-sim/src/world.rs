@@ -997,12 +997,12 @@ impl World {
             }
         });
         let header = BlackboxHeader {
-            reason,
+            reason: reason.to_string(),
             t_us: self.now,
             mote,
             crash_us: crash.map(|(at, _)| at),
             kind: crash.map(|(_, c)| c.kind),
-            cause: crash.map(|(_, c)| c.message.as_str()),
+            cause: crash.map(|(_, c)| c.message.clone()),
             line: crash.map(|(_, c)| c.span.line),
             col: crash.map(|(_, c)| c.span.col),
             motes: self.mote_count(),

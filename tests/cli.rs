@@ -200,17 +200,40 @@ fn run_watchdog_aborts_runaway_reactions() {
     assert_eq!(out.status.code(), Some(2), "the boot chain alone exceeds one block: {out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("fuel budget (1 steps)"), "{stderr}");
+    // a budget that runs dry inside a track names the track's first
+    // statement, not `0:0`
+    let prog = write_tmp(
+        "wd_span.ceu",
+        "input int E;\nint v = 0;\nif v == 0 then\n v = 1;\nend\nv = await E;\nreturn v;",
+    );
+    let out = ceuc().arg("run").arg(&prog).args(["--fuel", "1"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("runtime error at 2:1: reaction chain exhausted"), "{stderr}");
+    assert!(!stderr.contains("at 0:0"), "{stderr}");
 }
 
 #[test]
 fn run_fuel_refuses_bad_budgets() {
     let prog = write_tmp("badfuel.ceu", OK_PROGRAM);
-    for args in [&["--fuel", "0"][..], &["--fuel"], &["--fuel", "lots"], &["--fuel", "-3"]] {
+    let bad: [&[&str]; 5] = [
+        &["--fuel", "0"],
+        &["--fuel"],
+        &["--fuel", "lots"],
+        &["--fuel", "-3"],
+        &["--fuel", "5000001"],
+    ];
+    for args in bad {
         let out = ceuc().arg("run").arg(&prog).args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.starts_with("ceuc: --fuel"), "{args:?}: {stderr}");
     }
+    // the cap itself is accepted; one step more names it
+    let out = ceuc().arg("run").arg(&prog).args(["--fuel", "5000001"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr, "ceuc: --fuel: at most 5000000 steps\n");
+    let out = ceuc().arg("run").arg(&prog).args(["--fuel", "5000000"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
 #[test]
