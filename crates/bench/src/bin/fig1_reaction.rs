@@ -11,9 +11,8 @@
 //! cargo run -p ceu-bench --bin fig1_reaction
 //! ```
 
-use ceu::runtime::{
-    Cause, ChromeTraceSink, NullHost, Status, TraceEvent, TraceMask, TraceSink, Value,
-};
+use ceu::runtime::telemetry::{to_perfetto, Stamper, TimeAxis};
+use ceu::runtime::{NullHost, Status, TraceEvent, TraceMask, Value};
 use ceu::{Compiler, Simulator};
 use ceu_bench::{out_dir, table, FIG1_PROGRAM};
 
@@ -40,13 +39,7 @@ fn main() {
         match e {
             TraceEvent::ReactionStart { cause, .. } => {
                 chain += 1;
-                let label = match cause {
-                    Cause::Boot => "boot".to_string(),
-                    Cause::Event { event, .. } => format!("event #{}", event.0),
-                    Cause::Timer(t) => format!("timer {t}µs"),
-                    Cause::AsyncDone(a) => format!("async {a}"),
-                };
-                println!("reaction chain {chain} ({label}):");
+                println!("reaction chain {chain} ({}):", cause.label());
             }
             TraceEvent::TrackRun { block, rank } => {
                 println!("    run track {block} (rank {rank})");
@@ -73,15 +66,12 @@ fn main() {
     let chains = events.iter().filter(|e| matches!(e, TraceEvent::ReactionStart { .. })).count();
     assert_eq!(chains, 4);
 
+    // the chains on the host-time axis: what each reaction cost
     let trace_path = out_dir().join("fig1_trace.json");
-    let file = std::io::BufWriter::new(
-        std::fs::File::create(&trace_path).expect("create fig1_trace.json"),
-    );
-    let mut chrome = ChromeTraceSink::new(file);
-    for e in &events {
-        chrome.on_event(e);
-    }
-    chrome.finish();
+    let mut stamper = Stamper::default();
+    let records: Vec<_> = events.iter().map(|e| stamper.stamp(e)).collect();
+    let chrome = to_perfetto(&records, TimeAxis::Host, &[]);
+    std::fs::write(&trace_path, chrome).expect("write fig1_trace.json");
     let metrics = sim.machine().metrics().expect("metrics enabled").clone();
     table::record(
         "fig1_metrics",

@@ -9,7 +9,6 @@
 //! `FlightRecord` (the world-trace wire shape). Each decodes into that
 //! type, and a line that does not is refused with its line number.
 
-use crate::cause_label;
 use ceu::runtime::telemetry::{
     BlackboxHeader, BlackboxStat, FlightRecord, WindowMark, BLACKBOX_SCHEMA,
 };
@@ -217,7 +216,7 @@ pub fn render_blackbox(dump: &BlackboxDump, src: Option<&str>, last_windows: usi
 fn describe_record(r: &FlightRecord, src: Option<&str>) -> String {
     match r.event {
         TraceEvent::ReactionStart { id, cause, .. } => {
-            format!("reaction m{}.{} begins ({})", id.mote, id.seq, cause_label(&cause))
+            format!("reaction {} begins ({})", id.label(), cause.label())
         }
         TraceEvent::ReactionEnd { tracks, emits, queue_peak, .. } => {
             format!("reaction ends: {tracks} tracks, {emits} emits, queue peak {queue_peak}")
@@ -278,8 +277,7 @@ fn causal_context(records: &[FlightRecord], focus: Option<u64>) -> Vec<crate::Ho
     let mut id = anchor;
     loop {
         let (t_us, cause) = starts[&id];
-        let hop =
-            crate::Hop { mote: id.mote as u64, seq: id.seq, t_us, cause: cause_label(&cause) };
+        let hop = crate::Hop { mote: id.mote as u64, seq: id.seq, t_us, cause: cause.label() };
         chain.push(hop);
         match cause.parent() {
             Some(p) if starts.contains_key(&p) && chain.len() < 64 => id = p,

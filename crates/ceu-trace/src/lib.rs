@@ -16,9 +16,8 @@
 //! its line number. Every analysis works on either (a machine trace is a
 //! world trace with one mote and no world clock).
 
-use ceu::runtime::telemetry::{to_json, Fixed, FlightRecord};
-use ceu::runtime::{Cause, ReactionId, TraceEvent};
-use serde::Serialize;
+use ceu::runtime::telemetry::{to_json, FlightRecord};
+use ceu::runtime::{ReactionId, TraceEvent};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -27,16 +26,6 @@ pub mod parstats;
 
 pub use blackbox::{parse_blackbox, render_blackbox, BlackboxDump};
 pub use parstats::{par_report, par_stats_perfetto_events, render_par_run};
-
-/// Human label for a reaction cause.
-pub(crate) fn cause_label(cause: &Cause) -> String {
-    match cause {
-        Cause::Boot => "boot".into(),
-        Cause::Event { event, .. } => format!("event #{}", event.0),
-        Cause::Timer(deadline_us) => format!("timer {deadline_us}µs"),
-        Cause::AsyncDone(_) => "async".into(),
-    }
-}
 
 /// Parses a whole JSONL trace (machine- or world-format lines, blank
 /// lines ignored) into world-trace records. A machine event gets the
@@ -90,7 +79,7 @@ pub fn summary(records: &[FlightRecord]) -> Result<String, String> {
         t_max = t_max.max(r.t_us);
         if let TraceEvent::ReactionStart { cause, .. } = r.event {
             *per_mote.entry(r.mote).or_default() += 1;
-            *causes.entry(cause_label(&cause)).or_default() += 1;
+            *causes.entry(cause.label()).or_default() += 1;
             if let Some(p) = cause.parent() {
                 if p.mote as usize == r.mote {
                     local_links += 1;
@@ -160,169 +149,6 @@ pub fn hot(records: &[FlightRecord], src: &str, top: usize) -> Result<String, St
     Ok(out)
 }
 
-/// One Chrome trace-event object, as `to-perfetto` writes it; `None`
-/// members are left out.
-#[derive(Default, Serialize)]
-pub(crate) struct ChromeEvent<'a> {
-    ph: &'a str,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    bp: Option<&'a str>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    s: Option<&'a str>,
-    pid: u64,
-    tid: u64,
-    /// Virtual time, whole µs (the mote tracks).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    ts: Option<u64>,
-    /// Host time in µs with three decimals (the scheduler tracks).
-    #[serde(rename = "ts", skip_serializing_if = "Option::is_none")]
-    wall_ts: Option<Fixed<3>>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    dur: Option<Fixed<3>>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    id: Option<u64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    name: Option<&'a str>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    cat: Option<&'a str>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    args: Option<Args<'a>>,
-}
-
-/// The `args` of a [`ChromeEvent`]; `None` members are left out.
-#[derive(Default, Serialize)]
-pub(crate) struct Args<'a> {
-    #[serde(skip_serializing_if = "Option::is_none")]
-    name: Option<&'a str>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    events: Option<u64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    span_us: Option<&'a str>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    cross_sends: Option<u64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    worker: Option<u32>,
-}
-
-/// Host nanoseconds as the µs a scheduler-track `ts`/`dur` shows.
-pub(crate) fn wall_us(ns: u64) -> Fixed<3> {
-    Fixed(ns as f64 / 1_000.0)
-}
-
-/// `to-perfetto` — a Chrome trace-event JSON array for ui.perfetto.dev:
-/// one process per mote, `B`/`E` slices per reaction, instants for the
-/// in-reaction events, and `s`/`f` flow arrows from each causal parent
-/// reaction to the reaction it triggered (cross-mote arrows are the
-/// radio packets).
-pub fn to_perfetto(records: &[FlightRecord]) -> String {
-    to_perfetto_merged(records, &[])
-}
-
-/// [`to_perfetto`] plus extra pre-rendered Chrome-trace events appended to
-/// the same array — how `to-perfetto --par-stats` folds the scheduler's
-/// wall-clock worker tracks ([`par_stats_perfetto_events`]) into the
-/// virtual-time mote view.
-pub fn to_perfetto_merged(records: &[FlightRecord], extra: &[String]) -> String {
-    // index reaction starts so flows can anchor on the parent slice
-    let mut starts: HashMap<ReactionId, u64> = HashMap::new();
-    let mut motes: Vec<usize> = Vec::new();
-    for r in records {
-        if !motes.contains(&r.mote) {
-            motes.push(r.mote);
-        }
-        if let TraceEvent::ReactionStart { id, .. } = r.event {
-            starts.entry(id).or_insert(r.t_us);
-        }
-    }
-    motes.sort();
-    let mut out: Vec<String> = Vec::new();
-    for &m in &motes {
-        let name = format!("mote {m}");
-        out.push(to_json(&ChromeEvent {
-            ph: "M",
-            pid: m as u64,
-            tid: m as u64,
-            name: Some("process_name"),
-            args: Some(Args { name: Some(&name), ..Args::default() }),
-            ..ChromeEvent::default()
-        }));
-    }
-    let mut flow_id = 0u64;
-    for r in records {
-        let (pid, tid, ts) = (r.mote as u64, r.mote as u64, Some(r.t_us));
-        match r.event {
-            TraceEvent::ReactionStart { id, cause, .. } => {
-                let label = format!("reaction m{}.{} ({})", id.mote, id.seq, cause_label(&cause));
-                let (name, cat) = (Some(label.as_str()), Some("reaction"));
-                out.push(to_json(&ChromeEvent {
-                    ph: "B",
-                    pid,
-                    tid,
-                    ts,
-                    name,
-                    cat,
-                    ..ChromeEvent::default()
-                }));
-                // flow arrow from the causal parent's slice to this one
-                if let Some(p) = cause.parent() {
-                    if let Some(&pt) = starts.get(&p) {
-                        let pm = p.mote as u64;
-                        flow_id += 1;
-                        let flow = ChromeEvent {
-                            ph: "s",
-                            pid: pm,
-                            tid: pm,
-                            ts: Some(pt),
-                            id: Some(flow_id),
-                            name: Some("cause"),
-                            cat: Some("flow"),
-                            ..ChromeEvent::default()
-                        };
-                        out.push(to_json(&flow));
-                        out.push(to_json(&ChromeEvent {
-                            ph: "f",
-                            bp: Some("e"),
-                            pid,
-                            tid,
-                            ts,
-                            ..flow
-                        }));
-                    }
-                }
-            }
-            TraceEvent::ReactionEnd { .. } => {
-                out.push(to_json(&ChromeEvent { ph: "E", pid, tid, ts, ..ChromeEvent::default() }))
-            }
-            ev => {
-                // in-reaction detail as thread-scoped instants
-                let kind = ev.kind();
-                let name = match ev {
-                    TraceEvent::TrackRun { block, .. } => format!("TrackRun #{block}"),
-                    TraceEvent::GateFired { gate } | TraceEvent::GateArmed { gate } => {
-                        format!("{kind} g{gate}")
-                    }
-                    TraceEvent::EmitInt { event, .. } | TraceEvent::Discarded { event } => {
-                        format!("{kind} #{}", event.0)
-                    }
-                    _ => kind.to_string(),
-                };
-                out.push(to_json(&ChromeEvent {
-                    ph: "i",
-                    s: Some("t"),
-                    pid,
-                    tid,
-                    ts,
-                    name: Some(&name),
-                    cat: Some("vm"),
-                    ..ChromeEvent::default()
-                }));
-            }
-        }
-    }
-    out.extend(extra.iter().cloned());
-    format!("[\n{}\n]\n", out.join(",\n"))
-}
-
 /// One hop of a causal chain (see [`critical_path`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Hop {
@@ -347,7 +173,7 @@ pub fn critical_path(records: &[FlightRecord]) -> Vec<Hop> {
         if let TraceEvent::ReactionStart { id, cause, .. } = r.event {
             nodes.entry(id).or_insert(Node {
                 t_us: r.t_us,
-                cause: cause_label(&cause),
+                cause: cause.label(),
                 parent: cause.parent(),
             });
         }
@@ -499,6 +325,7 @@ pub fn render_diff(result: &DiffResult) -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ceu::runtime::telemetry::{to_perfetto, TimeAxis};
 
     const WORLD: &str = r#"
 {"t_us":0,"mote":0,"seq":1,"ev":{"ev":"ReactionStart","id":{"mote":0,"seq":1},"cause":{"type":"boot"},"now_us":0,"wall_ns":0}}
@@ -551,7 +378,7 @@ mod tests {
 
     #[test]
     fn perfetto_export_has_flow_pairs() {
-        let json = to_perfetto(&parse_jsonl(WORLD).unwrap());
+        let json = to_perfetto(&parse_jsonl(WORLD).unwrap(), TimeAxis::Virtual, &[]);
         let doc = serde_json::from_str(&json).expect("valid JSON");
         let events = doc.as_array().expect("an array");
         let s = events.iter().filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("s")).count();

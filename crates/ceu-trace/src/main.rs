@@ -17,6 +17,7 @@
 //! (world traces); `-` reads stdin. See docs/OBSERVABILITY.md for the
 //! cookbook.
 
+use ceu::runtime::telemetry::{to_perfetto, TimeAxis};
 use std::io::Read as _;
 use std::process::ExitCode;
 
@@ -115,7 +116,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 Some(path) => ceu_trace::par_stats_perfetto_events(&read_input(&path)?)?,
                 None => Vec::new(),
             };
-            let json = ceu_trace::to_perfetto_merged(&records, &extra);
+            let json = to_perfetto(&records, TimeAxis::Virtual, &extra);
             match out {
                 Some(path) => {
                     std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;

@@ -16,8 +16,7 @@
 //! v1 streams (no shard records, no `shard_busy`) parse unchanged; the
 //! shard table and shard tracks simply stay empty.
 
-use crate::{wall_us, Args, ChromeEvent};
-use ceu::runtime::telemetry::to_json;
+use ceu::runtime::telemetry::{to_json, Args, ChromeEvent, Micros};
 use std::fmt::Write as _;
 use wsn_sim::{parse_par_stats, ParStats};
 
@@ -261,8 +260,8 @@ pub fn par_stats_perfetto_events(text: &str) -> Result<Vec<String>, String> {
                     ph: "X",
                     pid: SCHED_PID,
                     tid,
-                    wall_ts: Some(wall_us(ts)),
-                    dur: Some(wall_us(dur)),
+                    ts: Micros::HostNs(ts),
+                    dur: Some(Micros::HostNs(dur)),
                     name: Some(name),
                     cat: Some(cat),
                     args,
@@ -344,7 +343,7 @@ pub fn par_stats_perfetto_events(text: &str) -> Result<Vec<String>, String> {
                     bp,
                     pid: SCHED_PID,
                     tid: 0,
-                    wall_ts: Some(wall_us(ts)),
+                    ts: Micros::HostNs(ts),
                     id: Some(flow_id),
                     name: Some(&name),
                     cat: Some("sched-flow"),

@@ -5,6 +5,7 @@
 //! * `diff` of the sequential vs the 4-thread parallel world trace
 //!   reports zero divergence.
 
+use ceu::runtime::telemetry::{to_perfetto, TimeAxis};
 use wsn_sim::{write_trace_jsonl, CeuMote, Radio, World};
 
 /// Each mote forwards the counter to the next mote in a 3-ring.
@@ -63,7 +64,7 @@ fn perfetto_export_of_three_mote_run_has_cross_mote_flows() {
     w.run_until(15_000);
     let jsonl = trace_jsonl(&mut w);
     let records = ceu_trace::parse_jsonl(&jsonl).expect("world trace parses");
-    let json = ceu_trace::to_perfetto(&records);
+    let json = to_perfetto(&records, TimeAxis::Virtual, &[]);
     let doc = serde_json::from_str(&json).expect("perfetto export is valid JSON");
     let events = doc.as_array().expect("a Chrome trace array");
 

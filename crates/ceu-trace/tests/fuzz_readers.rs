@@ -5,6 +5,7 @@
 //!
 //! CI runs this file under `PROPTEST_SEED=1..16`.
 
+use ceu::runtime::telemetry::{to_perfetto, TimeAxis};
 use proptest::prelude::*;
 
 /// A world trace: a boot, a cross-mote reaction, a crash and a reboot.
@@ -87,7 +88,7 @@ fn read_everything(text: &str) {
     if let Ok(records) = ceu_trace::parse_jsonl(text) {
         let _ = ceu_trace::summary(&records);
         let _ = ceu_trace::render_critical_path(&ceu_trace::critical_path(&records));
-        let json = ceu_trace::to_perfetto(&records);
+        let json = to_perfetto(&records, TimeAxis::Virtual, &[]);
         assert!(serde_json::from_str(&json).is_ok(), "to-perfetto wrote invalid JSON:\n{json}");
     }
     let _ = ceu_trace::diff(text, WORLD);

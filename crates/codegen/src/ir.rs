@@ -404,11 +404,14 @@ pub struct DebugMap {
 
 impl DebugMap {
     /// Builds the map from lowered blocks: a block's span is the span of
-    /// its first instruction that carries one.
-    pub fn build(blocks: &[BBlock]) -> Self {
+    /// its first instruction that carries one, else `stmt_spans[block]`,
+    /// the span of the first statement lowered into it (e.g. a `par`
+    /// arm's entry block, which only spawns or jumps).
+    pub fn build(blocks: &[BBlock], stmt_spans: &[Span]) -> Self {
         let block_spans = blocks
             .iter()
-            .map(|b| b.instrs.iter().map(|i| i.span).find(|s| s.line > 0).unwrap_or_default())
+            .zip(stmt_spans)
+            .map(|(b, &stmt)| b.instrs.iter().map(|i| i.span).find(|s| s.line > 0).unwrap_or(stmt))
             .collect();
         DebugMap { block_spans }
     }

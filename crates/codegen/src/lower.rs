@@ -56,6 +56,9 @@ struct Lower<'a> {
     resolved: &'a Resolved,
     layout: &'a Layout,
     blocks: Vec<BBlock>,
+    /// Per block, the span of the first statement lowered into it (the
+    /// debug span of a glue block whose instructions carry none).
+    stmt_spans: Vec<Span>,
     gates: Vec<GateInfo>,
     regions: Vec<RegionInfo>,
     asyncs: Vec<AsyncBlock>,
@@ -85,6 +88,7 @@ pub fn compile_with_layout(resolved: &Resolved, layout: &Layout) -> Result<Compi
         resolved,
         layout,
         blocks: Vec::new(),
+        stmt_spans: Vec::new(),
         gates: Vec::new(),
         regions: Vec::new(),
         asyncs: Vec::new(),
@@ -111,7 +115,7 @@ pub fn compile_with_layout(resolved: &Resolved, layout: &Layout) -> Result<Compi
         &layout.slots,
         resolved.events.len(),
     );
-    let debug = DebugMap::build(&lw.blocks);
+    let debug = DebugMap::build(&lw.blocks, &lw.stmt_spans);
     let mut prog = CompiledProgram {
         blocks: lw.blocks,
         boot,
@@ -144,6 +148,7 @@ impl<'a> Lower<'a> {
             rank,
             regions: if self.in_async { Vec::new() } else { self.region_stack.clone() },
         });
+        self.stmt_spans.push(Span::default());
         id
     }
 
@@ -228,6 +233,10 @@ impl<'a> Lower<'a> {
 
     fn lower_stmt(&mut self, stmt: &Stmt, cur: BlockId, flow: &Flow) -> Result<Option<BlockId>> {
         let span = stmt.span;
+        let first = &mut self.stmt_spans[cur as usize];
+        if first.line == 0 {
+            *first = span;
+        }
         match &stmt.kind {
             StmtKind::Nothing
             | StmtKind::InputDecl { .. }

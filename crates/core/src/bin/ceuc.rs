@@ -20,7 +20,10 @@
 //! ```text
 //! --trace[=FMT]        trace execution; FMT is text (default), jsonl,
 //!                      or chrome/perfetto (a Chrome trace-event JSON
-//!                      array for ui.perfetto.dev)
+//!                      array for ui.perfetto.dev, written at the end
+//!                      of the run by the runtime's one Perfetto writer
+//!                      on the host-time axis: a slice per reaction,
+//!                      an instant per track, gate and emit)
 //! --trace-out PATH     write the trace to PATH instead of stderr
 //! --metrics            print the metrics summary after the run
 //! --metrics-out PATH   write the metrics snapshot as JSON to PATH
@@ -73,7 +76,9 @@
 //! ended powered off (crashed and never rebooted), `3` the run exceeded
 //! its `--deadline-ms` wall-clock budget.
 
-use ceu::runtime::telemetry::{blackbox_dump, to_json, BlackboxHeader, BlackboxStat, TraceFormat};
+use ceu::runtime::telemetry::{
+    blackbox_dump, to_json, BlackboxHeader, BlackboxStat, Stamper, TraceFormat,
+};
 use ceu::runtime::{FlightRecorder, NullHost, TraceEvent, TraceMask, TraceSink, Value};
 use ceu::{Compiler, Simulator};
 use std::process::ExitCode;
@@ -325,28 +330,20 @@ fn note_crash(crashed: &mut Option<(u64, String)>, at: u64, cause: String) {
 /// context around a crash without measurable steady-state cost.
 const BLACKBOX_CAPACITY: usize = 4096;
 
-/// The `--blackbox` sink: the flight-recorder ring plus the running
-/// virtual clock and sequence number the wire format needs (a bare
-/// machine has no world to stamp records for it). Every event is also
-/// forwarded to the `--trace` format sink, if any.
+/// The `--blackbox` sink: the flight-recorder ring plus the stamper that
+/// gives each event the virtual clock and sequence number the wire
+/// format needs (a bare machine has no world to stamp records for it).
+/// Every event is also forwarded to the `--trace` format sink, if any.
 struct BlackBox {
     rec: FlightRecorder,
-    now_us: u64,
-    seq: u64,
+    stamper: Stamper,
     inner: Option<Box<dyn TraceSink + Send>>,
 }
 
 impl TraceSink for BlackBox {
-    /// Stamps and records one trace event. The clock rides along on
-    /// reaction boundaries; everything between two boundaries shares the
-    /// enclosing reaction's time, exactly like the world trace.
     fn on_event(&mut self, e: &TraceEvent) {
-        if let TraceEvent::ReactionStart { now_us, .. } | TraceEvent::ReactionEnd { now_us, .. } = e
-        {
-            self.now_us = *now_us;
-        }
-        self.seq += 1;
-        self.rec.record(self.now_us, 0, self.seq, e);
+        let r = self.stamper.stamp(e);
+        self.rec.record(r.t_us, r.mote, r.seq, e);
         if let Some(inner) = &mut self.inner {
             inner.on_event(e);
         }
@@ -446,8 +443,7 @@ fn exec_script(
     let sink = match &opts.blackbox {
         Some(_) => Some(Box::new(BlackBox {
             rec: FlightRecorder::new(BLACKBOX_CAPACITY),
-            now_us: 0,
-            seq: 0,
+            stamper: Stamper::default(),
             inner: fmt_sink,
         }) as Box<dyn TraceSink + Send>),
         None => fmt_sink,

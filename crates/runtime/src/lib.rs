@@ -19,9 +19,8 @@ pub use host::{Host, HostResult, NullHost, RecordingHost};
 pub use machine::{Machine, Status, REACTION_BUDGET};
 pub use native::{NativeCtx, NativeProgram, Step};
 pub use telemetry::{
-    render_hot_statements, BlockProfile, ChromeTraceSink, FlightRecord, FlightRecorder, Histogram,
-    JsonLinesSink, Metrics, ReactionSpan, SpanCollector, TextSink, TraceFormat, TraceSink,
-    WindowMark,
+    render_hot_statements, BlockProfile, FlightRecord, FlightRecorder, Histogram, JsonLinesSink,
+    Metrics, ReactionSpan, SpanCollector, TextSink, TraceFormat, TraceSink, WindowMark,
 };
 pub use trace::{Cause, CrashKind, ReactionId, TraceEvent, TraceMask};
 pub use value::{Ptr, Value};

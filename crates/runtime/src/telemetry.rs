@@ -16,19 +16,23 @@
 //! * [`TextSink`] — human-readable log lines;
 //! * [`JsonLinesSink`] — one JSON object per event (`jsonl`), written
 //!   through the event's `serde::Serialize` impl ([`event_to_json`]);
-//! * [`ChromeTraceSink`] — Chrome `trace_event` / Perfetto JSON: `B`/`E`
-//!   span pairs per reaction on the host-time axis, instant events for
-//!   emits/discards/termination.
+//! * [`to_perfetto`] — the one Chrome `trace_event` / Perfetto writer:
+//!   renders [`FlightRecord`]s as per-mote processes with a `B`/`E` slice
+//!   per reaction, an instant per in-reaction event and `s`/`f` flow
+//!   arrows from each causal parent, on the [`TimeAxis`] its caller picks.
+//!   The `chrome` [`TraceFormat`] stamps a machine's events into mote-0
+//!   records and renders them on the host axis when it finishes.
 //!
 //! Sinks implement [`TraceSink`]: the embedding drains the machine with
 //! [`Machine::drain_events_into`](crate::Machine::drain_events_into) and
 //! hands each event to [`TraceSink::on_event`], then calls
 //! [`TraceSink::finish`] once after the run (sinks with a footer, e.g.
-//! [`ChromeTraceSink`], need it).
+//! the `chrome` format's, need it).
 
 use crate::trace::{Cause, CrashKind, ReactionId, TraceEvent};
 use serde::de::{field, tag, unknown_variant, Error, Value};
 use serde::{Deserialize, Serialize, Serializer};
+use std::collections::HashMap;
 use std::io::Write;
 
 // ---- metrics registry ------------------------------------------------------
@@ -535,7 +539,7 @@ impl<W: Write + 'static> TraceSink for TextSink<W> {
                 format!("             ~ async slice id:{async_id}")
             }
             TraceEvent::BudgetExceeded { tracks, .. } => {
-                format!("             ! watchdog tripped after {tracks} tracks")
+                format!("             ! fuel budget exhausted after {tracks} tracks")
             }
             TraceEvent::ReactionEnd { wall_ns, tracks, emits, .. } => {
                 format!("             ` end: {tracks} tracks, {emits} emits, {wall_ns}ns")
@@ -580,117 +584,22 @@ impl<W: Write + 'static> TraceSink for JsonLinesSink<W> {
     }
 }
 
-/// Chrome `trace_event` / Perfetto JSON ("JSON Array Format").
-///
-/// Each reaction chain becomes a `B`/`E` duration pair on the host-time
-/// axis (`ts` in µs, fractional); emits, discards, exhausted budgets and
-/// termination become instant (`i`) events. Load the output in
-/// `ui.perfetto.dev` or `chrome://tracing`. Call [`finish`](TraceSink::finish)
-/// once after the run to close the array (the viewers tolerate a missing
-/// `]`, but the validity test does not).
-pub struct ChromeTraceSink<W: Write> {
+/// The `chrome` format: stamps each event into a mote-0 [`FlightRecord`]
+/// (host clock kept) and renders them all with [`to_perfetto`] on the
+/// host axis at [`finish`](TraceSink::finish).
+struct PerfettoSink<W: Write> {
     out: W,
-    /// Process id recorded on every event — simulators map mote ids here.
-    pub pid: u32,
-    wrote_any: bool,
-    open_cause: Option<Cause>,
-    /// Wall clock of the last boundary event — instants (`EmitInt`,
-    /// `Discarded`, `Terminated` carry no timestamp) land here.
-    last_wall_ns: u64,
+    stamper: Stamper,
+    records: Vec<FlightRecord>,
 }
 
-impl<W: Write> ChromeTraceSink<W> {
-    pub fn new(out: W) -> Self {
-        Self::with_pid(out, 1)
-    }
-
-    pub fn with_pid(out: W, pid: u32) -> Self {
-        ChromeTraceSink { out, pid, wrote_any: false, open_cause: None, last_wall_ns: 0 }
-    }
-
-    /// The underlying writer (e.g. to take a `Vec<u8>` buffer back out).
-    pub fn writer_mut(&mut self) -> &mut W {
-        &mut self.out
-    }
-
-    /// Writes one event object; `args` writes the members of its `args`.
-    fn entry(&mut self, name: &str, ph: &str, wall_ns: u64, args: impl FnOnce(&mut Serializer)) {
-        let lead = if self.wrote_any { ",\n" } else { "[\n" };
-        self.wrote_any = true;
-        let mut s = Serializer::new();
-        s.begin_object();
-        s.field("name", name);
-        s.field("ph", ph);
-        s.field("ts", &Fixed::<3>(wall_ns as f64 / 1000.0));
-        s.field("pid", &self.pid);
-        s.field("tid", &1);
-        if ph == "i" {
-            // scope: thread — keeps instants attached to the track
-            s.field("s", "t");
-        }
-        s.key("args");
-        s.begin_object();
-        args(&mut s);
-        s.end_object();
-        s.end_object();
-        let _ = write!(self.out, "{lead}{}", s.into_string());
-    }
-}
-
-impl<W: Write + 'static> TraceSink for ChromeTraceSink<W> {
+impl<W: Write + 'static> TraceSink for PerfettoSink<W> {
     fn on_event(&mut self, e: &TraceEvent) {
-        let ts = self.last_wall_ns;
-        match e {
-            TraceEvent::ReactionStart { id, cause, now_us, wall_ns } => {
-                self.open_cause = Some(*cause);
-                self.last_wall_ns = *wall_ns;
-                self.entry(&format!("reaction:{}", cause.label()), "B", *wall_ns, |s| {
-                    s.field("id", id);
-                    s.field("now_us", now_us);
-                    s.field("cause", cause);
-                });
-            }
-            TraceEvent::ReactionEnd { wall_ns, tracks, emits, queue_peak, .. } => {
-                self.last_wall_ns = *wall_ns;
-                let cause = self.open_cause.take().unwrap_or(Cause::Boot);
-                self.entry(&format!("reaction:{}", cause.label()), "E", *wall_ns, |s| {
-                    s.field("tracks", tracks);
-                    s.field("emits", emits);
-                    s.field("queue_peak", queue_peak);
-                });
-            }
-            TraceEvent::EmitInt { event, depth } => self.entry("emit", "i", ts, |s| {
-                s.field("event", event);
-                s.field("depth", depth);
-            }),
-            TraceEvent::Discarded { event } => {
-                self.entry("discarded", "i", ts, |s| s.field("event", event))
-            }
-            TraceEvent::BudgetExceeded { tracks, wall_ns } => {
-                self.entry("watchdog", "i", *wall_ns, |s| s.field("tracks", tracks))
-            }
-            TraceEvent::Terminated { value } => {
-                self.entry("terminated", "i", ts, |s| s.field("value", value))
-            }
-            TraceEvent::MoteCrashed { kind, line, col } => self.entry("mote-crash", "i", ts, |s| {
-                s.field("kind", kind);
-                s.field("line", line);
-                s.field("col", col);
-            }),
-            TraceEvent::MoteRebooted { boots } => {
-                self.entry("mote-reboot", "i", ts, |s| s.field("boots", boots))
-            }
-            // per-track/gate detail is too fine for the timeline view
-            _ => {}
-        }
+        self.records.push(self.stamper.stamp(e));
     }
 
     fn finish(&mut self) {
-        if self.wrote_any {
-            let _ = writeln!(self.out, "\n]");
-        } else {
-            let _ = writeln!(self.out, "[]");
-        }
+        let _ = self.out.write_all(to_perfetto(&self.records, TimeAxis::Host, &[]).as_bytes());
         let _ = self.out.flush();
     }
 }
@@ -704,7 +613,8 @@ pub enum TraceFormat {
     Text,
     /// One JSON object per event per line ([`JsonLinesSink`]).
     Jsonl,
-    /// Chrome trace-event / Perfetto JSON array ([`ChromeTraceSink`]).
+    /// Chrome trace-event / Perfetto JSON array ([`to_perfetto`] on the
+    /// host axis).
     Chrome,
 }
 
@@ -730,7 +640,9 @@ impl TraceFormat {
         match self {
             TraceFormat::Text => Box::new(TextSink::new(out)),
             TraceFormat::Jsonl => Box::new(JsonLinesSink::new(out)),
-            TraceFormat::Chrome => Box::new(ChromeTraceSink::new(out)),
+            TraceFormat::Chrome => {
+                Box::new(PerfettoSink { out, stamper: Stamper::default(), records: Vec::new() })
+            }
         }
     }
 }
@@ -757,6 +669,28 @@ impl FlightRecord {
     /// One JSONL line of the world-trace wire format.
     pub fn to_json(&self) -> String {
         to_json(self)
+    }
+}
+
+/// Stamps a bare machine's events as mote-0 [`FlightRecord`]s, as a world
+/// stamps its motes': the virtual clock rides along on reaction
+/// boundaries (everything between two shares the enclosing reaction's
+/// time) and `seq` counts events from 1. The event is kept as it is,
+/// host clock included.
+#[derive(Default)]
+pub struct Stamper {
+    now_us: u64,
+    seq: u64,
+}
+
+impl Stamper {
+    pub fn stamp(&mut self, e: &TraceEvent) -> FlightRecord {
+        if let TraceEvent::ReactionStart { now_us, .. } | TraceEvent::ReactionEnd { now_us, .. } = e
+        {
+            self.now_us = *now_us;
+        }
+        self.seq += 1;
+        FlightRecord { t_us: self.now_us, mote: 0, seq: self.seq, event: *e }
     }
 }
 
@@ -1027,6 +961,191 @@ pub fn blackbox_dump<'r>(
     out
 }
 
+// ---- Chrome / Perfetto -----------------------------------------------------
+
+/// The time axis [`to_perfetto`] puts `ts` on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TimeAxis {
+    /// `ts` is the record's virtual clock, `t_us`. A reaction takes no
+    /// logical time, so on this axis its slice is a point.
+    Virtual,
+    /// `ts` is the event's host clock, `wall_ns`, in µs with three
+    /// decimals; an event that carries none sits at the last reaction
+    /// boundary. Only this axis shows what a reaction cost.
+    Host,
+}
+
+/// A Chrome `ts` or `dur`: whole µs of virtual time, or host nanoseconds
+/// written as µs with three decimals.
+#[derive(Clone, Copy, Debug)]
+pub enum Micros {
+    Virtual(u64),
+    HostNs(u64),
+}
+
+impl Default for Micros {
+    fn default() -> Self {
+        Micros::Virtual(0)
+    }
+}
+
+impl Serialize for Micros {
+    fn serialize(&self, s: &mut Serializer) {
+        match *self {
+            Micros::Virtual(us) => us.serialize(s),
+            Micros::HostNs(ns) => Fixed::<3>(ns as f64 / 1_000.0).serialize(s),
+        }
+    }
+}
+
+/// One Chrome trace-event object ("JSON Array Format"); `None` members
+/// are left out.
+#[derive(Clone, Copy, Default, Serialize)]
+pub struct ChromeEvent<'a> {
+    pub ph: &'a str,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub bp: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub s: Option<&'a str>,
+    pub pid: u64,
+    pub tid: u64,
+    pub ts: Micros,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub dur: Option<Micros>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub id: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub name: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub cat: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub args: Option<Args<'a>>,
+}
+
+/// The `args` of a [`ChromeEvent`]; `None` members are left out. A
+/// reaction slice or instant carries its whole trace event, host clock
+/// zeroed (its `ts` shows that), so the rendering drops no detail.
+#[derive(Clone, Copy, Default, Serialize)]
+pub struct Args<'a> {
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub name: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub events: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub span_us: Option<&'a str>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub cross_sends: Option<u64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub worker: Option<u32>,
+    #[serde(flatten, skip_serializing_if = "Option::is_none")]
+    pub event: Option<TraceEvent>,
+}
+
+/// The one Chrome trace-event / Perfetto writer (load the output in
+/// `ui.perfetto.dev` or `chrome://tracing`): one process per mote, a
+/// `B`/`E` slice per reaction named `reaction m0.3 (event #1)`, a
+/// thread-scoped instant per in-reaction event, and an `s`/`f` flow
+/// arrow from each causal parent's slice to the reaction it caused
+/// (cross-mote arrows are the radio packets). `extra` events, already
+/// rendered, join the same array (`ceu-trace to-perfetto --par-stats`
+/// adds the scheduler's tracks this way).
+pub fn to_perfetto(records: &[FlightRecord], axis: TimeAxis, extra: &[String]) -> String {
+    let mut boundary_ns = 0;
+    let stamps: Vec<Micros> = records
+        .iter()
+        .map(|r| match (axis, r.event) {
+            (TimeAxis::Virtual, _) => Micros::Virtual(r.t_us),
+            (
+                TimeAxis::Host,
+                TraceEvent::ReactionStart { wall_ns, .. } | TraceEvent::ReactionEnd { wall_ns, .. },
+            ) => {
+                boundary_ns = wall_ns;
+                Micros::HostNs(wall_ns)
+            }
+            (TimeAxis::Host, TraceEvent::BudgetExceeded { wall_ns, .. }) => Micros::HostNs(wall_ns),
+            (TimeAxis::Host, _) => Micros::HostNs(boundary_ns),
+        })
+        .collect();
+    // index reaction starts so flows can anchor on the parent slice
+    let mut starts: HashMap<ReactionId, Micros> = HashMap::new();
+    for (r, &ts) in records.iter().zip(&stamps) {
+        if let TraceEvent::ReactionStart { id, .. } = r.event {
+            starts.entry(id).or_insert(ts);
+        }
+    }
+    let mut motes: Vec<usize> = records.iter().map(|r| r.mote).collect();
+    motes.sort();
+    motes.dedup();
+    let mut out: Vec<String> = motes
+        .into_iter()
+        .map(|m| {
+            let name = format!("mote {m}");
+            to_json(&ChromeEvent {
+                ph: "M",
+                pid: m as u64,
+                tid: m as u64,
+                name: Some("process_name"),
+                args: Some(Args { name: Some(&name), ..Args::default() }),
+                ..ChromeEvent::default()
+            })
+        })
+        .collect();
+    let mut flow_id = 0u64;
+    for (r, &ts) in records.iter().zip(&stamps) {
+        let (pid, tid) = (r.mote as u64, r.mote as u64);
+        let args = Some(Args { event: Some(r.event.normalized()), ..Args::default() });
+        let at = ChromeEvent { pid, tid, ts, args, ..ChromeEvent::default() };
+        match r.event {
+            TraceEvent::ReactionStart { id, cause, .. } => {
+                let name = format!("reaction {} ({})", id.label(), cause.label());
+                let cat = Some("reaction");
+                out.push(to_json(&ChromeEvent { ph: "B", name: Some(&name), cat, ..at }));
+                if let Some((p, &pt)) = cause.parent().and_then(|p| Some((p, starts.get(&p)?))) {
+                    let pm = p.mote as u64;
+                    flow_id += 1;
+                    let flow = ChromeEvent {
+                        ph: "s",
+                        pid: pm,
+                        tid: pm,
+                        ts: pt,
+                        id: Some(flow_id),
+                        name: Some("cause"),
+                        cat: Some("flow"),
+                        ..ChromeEvent::default()
+                    };
+                    out.push(to_json(&flow));
+                    out.push(to_json(&ChromeEvent {
+                        ph: "f",
+                        bp: Some("e"),
+                        pid,
+                        tid,
+                        ts,
+                        ..flow
+                    }));
+                }
+            }
+            TraceEvent::ReactionEnd { .. } => out.push(to_json(&ChromeEvent { ph: "E", ..at })),
+            ev => {
+                let kind = ev.kind();
+                let name = match ev {
+                    TraceEvent::TrackRun { block, .. } => format!("TrackRun #{block}"),
+                    TraceEvent::GateFired { gate } | TraceEvent::GateArmed { gate } => {
+                        format!("{kind} g{gate}")
+                    }
+                    TraceEvent::EmitInt { event, .. } | TraceEvent::Discarded { event } => {
+                        format!("{kind} #{}", event.0)
+                    }
+                    _ => kind.to_string(),
+                };
+                let (s, cat) = (Some("t"), Some("vm"));
+                out.push(to_json(&ChromeEvent { ph: "i", s, name: Some(&name), cat, ..at }));
+            }
+        }
+    }
+    out.extend(extra.iter().cloned());
+    format!("[\n{}\n]\n", out.join(",\n"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1119,8 +1238,8 @@ mod tests {
 
     #[test]
     fn chrome_sink_emits_balanced_pairs() {
-        let buf: Vec<u8> = Vec::new();
-        let mut sink = ChromeTraceSink::new(buf);
+        let stamper = Stamper::default();
+        let mut sink = PerfettoSink { out: Vec::new(), stamper, records: Vec::new() };
         sink.on_event(&TraceEvent::ReactionStart {
             id: ReactionId::new(0, 1),
             cause: Cause::Timer(500),
@@ -1143,7 +1262,8 @@ mod tests {
         assert!(text.trim_end().ends_with(']'));
         assert_eq!(text.matches("\"ph\":\"B\"").count(), 1);
         assert_eq!(text.matches("\"ph\":\"E\"").count(), 1);
-        assert!(text.contains("\"ts\":2"));
+        assert!(text.contains("\"ts\":2.000"), "{text}");
+        assert!(text.contains("\"name\":\"reaction m0.1 (timer 500µs)\""), "{text}");
     }
 
     #[test]

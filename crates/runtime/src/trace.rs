@@ -75,17 +75,14 @@ impl Cause {
         }
     }
 
-    /// Short human label, e.g. `event:3` (or `event:3<m0.5` with a causal
-    /// parent) or `timer@1500`.
+    /// Short human label: `boot`, `event #3`, `timer 1500µs` or `async`.
+    /// The one wording every text and Perfetto rendering of a cause uses.
     pub fn label(&self) -> String {
         match self {
             Cause::Boot => "boot".into(),
-            Cause::Event { event, parent: None } => format!("event:{}", event.0),
-            Cause::Event { event, parent: Some(p) } => {
-                format!("event:{}<{}", event.0, p.label())
-            }
-            Cause::Timer(d) => format!("timer@{d}"),
-            Cause::AsyncDone(a) => format!("async:{a}"),
+            Cause::Event { event, .. } => format!("event #{}", event.0),
+            Cause::Timer(deadline_us) => format!("timer {deadline_us}µs"),
+            Cause::AsyncDone(_) => "async".into(),
         }
     }
 }

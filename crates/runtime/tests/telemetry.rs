@@ -5,10 +5,10 @@
 
 use ceu_ast::EventId;
 use ceu_codegen::compile_source;
-use ceu_runtime::telemetry::event_to_json;
+use ceu_runtime::telemetry::{event_to_json, to_perfetto, Stamper, TimeAxis};
 use ceu_runtime::{
-    Cause, ChromeTraceSink, CrashKind, Machine, Metrics, NullHost, ReactionId, SpanCollector,
-    TraceEvent, TraceMask, TraceSink,
+    Cause, CrashKind, Machine, Metrics, NullHost, ReactionId, SpanCollector, TraceEvent, TraceMask,
+    TraceSink,
 };
 
 /// The paper's Figure 1 program (§2): boot splits one trail into three,
@@ -99,10 +99,10 @@ fn fig1_reaction_chains_through_the_span_api() {
 #[test]
 fn chrome_export_is_valid_json_with_matching_begin_end_pairs() {
     let events = drive_fig1(&mut fig1(TraceMask::Full));
-    let mut sink = feed(&events, ChromeTraceSink::new(Vec::new()));
-    sink.finish();
+    let mut stamper = Stamper::default();
+    let records: Vec<_> = events.iter().map(|e| stamper.stamp(e)).collect();
+    let text = to_perfetto(&records, TimeAxis::Host, &[]);
 
-    let text = String::from_utf8(std::mem::take(sink.writer_mut())).unwrap();
     let doc = serde_json::from_str(&text).expect("exporter output must parse as JSON");
     let entries = doc.as_array().expect("a trace-event JSON array");
     assert!(!entries.is_empty());
@@ -121,7 +121,7 @@ fn chrome_export_is_valid_json_with_matching_begin_end_pairs() {
                 depth += 1;
                 begins += 1;
                 let name = e.get("name").and_then(|v| v.as_str()).unwrap();
-                assert!(name.starts_with("reaction:"), "span name is the cause: {name}");
+                assert!(name.starts_with("reaction m0."), "span name is the reaction: {name}");
             }
             "E" => {
                 depth -= 1;
@@ -129,6 +129,7 @@ fn chrome_export_is_valid_json_with_matching_begin_end_pairs() {
                 assert!(depth >= 0, "E without a matching B");
             }
             "i" => instants += 1,
+            "M" => {}
             other => panic!("unexpected phase {other}"),
         }
         assert!(e.get("pid").is_some() && e.get("tid").is_some());

@@ -1,7 +1,7 @@
 //! Byte-exact pins of the runtime's JSON wire records, built from fixed
 //! values: every `TraceEvent` and `Cause` variant, `Metrics` with a
 //! non-empty histogram, `BlockProfile`, a flight record, and one
-//! `ChromeTraceSink` begin/end/instant triple. Readers (`ceu-trace`,
+//! Perfetto begin/instant/end triple per time axis. Readers (`ceu-trace`,
 //! Perfetto, scripts) depend on these exact keys, key order and number
 //! formatting. Beside the pins, every record a reader decodes (trace
 //! events, flight records, black-box headers and stat lines) must decode
@@ -9,7 +9,7 @@
 
 use ceu_ast::EventId;
 use ceu_runtime::telemetry::{
-    blackbox_dump, event_to_json, to_json, BlackboxHeader, BlackboxStat, ChromeTraceSink, TraceSink,
+    blackbox_dump, event_to_json, to_json, to_perfetto, BlackboxHeader, BlackboxStat, TimeAxis,
 };
 use ceu_runtime::{
     BlockProfile, Cause, CrashKind, FlightRecord, Metrics, ReactionId, TraceEvent, WindowMark,
@@ -141,30 +141,49 @@ fn flight_record_keeps_the_world_trace_line() {
 
 #[test]
 fn chrome_sink_begin_end_instant_keep_their_bytes() {
-    let mut sink = ChromeTraceSink::with_pid(Vec::new(), 4);
-    sink.on_event(&start(Cause::Event { event: EventId(1), parent: Some(ReactionId::new(0, 3)) }));
-    sink.on_event(&TraceEvent::EmitInt { event: EventId(2), depth: 1 });
-    sink.on_event(&TraceEvent::ReactionEnd {
-        now_us: 42,
-        wall_ns: 2250,
-        tracks: 4,
-        emits: 1,
-        gates_fired: 1,
-        gates_armed: 1,
-        queue_peak: 2,
-        emit_depth_max: 1,
-    });
-    sink.finish();
-    let text = String::from_utf8(std::mem::take(sink.writer_mut())).unwrap();
+    let events = [
+        start(Cause::Event { event: EventId(1), parent: Some(ReactionId::new(0, 3)) }),
+        TraceEvent::EmitInt { event: EventId(2), depth: 1 },
+        TraceEvent::ReactionEnd {
+            now_us: 42,
+            wall_ns: 2250,
+            tracks: 4,
+            emits: 1,
+            gates_fired: 1,
+            gates_armed: 1,
+            queue_peak: 2,
+            emit_depth_max: 1,
+        },
+    ];
+    let records: Vec<FlightRecord> = (1..)
+        .zip(events)
+        .map(|(seq, event)| FlightRecord { t_us: 42, mote: 4, seq, event })
+        .collect();
     assert_eq!(
-        text,
+        to_perfetto(&records, TimeAxis::Virtual, &[]),
         concat!(
             "[\n",
-            r#"{"name":"reaction:event:1<m0.3","ph":"B","ts":1.500,"pid":4,"tid":1,"args":{"id":{"mote":2,"seq":7},"now_us":42,"cause":{"type":"event","id":1,"parent":{"mote":0,"seq":3}}}}"#,
+            r#"{"ph":"M","pid":4,"tid":4,"ts":0,"name":"process_name","args":{"name":"mote 4"}}"#,
             ",\n",
-            r#"{"name":"emit","ph":"i","ts":1.500,"pid":4,"tid":1,"s":"t","args":{"event":2,"depth":1}}"#,
+            r#"{"ph":"B","pid":4,"tid":4,"ts":42,"name":"reaction m2.7 (event #1)","cat":"reaction","args":{"ev":"ReactionStart","id":{"mote":2,"seq":7},"cause":{"type":"event","id":1,"parent":{"mote":0,"seq":3}},"now_us":42,"wall_ns":0}}"#,
             ",\n",
-            r#"{"name":"reaction:event:1<m0.3","ph":"E","ts":2.250,"pid":4,"tid":1,"args":{"tracks":4,"emits":1,"queue_peak":2}}"#,
+            r#"{"ph":"i","s":"t","pid":4,"tid":4,"ts":42,"name":"EmitInt #2","cat":"vm","args":{"ev":"EmitInt","event":2,"depth":1}}"#,
+            ",\n",
+            r#"{"ph":"E","pid":4,"tid":4,"ts":42,"args":{"ev":"ReactionEnd","now_us":42,"wall_ns":0,"tracks":4,"emits":1,"gates_fired":1,"gates_armed":1,"queue_peak":2,"emit_depth_max":1}}"#,
+            "\n]\n"
+        )
+    );
+    assert_eq!(
+        to_perfetto(&records, TimeAxis::Host, &[]),
+        concat!(
+            "[\n",
+            r#"{"ph":"M","pid":4,"tid":4,"ts":0,"name":"process_name","args":{"name":"mote 4"}}"#,
+            ",\n",
+            r#"{"ph":"B","pid":4,"tid":4,"ts":1.500,"name":"reaction m2.7 (event #1)","cat":"reaction","args":{"ev":"ReactionStart","id":{"mote":2,"seq":7},"cause":{"type":"event","id":1,"parent":{"mote":0,"seq":3}},"now_us":42,"wall_ns":0}}"#,
+            ",\n",
+            r#"{"ph":"i","s":"t","pid":4,"tid":4,"ts":1.500,"name":"EmitInt #2","cat":"vm","args":{"ev":"EmitInt","event":2,"depth":1}}"#,
+            ",\n",
+            r#"{"ph":"E","pid":4,"tid":4,"ts":2.250,"args":{"ev":"ReactionEnd","now_us":42,"wall_ns":0,"tracks":4,"emits":1,"gates_fired":1,"gates_armed":1,"queue_peak":2,"emit_depth_max":1}}"#,
             "\n]\n"
         )
     );

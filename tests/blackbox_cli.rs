@@ -129,7 +129,7 @@ fn chrome_timestamps_keep_one_axis_across_a_reboot() {
     let entries = doc.as_array().expect("JSON array format");
     let boots = entries
         .iter()
-        .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("reaction:boot"))
+        .filter(|e| e.get("name").and_then(|n| n.as_str()).is_some_and(|n| n.ends_with(" (boot)")))
         .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("B"))
         .count();
     assert_eq!(boots, 2, "both lives are traced:\n{text}");

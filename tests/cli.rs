@@ -1,5 +1,6 @@
 //! End-to-end tests of the `ceuc` CLI binary (spawned as a subprocess).
 
+use ceu::runtime::telemetry::{to_perfetto, TimeAxis};
 use std::io::Write as _;
 use std::process::Command;
 
@@ -179,6 +180,43 @@ fn run_trace_chrome_stays_valid_json_when_the_script_fails() {
     assert!(!entries.is_empty(), "the boot reaction ran before the error");
 }
 
+/// `--trace=chrome` is the `--trace=jsonl` trace rendered by the one
+/// Perfetto writer on the host axis: with `ts` dropped, both give the
+/// same events in the same order.
+#[test]
+fn run_trace_chrome_is_the_jsonl_trace_on_the_host_axis() {
+    let prog = write_tmp("axes.ceu", OK_PROGRAM);
+    let script = write_tmp("axes.script", "time 1500ms\nevent Restart 3\n");
+    let trace = |fmt: &str| {
+        let path = std::env::temp_dir().join("ceuc-cli-tests").join(format!("axes.{fmt}"));
+        let out = ceuc()
+            .arg("run")
+            .arg(&prog)
+            .arg(&script)
+            .arg(format!("--trace={fmt}"))
+            .arg("--trace-out")
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        std::fs::read_to_string(&path).unwrap()
+    };
+    let records = ceu_trace::parse_jsonl(&trace("jsonl")).expect("the jsonl trace parses");
+    let virtual_axis = to_perfetto(&records, TimeAxis::Virtual, &[]);
+    let host_axis = trace("chrome");
+    let without_ts = |json: &str| {
+        let doc = serde_json::from_str(json).unwrap_or_else(|e| panic!("{json} ({e:?})"));
+        let entries = doc.as_array().expect("a trace-event JSON array");
+        entries
+            .iter()
+            .map(|e| ["ph", "name", "pid", "tid", "args"].map(|k| e.get(k).cloned()))
+            .collect::<Vec<_>>()
+    };
+    let (v, h) = (without_ts(&virtual_axis), without_ts(&host_axis));
+    assert!(v.len() > 10, "reactions, tracks and gates are all rendered:\n{host_axis}");
+    assert_eq!(v, h, "virtual:\n{virtual_axis}\nhost:\n{host_axis}");
+}
+
 #[test]
 fn run_metrics_prints_a_summary() {
     let prog = write_tmp("met.ceu", OK_PROGRAM);
@@ -200,6 +238,10 @@ fn run_watchdog_aborts_runaway_reactions() {
     assert_eq!(out.status.code(), Some(2), "the boot chain alone exceeds one block: {out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("fuel budget (1 steps)"), "{stderr}");
+    // the boot chain runs dry entering the first `par/or` arm, a glue
+    // block that carries the span of the arm's first statement
+    assert!(stderr.contains("runtime error at 4:2: reaction chain exhausted"), "{stderr}");
+    assert!(!stderr.contains("at 0:0"), "{stderr}");
     // a budget that runs dry inside a track names the track's first
     // statement, not `0:0`
     let prog = write_tmp(
