@@ -168,7 +168,7 @@ impl fmt::Display for Conflict {
 }
 
 /// The analysis result.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Dfa {
     pub states: Vec<State>,
     pub transitions: Vec<Trans>,
@@ -187,6 +187,20 @@ impl Dfa {
     /// start to the reaction that triggers the given conflict; the paper
     /// counts occurrences this way ("on the 6th occurrence of A").
     pub fn conflict_depth(&self, c: &Conflict) -> Option<usize> {
+        // successors of every state, in transition order, built once
+        let mut start = vec![0usize; self.states.len() + 1];
+        for t in &self.transitions {
+            start[t.from + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut fill = start.clone();
+        let mut succ = vec![0usize; self.transitions.len()];
+        for t in &self.transitions {
+            succ[fill[t.from]] = t.to;
+            fill[t.from] += 1;
+        }
         let mut dist = vec![usize::MAX; self.states.len()];
         let mut q = VecDeque::new();
         dist[0] = 0;
@@ -197,10 +211,10 @@ impl Dfa {
                 // fires on the *next* occurrence: +1 - 1 = dist
                 return Some(dist[s]);
             }
-            for t in self.transitions.iter().filter(|t| t.from == s) {
-                if dist[t.to] == usize::MAX {
-                    dist[t.to] = dist[s] + 1;
-                    q.push_back(t.to);
+            for &to in &succ[start[s]..start[s + 1]] {
+                if dist[to] == usize::MAX {
+                    dist[to] = dist[s] + 1;
+                    q.push_back(to);
                 }
             }
         }
@@ -393,6 +407,11 @@ struct Interner {
 }
 
 impl Interner {
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.next.clear();
+    }
+
     /// The index of `st` in `states`, appending a copy if it is new.
     fn intern(&mut self, states: &mut Vec<State>, st: &State) -> usize {
         let h = self.hasher.hash_one(st);
@@ -420,72 +439,389 @@ struct Analyzer<'a> {
     /// Variable → unique name (`#` suffix and all).
     var_names: Vec<Cow<'a, str>>,
     internal: Vec<bool>,
+    /// Per gate: may an `Activate*` op arm it in the current run? A dead
+    /// arm's gates may not.
+    armed: Vec<bool>,
 }
 
-/// Runs the temporal analysis over a compiled program.
+/// Runs the temporal analysis over a compiled program: the DFA over the
+/// product of every trail's states.
 pub fn analyze(prog: &CompiledProgram, opts: &DfaOptions) -> Dfa {
-    let mut slot_name: Vec<Option<&str>> = vec![None; prog.data_len as usize];
-    for s in &prog.slots {
-        for k in 0..s.len {
-            if let Some(n) = slot_name.get_mut((s.slot + k) as usize) {
-                *n = Some(&s.name);
+    let az = Analyzer::new(prog, opts);
+    let mut dfa = Dfa::default();
+    az.explore(&mut Explorer::default(), &mut dfa, opts.max_states);
+    dedup_conflicts(&mut dfa.conflicts);
+    dfa
+}
+
+/// What [`check_determinism`] found, and what it explored to find it.
+#[derive(Clone, Debug, Default)]
+pub struct Verdict {
+    /// The conflicts of [`analyze`]'s product (kind, text and spans);
+    /// `state` and `label` name a state of the run that found each one.
+    pub conflicts: Vec<Conflict>,
+    /// States explored, over every run.
+    pub states: usize,
+    /// Explorer runs: 1 with nothing dead when no `par` splits.
+    pub runs: usize,
+    /// `true` if a limit was hit and a run is incomplete.
+    pub truncated: bool,
+}
+
+impl Verdict {
+    pub fn deterministic(&self) -> bool {
+        self.conflicts.is_empty()
+    }
+}
+
+/// The §2.6 verdict the compiler acts on: the conflicts of [`analyze`],
+/// found by exploring each coupled group of trails apart instead of their
+/// product (DESIGN.md, "The §2.6 check by coupled groups"). `max_states`
+/// bounds the states of all runs together.
+pub fn check_determinism(prog: &CompiledProgram, opts: &DfaOptions) -> Verdict {
+    let mut az = Analyzer::new(prog, opts);
+    let split = az.split();
+    let runs = split.as_ref().map_or(1, |s| s.runs.len().max(1));
+    let mut ex = Explorer::default();
+    let mut dfa = Dfa::default();
+    let mut v = Verdict::default();
+    for run in 0..runs {
+        if let Some(split) = &split {
+            split.arm(prog, split.runs.get(run).copied(), &mut az.armed);
+        }
+        az.explore(&mut ex, &mut dfa, opts.max_states.saturating_sub(v.states));
+        v.states += dfa.states.len();
+        v.runs += 1;
+        v.conflicts.append(&mut dfa.conflicts);
+        if dfa.truncated {
+            v.truncated = true;
+            break;
+        }
+    }
+    dedup_conflicts(&mut v.conflicts);
+    v
+}
+
+/// An [`AccessKind`] packed into a word, kind in the top bits, so a key
+/// set is a sorted `[u32]`; a C call is its index in the names seen.
+type Key = u32;
+
+const KEY_SHIFT: u32 = 29;
+const KEY_ID: Key = (1 << KEY_SHIFT) - 1;
+const READ: Key = 0;
+const WRITE: Key = 1;
+const EMIT: Key = 2;
+const AWAIT: Key = 3;
+const OUTPUT: Key = 4;
+const CALL: Key = 5;
+/// Arms a timer of constant duration.
+const TIMER: Key = 6;
+/// Can be woken at an instant no timer of its own sets: by an input, an
+/// async completion or a computed-duration timer.
+const FREE: Key = 7;
+
+fn key<'a>(kind: AccessKind<'a>, calls: &mut Vec<&'a str>) -> Key {
+    let (k, id) = match kind {
+        AccessKind::VarRead(v) => (READ, v),
+        AccessKind::VarWrite(v) => (WRITE, v),
+        AccessKind::EmitInt(e) => (EMIT, u32::from(e.0)),
+        AccessKind::AwaitInt(e) => (AWAIT, u32::from(e.0)),
+        AccessKind::EmitOut(e) => (OUTPUT, u32::from(e.0)),
+        AccessKind::CCall(f) => {
+            let i = calls.iter().position(|&g| g == f).unwrap_or_else(|| {
+                calls.push(f);
+                calls.len() - 1
+            });
+            (CALL, i as u32)
+        }
+    };
+    k << KEY_SHIFT | id
+}
+
+/// Sorts `v[from..]` and drops its duplicates.
+fn sort_dedup_tail(v: &mut Vec<Key>, from: usize) {
+    v[from..].sort_unstable();
+    let mut len = from;
+    for i in from..v.len() {
+        if len == from || v[len - 1] != v[i] {
+            v[len] = v[i];
+            len += 1;
+        }
+    }
+    v.truncate(len);
+}
+
+/// Marks an arm live in every run: its group is its `par`'s main group,
+/// or its `par` does not split.
+const MAIN: u32 = u32::MAX;
+
+/// How [`check_determinism`] splits a program into runs.
+struct Split {
+    /// Per arm of `par_arms`: `MAIN`, or the first arm of its local group.
+    group: Vec<u32>,
+    /// One run per local group with a key, by its first arm; none means
+    /// one run with every local group dead.
+    runs: Vec<u32>,
+}
+
+impl Split {
+    /// The gates a run may arm: every gate except those of the local
+    /// groups other than `run`'s and those holding its `par`.
+    fn arm(&self, prog: &CompiledProgram, run: Option<u32>, armed: &mut [bool]) {
+        let arms = &prog.par_arms;
+        let mut live = Vec::new();
+        if let Some(g) = run {
+            live.push(g);
+            let mut up = arms[g as usize].parent;
+            while let Some(a) = up {
+                live.push(self.group[a as usize]);
+                up = arms[a as usize].parent;
+            }
+        }
+        armed.fill(true);
+        for (arm, &g) in arms.iter().zip(&self.group) {
+            if g != MAIN && !live.contains(&g) {
+                armed[arm.gates.0 as usize..arm.gates.1 as usize].fill(false);
             }
         }
     }
-    // one id per distinct name: two accesses touch the same variable
-    // exactly when their names are equal
-    let mut var_names: Vec<Cow<str>> = vec![Cow::Borrowed("*<pointer>")];
-    let mut ids: HashMap<Cow<str>, VarId> = HashMap::from([(var_names[0].clone(), POINTER)]);
-    let slot_var = slot_name
-        .iter()
-        .enumerate()
-        .map(|(slot, name)| {
-            let name = name.map_or_else(|| Cow::Owned(format!("slot{slot}")), Cow::Borrowed);
-            *ids.entry(name).or_insert_with_key(|name| {
-                var_names.push(name.clone());
-                (var_names.len() - 1) as VarId
-            })
-        })
-        .collect();
-    let internal =
-        prog.events.iter().map(|(_, e)| e.kind == ceu_ast::EventKind::Internal).collect();
-    let az = Analyzer { prog, opts, slot_var, var_names, internal };
-    az.build()
 }
 
-/// Convenience: analyze with defaults and return only the conflicts.
-pub fn check_determinism(prog: &CompiledProgram) -> Vec<Conflict> {
-    analyze(prog, &DfaOptions::default()).conflicts
+/// Union-find root, with the smallest member as the root.
+fn root(uf: &mut [usize], mut i: usize) -> usize {
+    while uf[i] != i {
+        uf[i] = uf[uf[i]];
+        i = uf[i];
+    }
+    i
+}
+
+fn union(uf: &mut [usize], a: usize, b: usize) {
+    let (a, b) = (root(uf, a), root(uf, b));
+    uf[a.max(b)] = a.min(b);
 }
 
 impl<'a> Analyzer<'a> {
-    fn build(&self) -> Dfa {
-        let mut dfa =
-            Dfa { states: vec![], transitions: vec![], conflicts: vec![], truncated: false };
-        let mut ex = Explorer::default();
+    fn new(prog: &'a CompiledProgram, opts: &'a DfaOptions) -> Self {
+        let mut slot_name: Vec<Option<&str>> = vec![None; prog.data_len as usize];
+        for s in &prog.slots {
+            for k in 0..s.len {
+                if let Some(n) = slot_name.get_mut((s.slot + k) as usize) {
+                    *n = Some(&s.name);
+                }
+            }
+        }
+        // one id per distinct name: two accesses touch the same variable
+        // exactly when their names are equal
+        let mut var_names: Vec<Cow<str>> = vec![Cow::Borrowed("*<pointer>")];
+        let mut ids: HashMap<Cow<str>, VarId> = HashMap::from([(var_names[0].clone(), POINTER)]);
+        let slot_var = slot_name
+            .iter()
+            .enumerate()
+            .map(|(slot, name)| {
+                let name = name.map_or_else(|| Cow::Owned(format!("slot{slot}")), Cow::Borrowed);
+                *ids.entry(name).or_insert_with_key(|name| {
+                    var_names.push(name.clone());
+                    (var_names.len() - 1) as VarId
+                })
+            })
+            .collect();
+        let internal =
+            prog.events.iter().map(|(_, e)| e.kind == ceu_ast::EventKind::Internal).collect();
+        let armed = vec![true; prog.gates.len()];
+        Analyzer { prog, opts, slot_var, var_names, internal, armed }
+    }
+
+    /// Partitions every recorded `par` into coupled groups (DESIGN.md,
+    /// "The §2.6 check by coupled groups"); `None` when none splits.
+    fn split(&self) -> Option<Split> {
+        let arms = &self.prog.par_arms;
+        if arms.is_empty() {
+            return None;
+        }
+        // every block's keys, in one pass: block `b`'s are
+        // `keys[at[b]..at[b + 1]]`; async bodies (marked 1 first) never
+        // run in the explorer, so they hold none
+        let n_blocks = self.prog.blocks.len();
+        let mut at = vec![0; n_blocks + 1];
+        let mut stack: Vec<BlockId> = self.prog.asyncs.iter().map(|a| a.entry).collect();
+        while let Some(b) = stack.pop() {
+            if std::mem::replace(&mut at[b as usize], 1) == 0 {
+                match self.prog.block(b).term {
+                    Term::Goto(t) => stack.push(t),
+                    Term::If { then_b, else_b, .. } => stack.extend([then_b, else_b]),
+                    _ => {}
+                }
+            }
+        }
+        let mut calls = Vec::new();
+        let mut keys = Vec::with_capacity(4 * n_blocks);
+        for (i, b) in self.prog.blocks.iter().enumerate() {
+            let in_async = std::mem::replace(&mut at[i], keys.len()) == 1;
+            if in_async {
+                continue;
+            }
+            for instr in &b.instrs {
+                self.accesses(&instr.op, &mut |k| keys.push(key(k, &mut calls)));
+                keys.extend(self.clock(&instr.op).map(|k| k << KEY_SHIFT));
+            }
+            match b.term {
+                Term::If { cond: e, .. } | Term::TerminateProgram { value: Some(e) } => {
+                    self.reads(self.prog.expr(e), &mut |k| keys.push(key(k, &mut calls)))
+                }
+                _ => {}
+            }
+        }
+        at[n_blocks] = keys.len();
+        let blocks = |lo: BlockId, hi: BlockId| at[lo as usize]..at[hi as usize];
+        let mut split = Split { group: vec![MAIN; arms.len()], runs: vec![] };
+        let (mut set, mut ends, mut uf) = (Vec::new(), Vec::new(), Vec::new());
+        let mut first = 0;
+        while first < arms.len() {
+            let n = arms[first..].iter().take_while(|a| a.par as usize == first).count();
+            let par = &arms[first..first + n];
+            // the key set of each arm, then of the context: every block
+            // outside the `par`
+            set.clear();
+            ends.clear();
+            for arm in par {
+                let from = set.len();
+                set.extend_from_slice(&keys[blocks(arm.entry, arm.entry + 1)]);
+                set.extend_from_slice(&keys[blocks(arm.blocks.0, arm.blocks.1)]);
+                sort_dedup_tail(&mut set, from);
+                ends.push(from);
+            }
+            let from = set.len();
+            set.extend_from_slice(&keys[blocks(0, par[0].entry)]);
+            set.extend_from_slice(&keys[at[par[n - 1].blocks.1 as usize]..]);
+            sort_dedup_tail(&mut set, from);
+            ends.push(from);
+            ends.push(set.len());
+            let of = |i: usize| &set[ends[i]..ends[i + 1]];
+            uf.clear();
+            uf.extend(0..=n);
+            for (i, arm) in par.iter().enumerate() {
+                if self.ends_siblings(arm) {
+                    (0..n).for_each(|j| union(&mut uf, i, j));
+                }
+            }
+            for i in 0..=n {
+                for j in i + 1..=n {
+                    if root(&mut uf, i) != root(&mut uf, j)
+                        && self.keys_conflict(of(i), of(j), &calls)
+                    {
+                        union(&mut uf, i, j);
+                    }
+                }
+            }
+            let groups = (0..n).filter(|&i| root(&mut uf, i) == i).count();
+            if groups > 1 {
+                let main = root(&mut uf, n);
+                for i in 0..n {
+                    let r = root(&mut uf, i);
+                    if r != main {
+                        split.group[first + i] = (first + r) as u32;
+                        // a group that records an access gets a run, once
+                        let keyed = (0..n).any(|j| {
+                            root(&mut uf, j) == r
+                                && of(j).first().is_some_and(|&k| k >> KEY_SHIFT <= CALL)
+                        });
+                        if r == i && keyed {
+                            split.runs.push((first + r) as u32);
+                        }
+                    }
+                }
+            }
+            first += n;
+        }
+        // a split `par` has a local group
+        split.group.iter().any(|&g| g != MAIN).then_some(split)
+    }
+
+    /// How an op arms a gate in time: a constant-duration timer (`TIMER`),
+    /// or a gate that fires at an instant of the environment's (`FREE`).
+    fn clock(&self, op: &Op) -> Option<Key> {
+        match *op {
+            Op::ActivateTime { us: TimeAmount::Const(_), .. } => Some(TIMER),
+            Op::ActivateTime { .. } | Op::ActivateAsync { .. } => Some(FREE),
+            Op::ActivateEvt { gate } => match self.prog.gate(gate).kind {
+                GateKind::Evt(e) if !self.internal[e.index()] => Some(FREE),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Can `arm` end its siblings: reach a program `return`, or jump out
+    /// of itself (a `break` or value `return` past its `par`)?
+    fn ends_siblings(&self, arm: &ceu_codegen::ParArm) -> bool {
+        let out = |b: BlockId| !arm.contains(b);
+        std::iter::once(arm.entry).chain(arm.blocks.0..arm.blocks.1).any(|b| {
+            let blk = self.prog.block(b);
+            blk.instrs.iter().any(|i| matches!(i.op, Op::Spawn(t) if out(t)))
+                || match blk.term {
+                    Term::TerminateProgram { .. } => true,
+                    Term::Goto(t) | Term::JoinAnd { cont: t, .. } => out(t),
+                    Term::If { then_b, else_b, .. } => out(then_b) || out(else_b),
+                    Term::Halt | Term::TerminateAsync { .. } => false,
+                }
+        })
+    }
+
+    /// Do two sorted key sets hold a pair that `find_conflicts` reports?
+    fn keys_conflict(&self, a: &[Key], b: &[Key], calls: &[&str]) -> bool {
+        let calls_b = &b[b.partition_point(|&k| k >> KEY_SHIFT < CALL)
+            ..b.partition_point(|&k| k >> KEY_SHIFT <= CALL)];
+        a.iter().any(|&k| {
+            let id = k & KEY_ID;
+            let has = |kind: Key| b.binary_search(&(kind << KEY_SHIFT | id)).is_ok();
+            match k >> KEY_SHIFT {
+                READ => has(WRITE),
+                WRITE => has(READ) || has(WRITE),
+                EMIT => has(EMIT) || has(AWAIT),
+                AWAIT => has(EMIT),
+                OUTPUT => has(OUTPUT),
+                TIMER => has(FREE),
+                FREE => has(TIMER),
+                _ => {
+                    self.opts.check_ccalls
+                        && calls_b.iter().any(|&c| {
+                            let (f, g) = (calls[id as usize], calls[(c & KEY_ID) as usize]);
+                            !self.prog.annotations.compatible(f, g)
+                        })
+                }
+            }
+        })
+    }
+
+    /// One run of the explorer from boot, into `dfa` (its states and
+    /// transitions replaced, its conflicts appended); explores no state
+    /// once `max_states` are known.
+    fn explore(&self, ex: &mut Explorer<'a>, dfa: &mut Dfa, max_states: usize) {
+        dfa.states.clear();
+        dfa.transitions.clear();
+        ex.interner.clear();
         ex.interner.intern(&mut dfa.states, &State::default());
-        self.expand(&mut ex, &mut dfa, 0, &Label::Boot, &[], Some(self.prog.boot));
+        self.expand(ex, dfa, 0, &Label::Boot, &[], Some(self.prog.boot));
         // new states are numbered in discovery order, so the BFS work
         // queue is the range of states not expanded yet
         let mut s = 1;
         while s < dfa.states.len() {
-            if dfa.states.len() >= self.opts.max_states {
+            if dfa.states.len() >= max_states {
                 dfa.truncated = true;
                 break;
             }
-            self.labels_of(&dfa.states[s], &mut ex);
+            self.labels_of(&dfa.states[s], ex);
             let (labels, roots) = (std::mem::take(&mut ex.labels), std::mem::take(&mut ex.roots));
             let mut start = 0;
             for (label, end) in &labels {
                 let r = &roots[start..*end];
-                self.expand(&mut ex, &mut dfa, s, label, r, None);
+                self.expand(ex, dfa, s, label, r, None);
                 start = *end;
             }
             (ex.labels, ex.roots) = (labels, roots);
             s += 1;
         }
-        dedup_conflicts(&mut dfa.conflicts);
-        dfa
     }
 
     /// All transition labels leaving a state, with their root gates, into
@@ -671,7 +1007,8 @@ impl<'a> Analyzer<'a> {
                         cur = *b;
                     }
                     Term::If { cond, then_b, else_b } => {
-                        self.reads(&mut cfg, self.prog.expr(*cond), group, Span::default());
+                        let out = &mut |k| record(&mut cfg, k, group, Span::default());
+                        self.reads(self.prog.expr(*cond), out);
                         // explore both branches, the else-branch first
                         let mut other = ex.pool.pop().unwrap_or_default();
                         other.clone_from(&cfg);
@@ -697,7 +1034,8 @@ impl<'a> Analyzer<'a> {
                     }
                     Term::TerminateProgram { value } => {
                         if let Some(v) = value {
-                            self.reads(&mut cfg, self.prog.expr(*v), group, Span::default());
+                            let out = &mut |k| record(&mut cfg, k, group, Span::default());
+                            self.reads(self.prog.expr(*v), out);
                         }
                         cfg.state.gates.clear();
                         cfg.queue.clear();
@@ -711,32 +1049,19 @@ impl<'a> Analyzer<'a> {
     }
 
     fn exec_abs(&self, cfg: &mut Config<'a>, op: &'a Op, span: Span, group: u32) {
+        self.accesses(op, &mut |k| record(cfg, k, group, span));
+        let arm = |gate: &GateId| self.armed[*gate as usize];
         match op {
-            Op::Assign { dst, src } => {
-                self.reads(cfg, self.prog.expr(*src), group, span);
-                self.write_place(cfg, dst, group, span);
-            }
-            Op::Eval(rv) => self.reads(cfg, self.prog.expr(*rv), group, span),
-            Op::ActivateEvt { gate } => {
-                cfg.state.set_gate(*gate, GateSt::Event);
-                if let GateKind::Evt(e) = self.prog.gate(*gate).kind {
-                    if self.internal[e.index()] {
-                        record(cfg, AccessKind::AwaitInt(e), group, span);
-                    }
-                }
-            }
-            Op::ActivateTime { gate, us } => {
+            Op::ActivateEvt { gate } if arm(gate) => cfg.state.set_gate(*gate, GateSt::Event),
+            Op::ActivateTime { gate, us } if arm(gate) => {
                 let st = match us {
                     TimeAmount::Const(c) => GateSt::Time(*c),
-                    TimeAmount::Dyn(rv) => {
-                        self.reads(cfg, self.prog.expr(*rv), group, span);
-                        GateSt::TimeUnknown
-                    }
+                    TimeAmount::Dyn(_) => GateSt::TimeUnknown,
                 };
                 cfg.state.set_gate(*gate, st);
             }
-            Op::ActivateNever { gate } => cfg.state.set_gate(*gate, GateSt::Never),
-            Op::ActivateAsync { gate, .. } => cfg.state.set_gate(*gate, GateSt::Async),
+            Op::ActivateNever { gate } if arm(gate) => cfg.state.set_gate(*gate, GateSt::Never),
+            Op::ActivateAsync { gate, .. } if arm(gate) => cfg.state.set_gate(*gate, GateSt::Async),
             Op::ClearRegion(r) => {
                 let region = self.prog.region(*r);
                 cfg.state.clear_gates(region.lo, region.hi);
@@ -746,11 +1071,7 @@ impl<'a> Analyzer<'a> {
                 let child = cfg.groups.fresh([group], phase);
                 push_track(cfg, self.prog, *b, child);
             }
-            Op::EmitInt { event, value } => {
-                if let Some(v) = value {
-                    self.reads(cfg, self.prog.expr(*v), group, span);
-                }
-                record(cfg, AccessKind::EmitInt(*event), group, span);
+            Op::EmitInt { event, .. } => {
                 // awaken listeners as children of the emitter (sequenced),
                 // in gate order
                 let mut i = 0;
@@ -765,15 +1086,6 @@ impl<'a> Analyzer<'a> {
                     push_track(cfg, self.prog, cont, child);
                 }
             }
-            Op::EmitOut { event, value } => {
-                if let Some(v) = value {
-                    self.reads(cfg, self.prog.expr(*v), group, span);
-                }
-                record(cfg, AccessKind::EmitOut(*event), group, span);
-            }
-            // async-only instructions: bodies are globally asynchronous and
-            // excluded from the local-determinism analysis (§2.9)
-            Op::EmitExt { .. } | Op::EmitTime(_) => {}
             Op::SetFlag(s) => {
                 cfg.state.set_flag(*s);
                 match cfg.flag_owner.iter_mut().find(|o| o.0 == *s) {
@@ -782,49 +1094,84 @@ impl<'a> Analyzer<'a> {
                 }
             }
             Op::ClearFlags { lo, hi } => cfg.state.flags.retain(|s| !(*lo..*hi).contains(s)),
+            // a dead arm's gate stays unarmed; async-only instructions:
+            // bodies are globally asynchronous and excluded from the
+            // local-determinism analysis (§2.9)
+            _ => {}
         }
     }
 
-    fn write_place(&self, cfg: &mut Config<'a>, place: &Place, group: u32, span: Span) {
+    /// The accesses of one op, in the order the explorer records them;
+    /// also the source of the coupling keys, so both see the same ones.
+    fn accesses(&self, op: &'a Op, out: &mut impl FnMut(AccessKind<'a>)) {
+        match op {
+            Op::Assign { dst, src } => {
+                self.reads(self.prog.expr(*src), out);
+                self.write_place(dst, out);
+            }
+            Op::Eval(rv) | Op::ActivateTime { us: TimeAmount::Dyn(rv), .. } => {
+                self.reads(self.prog.expr(*rv), out)
+            }
+            Op::ActivateEvt { gate } => {
+                if let GateKind::Evt(e) = self.prog.gate(*gate).kind {
+                    if self.internal[e.index()] {
+                        out(AccessKind::AwaitInt(e));
+                    }
+                }
+            }
+            Op::EmitInt { event, value } => {
+                if let Some(v) = value {
+                    self.reads(self.prog.expr(*v), out);
+                }
+                out(AccessKind::EmitInt(*event));
+            }
+            Op::EmitOut { event, value } => {
+                if let Some(v) = value {
+                    self.reads(self.prog.expr(*v), out);
+                }
+                out(AccessKind::EmitOut(*event));
+            }
+            _ => {}
+        }
+    }
+
+    fn write_place(&self, place: &Place, out: &mut impl FnMut(AccessKind<'a>)) {
         match place {
-            Place::Slot(s) => self.var_access(cfg, *s, true, group, span),
+            Place::Slot(s) => out(AccessKind::VarWrite(self.var(*s))),
             Place::Index(s, idx) => {
-                self.reads(cfg, self.prog.expr(*idx), group, span);
-                self.var_access(cfg, *s, true, group, span);
+                self.reads(self.prog.expr(*idx), out);
+                out(AccessKind::VarWrite(self.var(*s)));
             }
             Place::Deref(rv) => {
-                self.reads(cfg, self.prog.expr(*rv), group, span);
-                record(cfg, AccessKind::VarWrite(POINTER), group, span);
+                self.reads(self.prog.expr(*rv), out);
+                out(AccessKind::VarWrite(POINTER));
             }
         }
     }
 
-    fn var_access(&self, cfg: &mut Config<'a>, slot: SlotId, write: bool, group: u32, span: Span) {
+    fn var(&self, slot: SlotId) -> VarId {
         // a slot past `data_len` (never lowered) is a variable of its own
         let var = self.slot_var.get(slot as usize).copied();
-        let var = var.unwrap_or(self.var_names.len() as VarId + slot);
-        let kind = if write { AccessKind::VarWrite(var) } else { AccessKind::VarRead(var) };
-        record(cfg, kind, group, span);
+        var.unwrap_or(self.var_names.len() as VarId + slot)
     }
 
-    /// Records the reads of an expression: pre-order, the last operand
-    /// first.
-    fn reads(&self, cfg: &mut Config<'a>, rv: &'a Rv, group: u32, span: Span) {
+    /// The reads of an expression: pre-order, the last operand first.
+    fn reads(&self, rv: &'a Rv, out: &mut impl FnMut(AccessKind<'a>)) {
         match rv {
-            Rv::Slot(s) | Rv::AddrOf(s) => self.var_access(cfg, *s, false, group, span),
-            Rv::Un(_, a) | Rv::Cast(a) | Rv::Field(a, _, _) => self.reads(cfg, a, group, span),
+            Rv::Slot(s) | Rv::AddrOf(s) => out(AccessKind::VarRead(self.var(*s))),
+            Rv::Un(_, a) | Rv::Cast(a) | Rv::Field(a, _, _) => self.reads(a, out),
             Rv::Deref(a) => {
-                record(cfg, AccessKind::VarRead(POINTER), group, span);
-                self.reads(cfg, a, group, span);
+                out(AccessKind::VarRead(POINTER));
+                self.reads(a, out);
             }
             Rv::Bin(_, a, b) | Rv::Index(a, b) => {
-                self.reads(cfg, b, group, span);
-                self.reads(cfg, a, group, span);
+                self.reads(b, out);
+                self.reads(a, out);
             }
             Rv::CCall(name, args) => {
-                record(cfg, AccessKind::CCall(name), group, span);
+                out(AccessKind::CCall(name));
                 for a in args.iter().rev() {
-                    self.reads(cfg, a, group, span);
+                    self.reads(a, out);
                 }
             }
             _ => {}

@@ -10,7 +10,7 @@ pub mod flowgraph;
 pub use bounded::{check_bounded, TightLoop};
 pub use dfa::{
     analyze, check_determinism, Conflict, ConflictKind, Dfa, DfaOptions, GateSt, Label, State,
-    Trans,
+    Trans, Verdict,
 };
 
 #[cfg(test)]
@@ -20,7 +20,7 @@ mod tests {
 
     fn conflicts(src: &str) -> Vec<Conflict> {
         let p = compile_source(src).unwrap_or_else(|e| panic!("compile: {e}"));
-        check_determinism(&p)
+        check_determinism(&p, &DfaOptions::default()).conflicts
     }
 
     fn dfa_of(src: &str) -> (Dfa, ceu_codegen::CompiledProgram) {
@@ -395,7 +395,7 @@ mod tests {
         assert!(dot.contains("prio"), "escape nodes carry priorities:\n{dot}");
         assert!(dot.contains("style=dashed"));
         // and the program is deterministic per the analysis
-        let cs = check_determinism(&p);
+        let cs = check_determinism(&p, &DfaOptions::default()).conflicts;
         assert!(cs.is_empty(), "{cs:?}");
     }
 

@@ -6,7 +6,8 @@ use ceu_analysis::{analyze, check_determinism, ConflictKind, DfaOptions, Label};
 use ceu_codegen::compile_source;
 
 fn conflicts(src: &str) -> Vec<ceu_analysis::Conflict> {
-    check_determinism(&compile_source(src).unwrap_or_else(|e| panic!("{e}")))
+    let p = compile_source(src).unwrap_or_else(|e| panic!("{e}"));
+    check_determinism(&p, &DfaOptions::default()).conflicts
 }
 
 fn dfa(src: &str) -> ceu_analysis::Dfa {
@@ -256,4 +257,100 @@ fn discarded_events_self_loop_in_dfa() {
     let p = compile_source(src).unwrap();
     let b = p.events.lookup("B").unwrap();
     assert!(d.transitions.iter().all(|t| t.label != Label::Event(b)));
+}
+
+/// `check_determinism`'s conflicts as (kind, text, ordered spans), and
+/// its run count; `analyze`'s conflicts the same way.
+fn check_and_product(src: &str) -> (Vec<String>, usize, Vec<String>) {
+    let p = compile_source(src).unwrap_or_else(|e| panic!("{e}"));
+    let key = |cs: &[ceu_analysis::Conflict]| {
+        let mut v: Vec<String> = cs
+            .iter()
+            .map(|c| {
+                let mut s = [c.spans.0, c.spans.1];
+                s.sort_by_key(|s| (s.line, s.col));
+                format!("{:?} {} {} {}", c.kind, c.what, s[0], s[1])
+            })
+            .collect();
+        v.sort();
+        v
+    };
+    let v = check_determinism(&p, &DfaOptions::default());
+    let d = analyze(&p, &DfaOptions::default());
+    (key(&v.conflicts), v.runs, key(&d.conflicts))
+}
+
+#[test]
+fn a_timer_of_another_trail_slices_time_for_an_input_driven_group() {
+    // The DFA lets `B` arrive only between reactions. The bare 10 ms loop
+    // adds instants (10, 20, …), so in the product `B` can come at 20 ms
+    // and its 10 ms timer then expires with the 15 ms loop's at 30 ms:
+    // both emit `O`. Without that loop the 15 ms loop's instants alone
+    // never line up, so the loop must stay live: a constant timer couples
+    // with an input-driven arm.
+    let src = r#"
+        input void B;
+        output int O;
+        int a, b;
+        par do
+           await B;
+           await 10ms;
+           emit O = a;
+           await forever;
+        with
+           loop do
+              emit O = b;
+              await 15ms;
+           end
+        with
+           loop do
+              await 10ms;
+           end
+        end
+    "#;
+    let (check, runs, product) = check_and_product(src);
+    assert_eq!(product.len(), 1, "{product:?}");
+    assert_eq!(check, product);
+    assert_eq!(runs, 1);
+}
+
+#[test]
+fn an_arm_sharing_an_event_with_the_context_stays_live() {
+    // The inner `par`'s arms share nothing with each other, but the first
+    // emits `e`, which ends the enclosing `par/or` and so kills the
+    // second. Were the first dead in the second's run, the second would
+    // keep writing `x` on every `A` and race the outer loop's write on
+    // the second `A`, a conflict the product never reaches. Keys shared
+    // with blocks outside a `par` make an arm main, live in every run.
+    let src = r#"
+        input void A;
+        internal void e;
+        int x;
+        par do
+           par/or do
+              par do
+                 loop do
+                    await A;
+                    emit e;
+                 end
+              with
+                 loop do
+                    await A;
+                    x = 1;
+                 end
+              end
+           with
+              await e;
+           end
+           await forever;
+        with
+           await A;
+           await A;
+           x = 2;
+           await forever;
+        end
+    "#;
+    let (check, _, product) = check_and_product(src);
+    assert!(product.is_empty(), "{product:?}");
+    assert_eq!(check, product);
 }

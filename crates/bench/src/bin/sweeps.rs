@@ -3,21 +3,25 @@
 //! * A2 (§4.3): trails in parallel own a consecutive gate range, so a
 //!   par/or kill is a clear of that range — ns per kill of N siblings;
 //! * A3 (§6): the temporal-analysis DFA is exponential but usable in
-//!   practice — states, transitions and µs per `analyze` for await
-//!   chains (lcm-sized) and coprime timer loops (the product frontier);
+//!   practice — states, transitions and µs per `analyze` (the product)
+//!   and per `check_determinism` (the compiler's verdict, by coupled
+//!   groups) for await chains (lcm-sized), coprime timer loops (the
+//!   product frontier) and the same loops writing one shared variable
+//!   (one group: the check pays the whole product);
 //! * A4 (§2.1): creating and destroying trails is cheap — one reaction
 //!   fanned out to N awaiting trails, and a par/or torn down and
 //!   respawned per event.
 //!
 //! Each timing is the median of a few fixed-length batches. Only the
-//! structural facts (DFA sizes) are asserted; timings never are. Rows
+//! structural facts (DFA sizes, group counts, verdicts) are asserted;
+//! timings never are. Rows
 //! also go to `target/experiments/sweeps.jsonl`.
 //!
 //! ```sh
 //! cargo run --release -p ceu-bench --bin sweeps
 //! ```
 
-use ceu::analysis::{analyze, DfaOptions};
+use ceu::analysis::{analyze, check_determinism, DfaOptions};
 use ceu::runtime::{Machine, NullHost};
 use ceu::Compiler;
 use ceu_bench::table;
@@ -91,6 +95,12 @@ fn timer_program(k: usize) -> String {
     src
 }
 
+/// `k` timer loops with coprime periods that each write the shared `x`:
+/// one coupled group, so the check explores the product.
+fn shared_timer_program(k: usize) -> String {
+    timer_program(k).replace("ms;\n end", "ms;\n  x = x + 1;\n end")
+}
+
 /// `n` trails all awaiting the same event in a loop.
 fn fanout_program(n: usize) -> String {
     let mut src = String::from("input void E;\nint v;\npar do\n");
@@ -120,10 +130,24 @@ struct Row<'a> {
     transitions: Option<usize>,
     #[serde(skip_serializing_if = "Option::is_none")]
     truncated: Option<bool>,
+    /// ns per `check_determinism`, beside `ns` per `analyze`.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    check_ns: Option<f64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    check_runs: Option<usize>,
 }
 
 fn timed(sweep: &str, case: String, ns: f64) -> Vec<String> {
-    let row = Row { sweep, case, ns, states: None, transitions: None, truncated: None };
+    let row = Row {
+        sweep,
+        case,
+        ns,
+        states: None,
+        transitions: None,
+        truncated: None,
+        check_ns: None,
+        check_runs: None,
+    };
     table::record("sweeps", &row);
     vec![row.case, format!("{:.0}", row.ns)]
 }
@@ -141,13 +165,19 @@ fn main() {
     let chains = [(2usize, 3usize), (4, 5), (8, 9), (16, 17)]
         .map(|(m, n)| (format!("chain {m}x{n}"), chain_program(m, n)));
     let timers = [1usize, 2, 3, 4].map(|k| (format!("timers k={k}"), timer_program(k)));
+    let shared =
+        [1usize, 2, 3, 4].map(|k| (format!("shared timers k={k}"), shared_timer_program(k)));
     let mut rows = Vec::new();
     let mut states = Vec::new();
-    for (case, src) in chains.into_iter().chain(timers) {
+    for (case, src) in chains.into_iter().chain(timers).chain(shared) {
         let program = Compiler::unchecked().compile(&src).expect("sweep program compiles");
         let d = analyze(&program, &opts);
+        let v = check_determinism(&program, &opts);
         let ns = median_ns(|| {
             black_box(analyze(&program, &opts));
+        });
+        let check_ns = median_ns(|| {
+            black_box(check_determinism(&program, &opts));
         });
         let row = Row {
             sweep: "A3",
@@ -156,20 +186,47 @@ fn main() {
             states: Some(d.states.len()),
             transitions: Some(d.transitions.len()),
             truncated: Some(d.truncated),
+            check_ns: Some(check_ns),
+            check_runs: Some(v.runs),
         };
         table::record("sweeps", &row);
-        states.push((d.states.len(), d.transitions.len(), d.truncated));
+        let same = |a: &[ceu::analysis::Conflict], b: &[ceu::analysis::Conflict]| {
+            let key = |c: &ceu::analysis::Conflict| (c.kind as u8, c.what.clone(), c.spans);
+            a.iter().map(key).collect::<Vec<_>>() == b.iter().map(key).collect::<Vec<_>>()
+        };
+        states.push((
+            d.states.len(),
+            d.transitions.len(),
+            d.truncated,
+            v.runs,
+            same(&v.conflicts, &d.conflicts),
+        ));
         rows.push(vec![
             row.case,
             d.states.len().to_string(),
             d.transitions.len().to_string(),
             d.truncated.to_string(),
             format!("{:.1}", ns / 1e3),
+            v.runs.to_string(),
+            v.states.to_string(),
+            format!("{:.1}", check_ns / 1e3),
         ]);
     }
     println!(
         "{}",
-        table::render(&["program", "states", "transitions", "truncated", "µs/analyze"], &rows)
+        table::render(
+            &[
+                "program",
+                "states",
+                "transitions",
+                "truncated",
+                "µs/analyze",
+                "runs",
+                "checked",
+                "µs/check"
+            ],
+            &rows
+        )
     );
 
     println!("A4 (§2.1) — trail cost per event\n");
@@ -184,11 +241,20 @@ fn main() {
     println!("{}", table::render(&["reaction", "ns/event"], &rows));
 
     // the structural facts: chains are lcm-sized with one transition per
-    // state; timers grow as a product; nothing hits the state cap
-    let (chain, timer) = states.split_at(4);
+    // state; timers grow as a product; nothing hits the state cap; the
+    // shared-variable timers stay one group, and every check finds the
+    // product's conflicts
+    let (chain, rest) = states.split_at(4);
+    let (timer, shared) = rest.split_at(4);
     assert_eq!(chain.iter().map(|s| s.0).collect::<Vec<_>>(), [7, 21, 73, 273]);
     assert!(chain.iter().all(|s| s.0 == s.1), "one transition per chain state");
     assert_eq!(timer.iter().map(|s| s.0).collect::<Vec<_>>(), [2, 18, 282, 5498]);
+    assert_eq!(shared.iter().map(|s| s.0).collect::<Vec<_>>(), [2, 18, 282, 5498]);
+    assert!(shared.iter().all(|s| s.3 == 1), "shared timers are one group");
     assert!(states.iter().all(|s| !s.2), "no DFA is truncated");
-    println!("A3 DFA sizes reproduced: chains 7/21/73/273, timers 2/18/282/5498, none truncated ✓");
+    assert!(states.iter().all(|s| s.4), "check and analyze report the same conflicts");
+    println!(
+        "A3 DFA sizes reproduced: chains 7/21/73/273, timers and shared timers 2/18/282/5498, \
+         none truncated; shared timers one group; check = analyze ✓"
+    );
 }

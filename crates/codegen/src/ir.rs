@@ -212,6 +212,32 @@ pub struct GateInfo {
     pub span: Span,
 }
 
+/// One arm of a statement-position plain `par`, the one composition
+/// whose arms neither kill one another nor rejoin: the §2.6 check splits
+/// such a `par` into the arms that can conflict and the arms that cannot.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ParArm {
+    /// Index in [`CompiledProgram::par_arms`] of the first arm of the same
+    /// `par`; the arms of one `par` are adjacent, and its blocks run from
+    /// the first arm's entry to the last arm's `blocks.1`.
+    pub par: u32,
+    /// Index of the innermost recorded arm this `par` is nested in.
+    pub parent: Option<u32>,
+    /// The block the fork spawns.
+    pub entry: BlockId,
+    /// The blocks lowered into the arm after its entry, `[lo, hi)`.
+    pub blocks: (BlockId, BlockId),
+    /// The arm's gates, `[lo, hi)`.
+    pub gates: (GateId, GateId),
+}
+
+impl ParArm {
+    /// Is `b` one of the arm's blocks?
+    pub fn contains(&self, b: BlockId) -> bool {
+        b == self.entry || (self.blocks.0..self.blocks.1).contains(&b)
+    }
+}
+
 /// A contiguous killable gate range `[lo, hi)`.
 #[derive(Clone, Debug)]
 pub struct RegionInfo {
@@ -443,6 +469,9 @@ pub struct CompiledProgram {
     pub asyncs: Vec<AsyncBlock>,
     /// `suspend` constructs (extension), in source order.
     pub suspends: Vec<SuspendInfo>,
+    /// The arms of every statement-position plain `par`, outer `par`s
+    /// first (analysis only: not part of the fingerprint).
+    pub par_arms: Vec<ParArm>,
     /// Concatenated `C do … end` code, passed through to the C backend.
     pub c_code: String,
     /// String literals, deduplicated and indexed by [`StrId`].

@@ -63,6 +63,9 @@ struct Lower<'a> {
     regions: Vec<RegionInfo>,
     asyncs: Vec<AsyncBlock>,
     suspends: Vec<SuspendInfo>,
+    par_arms: Vec<ParArm>,
+    /// The recorded arm being lowered, innermost last.
+    arm_stack: Vec<u32>,
     c_code: String,
     /// Interned expression trees (indexed by `ExprId`).
     exprs: Vec<Rv>,
@@ -93,6 +96,8 @@ pub fn compile_with_layout(resolved: &Resolved, layout: &Layout) -> Result<Compi
         regions: Vec::new(),
         asyncs: Vec::new(),
         suspends: Vec::new(),
+        par_arms: Vec::new(),
+        arm_stack: Vec::new(),
         c_code: String::new(),
         exprs: Vec::new(),
         flat: FlatPool::default(),
@@ -127,6 +132,7 @@ pub fn compile_with_layout(resolved: &Resolved, layout: &Layout) -> Result<Compi
         annotations: resolved.annotations.clone(),
         asyncs: lw.asyncs,
         suspends: lw.suspends,
+        par_arms: lw.par_arms,
         c_code: lw.c_code,
         strs: lw.strs,
         exprs: lw.exprs,
@@ -321,7 +327,7 @@ impl<'a> Lower<'a> {
                 }
             }
 
-            StmtKind::Loop { body } => self.lower_loop(body, cur, flow),
+            StmtKind::Loop { body } => self.lower_loop(body, span, cur, flow),
 
             StmtKind::Break => {
                 let Some(esc) = flow.loop_esc else {
@@ -411,7 +417,13 @@ impl<'a> Lower<'a> {
         cont
     }
 
-    fn lower_loop(&mut self, body: &Block, cur: BlockId, flow: &Flow) -> Result<Option<BlockId>> {
+    fn lower_loop(
+        &mut self,
+        body: &Block,
+        span: Span,
+        cur: BlockId,
+        flow: &Flow,
+    ) -> Result<Option<BlockId>> {
         let after = self.new_block("loop.end", 0);
         let esc = self.new_block("loop.esc", self.esc_rank());
         let region = self.open_region("loop");
@@ -425,14 +437,12 @@ impl<'a> Lower<'a> {
         }
         self.depth -= 1;
         self.close_region(region);
-        self.push_front(esc, Op::ClearRegion(region));
+        self.push(esc, Span::default(), Op::ClearRegion(region));
+        // no statement is lowered into the escape block: its debug span is
+        // its `loop`'s
+        self.stmt_spans[esc as usize] = span;
         self.term(esc, Term::Goto(after));
         Ok(Some(after))
-    }
-
-    fn push_front(&mut self, b: BlockId, op: Op) {
-        let span = Span::default();
-        self.blocks[b as usize].instrs.insert(0, Instr { span, op });
     }
 
     fn lower_par(
@@ -474,6 +484,20 @@ impl<'a> Lower<'a> {
             self.push(cur, span, Op::Spawn(e));
         }
         self.term(cur, Term::Halt);
+        // a statement-position plain `par` records its arms for the §2.6
+        // check, before lowering them, so nested arms name their parent
+        let recorded = (kind == ParKind::Par && value.is_none()).then(|| {
+            let first = self.par_arms.len() as u32;
+            let parent = self.arm_stack.last().copied();
+            self.par_arms.extend(entries.iter().map(|&entry| ParArm {
+                par: first,
+                parent,
+                entry,
+                blocks: (0, 0),
+                gates: (0, 0),
+            }));
+            first
+        });
 
         let inner_ret = match (&value, esc) {
             (Some((_, result)), Some(esc)) => Ret::Value { result: *result, esc },
@@ -482,7 +506,17 @@ impl<'a> Lower<'a> {
         let inner_flow = Flow { loop_esc: flow.loop_esc, ret: inner_ret };
 
         for (i, arm) in arms.iter().enumerate() {
+            let from = (self.blocks.len() as BlockId, self.gates.len() as GateId);
+            if let Some(first) = recorded {
+                self.arm_stack.push(first + i as u32);
+            }
             let end = self.lower_seq(&arm.stmts, entries[i], &inner_flow)?;
+            if let Some(first) = recorded {
+                self.arm_stack.pop();
+                let rec = &mut self.par_arms[(first + i as u32) as usize];
+                rec.blocks = (from.0, self.blocks.len() as BlockId);
+                rec.gates = (from.1, self.gates.len() as GateId);
+            }
             if let Some(b) = end {
                 match kind {
                     ParKind::Par => self.term(b, Term::Halt),

@@ -336,6 +336,18 @@ fn remove_dead_blocks(prog: &mut CompiledProgram) -> usize {
     for a in &mut prog.asyncs {
         a.entry = map[a.entry as usize];
     }
+    // an arm keeps its surviving blocks, in order; a `par` whose fork
+    // died never spawns its arms, and then the §2.6 check explores the
+    // product instead
+    if prog.par_arms.iter().all(|a| live[a.entry as usize]) {
+        let below = |b: u32| live[..b as usize].iter().filter(|&&l| l).count() as u32;
+        for a in &mut prog.par_arms {
+            a.entry = map[a.entry as usize];
+            a.blocks = (below(a.blocks.0), below(a.blocks.1));
+        }
+    } else {
+        prog.par_arms.clear();
+    }
     let spans = std::mem::take(&mut prog.debug.block_spans);
     prog.debug.block_spans =
         spans.into_iter().enumerate().filter(|(i, _)| live[*i]).map(|(_, s)| s).collect();

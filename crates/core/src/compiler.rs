@@ -119,9 +119,9 @@ impl Compiler {
         let resolved = ceu_ast::resolve::resolve(ast).map_err(Error::Resolve)?;
         let mut prog = ceu_codegen::compile(&resolved).map_err(Error::Lower)?;
         if self.options.check_determinism {
-            let dfa = ceu_analysis::analyze(&prog, &self.options.dfa);
-            if !dfa.conflicts.is_empty() {
-                return Err(Error::Nondeterministic(dfa.conflicts));
+            let verdict = ceu_analysis::check_determinism(&prog, &self.options.dfa);
+            if !verdict.conflicts.is_empty() {
+                return Err(Error::Nondeterministic(verdict.conflicts));
             }
         }
         if self.options.optimize {
@@ -131,8 +131,8 @@ impl Compiler {
     }
 
     /// Runs the pipeline up to the temporal analysis and returns the DFA
-    /// (even for nondeterministic programs — used for diagnostics and the
-    /// Figure-2 reproduction).
+    /// over the product of every trail (even for nondeterministic
+    /// programs — used for diagnostics and the Figure-2 reproduction).
     pub fn analyze(&self, src: &str) -> Result<(CompiledProgram, ceu_analysis::Dfa), Error> {
         let mut ast = ceu_parser::parse(src).map_err(Error::Parse)?;
         ceu_ast::desugar(&mut ast);

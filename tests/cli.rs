@@ -252,6 +252,18 @@ fn run_watchdog_aborts_runaway_reactions() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("runtime error at 2:1: reaction chain exhausted"), "{stderr}");
     assert!(!stderr.contains("at 0:0"), "{stderr}");
+    // a loop's escape block, which no statement is lowered into, names
+    // its `loop`
+    let prog = write_tmp(
+        "wd_esc.ceu",
+        "input int E;\nint v = 0;\nloop do\n break;\nend\nv = await E;\nreturn v;",
+    );
+    for fuel in ["2", "3"] {
+        let out = ceuc().arg("run").arg(&prog).args(["--fuel", fuel]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("runtime error at 3:1: reaction chain exhausted"), "{stderr}");
+        assert!(!stderr.contains("at 0:0"), "{stderr}");
+    }
 }
 
 #[test]

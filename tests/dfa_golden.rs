@@ -9,7 +9,7 @@
 //! temporary directory; after an intended change, copy that file over
 //! the checked-in one and review the diff.
 
-use ceu::analysis::{Dfa, DfaOptions};
+use ceu::analysis::{check_determinism, Dfa, DfaOptions};
 use ceu::{CompileOptions, Compiler};
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 mod programs;
+use programs::conflict_set;
 
 /// Generated programs in the digest (seeds `0..GENERATED`).
 const GENERATED: u64 = 24;
@@ -169,4 +170,34 @@ fn dfa_digest_matches_the_golden_file() {
         out.display(),
         diff.join("\n")
     );
+}
+
+/// `check_determinism`, the verdict the compiler acts on, finds exactly
+/// the conflicts of the product on every digest program where both
+/// explored everything. Where either hit `max_states` (the check's runs
+/// share one budget, so a tight limit can stop them where it spares the
+/// product), the verdicts may differ; the test names those programs.
+#[test]
+fn check_agrees_with_the_product_on_every_digest_program() {
+    let mut truncated = Vec::new();
+    for (name, src) in programs() {
+        for (opts_name, dfa) in option_sets() {
+            let compiler =
+                Compiler::with_options(CompileOptions { dfa: dfa.clone(), ..Default::default() });
+            let Ok((p, product)) = compiler.analyze(&src) else { continue };
+            let check = check_determinism(&p, &dfa);
+            if product.truncated || check.truncated {
+                if check.deterministic() != product.deterministic() {
+                    truncated.push(format!("{name} [{opts_name}]"));
+                }
+                continue;
+            }
+            assert_eq!(
+                conflict_set(&check.conflicts),
+                conflict_set(&product.conflicts),
+                "{name} [{opts_name}]"
+            );
+        }
+    }
+    assert_eq!(truncated, Vec::<String>::new(), "verdicts that differ only past max_states");
 }

@@ -17,15 +17,19 @@
 //!   after a prefix that failed mid-reaction; only its reaction ids keep
 //!   counting;
 //! * the overlay allocator never exceeds the sum layout and never loses a
-//!   variable.
+//!   variable;
+//! * the §2.6 check the compiler acts on, which explores each coupled
+//!   group of trails apart, finds exactly the conflicts of the full
+//!   product on generated `par`s whose arms may share nothing.
 
+use ceu::analysis::{check_determinism, DfaOptions};
 use ceu::runtime::{Host, HostResult, Ptr, RecordingHost, TraceEvent, TraceMask, Value};
 use ceu::{CompileOptions, CompiledProgram, Compiler, Machine, Simulator, Status};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 mod programs;
-use programs::{arb_int_expr, arb_program};
+use programs::{arb_int_expr, arb_par_program, arb_program, conflict_set};
 
 // ---- generators ---------------------------------------------------------------
 
@@ -456,6 +460,22 @@ proptest! {
     }
 
     #[test]
+    fn check_agrees_with_the_product(src in arb_par_program()) {
+        // both run the bounded check first; a refused source has no DFA
+        let Ok((p, product)) = Compiler::new().analyze(&src) else { return Ok(()) };
+        let check = check_determinism(&p, &DfaOptions::default());
+        if !product.truncated && !check.truncated {
+            prop_assert_eq!(
+                conflict_set(&check.conflicts),
+                conflict_set(&product.conflicts),
+                "{} runs over\n{}",
+                check.runs,
+                src
+            );
+        }
+    }
+
+    #[test]
     fn rejections_are_stable(src in arb_program()) {
         // the checked compiler either accepts or rejects, and does so
         // consistently across runs (the analysis itself is deterministic)
@@ -463,4 +483,28 @@ proptest! {
         let r2 = Compiler::new().compile(&src).is_ok();
         prop_assert_eq!(r1, r2);
     }
+}
+
+/// The agreement property above means something only if its programs
+/// split: some must explore more than one group, some must stay one
+/// product, and some must be refused.
+#[test]
+fn generated_pars_split_couple_and_conflict() {
+    let (mut split, mut whole, mut refused) = (0, 0, 0);
+    for seed in 0..64 {
+        let src =
+            arb_par_program().new_value(&mut proptest::test_runner::TestRng::seed_from_u64(seed));
+        let p = Compiler::unchecked().compile(&src).expect("generated programs compile");
+        let check = check_determinism(&p, &DfaOptions::default());
+        if check.runs > 1 {
+            split += 1;
+        } else {
+            whole += 1;
+        }
+        refused += usize::from(!check.deterministic());
+    }
+    assert!(
+        split >= 8 && whole >= 8 && refused >= 8,
+        "{split} split, {whole} whole, {refused} refused"
+    );
 }
